@@ -30,7 +30,6 @@ from .errors import (
     SideViolation,
     TooLarge,
     UnknownVertex,
-    ZeroVector,
 )
 from .generate import generate_planted
 from .globalopt import GlobalSchedule, global_density, global_guarantee_bound
@@ -51,18 +50,11 @@ from .graph import (
 from .growth import (
     Candidate,
     GrowthTrace,
-    LevelSets,
     LevelVector,
     ProcessOutcome,
     StepRecord,
-    evaluate_candidates,
     growth_bound_check,
-    level_sets,
-    multiply,
-    round_up_pow2,
     run_pruned_growth,
-    step,
-    truncate,
 )
 from .io import (
     load_edge_list,
@@ -107,7 +99,6 @@ __all__ = [
     "GraphStats",
     "GrowthTrace",
     "LEFT",
-    "LevelSets",
     "LevelVector",
     "LocalDenseError",
     "LocalSchedule",
@@ -125,13 +116,11 @@ __all__ = [
     "Subgraph",
     "TooLarge",
     "UnknownVertex",
-    "ZeroVector",
     "biadjacency",
     "build_bipartite",
     "degree_stats",
     "density",
     "edge_weight_between",
-    "evaluate_candidates",
     "exact_densest",
     "from_directed",
     "generate_planted",
@@ -139,22 +128,17 @@ __all__ = [
     "global_guarantee_bound",
     "good_seed_set",
     "growth_bound_check",
-    "level_sets",
     "load_edge_list",
     "local_density",
     "local_guarantee_bound",
-    "multiply",
     "parse_records",
     "ratio_density",
     "restrict",
     "result_record",
-    "round_up_pow2",
     "run_pruned_growth",
     "save_edge_list",
     "seed_scan",
-    "step",
     "top_eigenvalue",
     "trace_records",
-    "truncate",
     "write_records",
 ]

@@ -98,12 +98,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--target-size", type=int, required=True)
     p.add_argument("--top", type=int, default=10, help="how many results to keep")
-    p.add_argument(
-        "--parallel",
-        type=int,
-        default=0,
-        help="concurrent seed runs; 0 means the machine's cpu count",
-    )
+    p.add_argument("--parallel", type=int, help="ignored; seeds run one after another")
 
     p = sub.add_parser("verify", help="self-check suite; fails with exit code 3")
     add_common(p)
@@ -234,17 +229,14 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    import os
-
     g = _load(args)
     if args.seeds == "all":
         seeds = [(g.left_id(u), "L") for u in range(g.left_count)]
         seeds += [(g.right_id(v), "R") for v in range(g.right_count)]
     else:
         seeds = _read_seeds(args.seeds)
-    parallel = args.parallel if args.parallel > 0 else (os.cpu_count() or 1)
     t0 = time.perf_counter()
-    outcome = seed_scan(g, seeds, args.target_size, args.top, parallel)
+    outcome = seed_scan(g, seeds, args.target_size, args.top)
     _note(f"wall_time_ms={1000.0 * (time.perf_counter() - t0):.3f}")
     records = [result_record(g, res, "local") for res in outcome.results]
     for failure in outcome.failures:

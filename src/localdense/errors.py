@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
-ZeroVector is control flow rather than failure: the growth process raises it
-when truncation empties the working vector, and callers stop early with the
-best candidate seen so far.
+Every error the package raises on bad input derives from LocalDenseError,
+which the CLI turns into exit code 2 and one JSON error line.
 """
 
 
@@ -27,25 +26,11 @@ class EmptySide(LocalDenseError):
 
 
 class NegativeEntry(LocalDenseError):
-    """A sparse vector entry was negative or not a number."""
+    """A sparse vector entry or its norm was negative or not a finite number."""
 
 
 class DomainError(LocalDenseError):
     """A numeric argument fell outside its documented domain."""
-
-
-class ZeroVector(LocalDenseError):
-    """Truncation removed every entry; the growth process should stop.
-
-    Carries the level sets and norm of the rounded vector that existed just
-    before truncation, so the caller can still evaluate that step's
-    candidates.
-    """
-
-    def __init__(self, message, post_levels=None, pre_norm=0.0):
-        super().__init__(message)
-        self.post_levels = post_levels
-        self.pre_norm = pre_norm
 
 
 class NoCandidate(LocalDenseError):

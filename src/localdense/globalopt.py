@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .graph import LEFT, RIGHT, BipartiteGraph
+from .graph import LEFT, RIGHT, BipartiteGraph, is_int
 from .growth import LevelVector, run_pruned_growth
 from .local import DensityResult
 
@@ -35,8 +35,9 @@ class GlobalSchedule:
 
     @classmethod
     def for_size(cls, vertex_count: int) -> "GlobalSchedule":
-        if not isinstance(vertex_count, int) or vertex_count < 1:
+        if not is_int(vertex_count) or vertex_count < 1:
             raise DomainError(f"vertex count must be a positive integer, got {vertex_count!r}")
+        vertex_count = int(vertex_count)
         horizon = 1
         while 4**horizon < 4 * vertex_count:
             horizon += 1

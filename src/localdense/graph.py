@@ -31,6 +31,11 @@ def opposite(side: str) -> str:
     return RIGHT if side == LEFT else LEFT
 
 
+def is_int(value) -> bool:
+    """True for Python and numpy integers, false for bools."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Subgraph:
     """A vertex pair (left, right) together with its crossing weight and density.
@@ -318,7 +323,7 @@ def _validate_side_set(g: BipartiteGraph, side: str, vertices) -> frozenset:
     vs = frozenset(vertices)
     count = g.side_count(side)
     for v in vs:
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < count:
+        if not is_int(v) or not 0 <= v < count:
             raise SideViolation(f"index {v!r} is not a valid side-{side} vertex")
     return vs
 

@@ -1,102 +1,82 @@
-"""The pruned growth process and its level-set bookkeeping.
+"""The pruned growth process.
 
 The process walks a sparse nonnegative vector back and forth across the
 bipartition: multiply by the adjacency, round every entry up to a power of
 two, then drop entries that are small relative to the vector norm.  Because
-entries are always exact powers of two, a vector is stored as a map from
-vertex index to integer exponent; per-vertex floats are never materialized.
+entries are always exact powers of two, a vector is stored as its sorted
+support plus one integer exponent per entry.
 
 Grouping a vector's support by exponent gives its level sets, and each step's
 candidate subgraphs are the pairs (level of the current vector, level of the
 rounded product).  The densest pair over all steps is the process output.
+A step gathers the edges incident to the support once; the same edges give
+both the product and the weight of every level pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import DomainError, NegativeEntry, NoCandidate, ZeroVector
+import numpy as np
+
+from .errors import DomainError, NegativeEntry
 from .graph import LEFT, BipartiteGraph, Subgraph, opposite
 
 __all__ = [
     "LevelVector",
-    "LevelSets",
     "Candidate",
     "StepRecord",
     "GrowthTrace",
     "ProcessOutcome",
-    "round_up_pow2",
-    "truncate",
-    "multiply",
-    "step",
-    "level_sets",
-    "evaluate_candidates",
     "growth_bound_check",
     "run_pruned_growth",
 ]
 
 
-def _pow2(i: int) -> float:
-    return math.ldexp(1.0, i)
-
-
-def _norm_of(exponents: Mapping[int, int]) -> float:
-    return math.sqrt(math.fsum(math.ldexp(1.0, 2 * i) for i in exponents.values()))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelVector:
     """Sparse vector whose entries are exact powers of two.
 
-    exponents maps vertex index (on `side`) to the integer i with value 2**i.
-    The Euclidean norm is cached at construction.
+    index holds the support (vertex indices on `side`) in ascending order as
+    int64, and exps the integer i of each entry's value 2**i.  The Euclidean
+    norm is carried alongside.  Two vectors are equal when their sides,
+    norms and arrays are.
     """
 
     side: str
-    exponents: dict
+    index: np.ndarray
+    exps: np.ndarray
     norm: float
 
     @classmethod
-    def from_exponents(cls, side: str, exponents: Mapping[int, int]) -> "LevelVector":
-        exps = dict(exponents)
-        return cls(side, exps, _norm_of(exps))
-
-    @classmethod
     def unit(cls, side: str, vertex: int) -> "LevelVector":
-        return cls(side, {vertex: 0}, 1.0)
+        return cls(side, np.array([vertex], dtype=np.int64), np.zeros(1, dtype=np.int64), 1.0)
 
     @classmethod
     def ones(cls, side: str, count: int) -> "LevelVector":
-        return cls(side, {u: 0 for u in range(count)}, math.sqrt(count))
+        index = np.arange(count, dtype=np.int64)
+        return cls(side, index, np.zeros_like(index), math.sqrt(count))
 
     @property
     def support_size(self) -> int:
-        return len(self.exponents)
-
-    def value(self, vertex: int) -> float:
-        i = self.exponents.get(vertex)
-        return 0.0 if i is None else _pow2(i)
-
-
-@dataclass(frozen=True)
-class LevelSets:
-    """A vector's support grouped by exponent, each group sorted."""
-
-    side: str
-    by_exponent: dict
+        return len(self.index)
 
     @property
     def level_count(self) -> int:
-        return len(self.by_exponent)
+        """Number of distinct exponents, i.e. of nonempty level sets."""
+        return len(np.unique(self.exps))
 
-    @property
-    def support_size(self) -> int:
-        return sum(len(vs) for vs in self.by_exponent.values())
-
-    def vertex_exponents(self) -> dict:
-        return {v: i for i, vs in self.by_exponent.items() for v in vs}
+    def __eq__(self, other):
+        if not isinstance(other, LevelVector):
+            return NotImplemented
+        return (
+            self.side == other.side
+            and self.norm == other.norm
+            and np.array_equal(self.index, other.index)
+            and np.array_equal(self.exps, other.exps)
+        )
 
 
 @dataclass(frozen=True)
@@ -117,110 +97,34 @@ class Candidate:
         return self.subgraph.density
 
 
-def round_up_pow2(entries: Mapping[int, float], side: str) -> LevelVector:
-    """Round each positive entry up to the nearest power of two.
+def _round_up_pow2(values: np.ndarray) -> np.ndarray:
+    """Exponent i of the smallest power of two 2**i >= z, for each positive z.
 
-    The exponent chosen for value z is the smallest i with 2**i >= z, so the
-    result is within a factor of two above the input.  Zero entries vanish.
+    frexp gives z = m * 2**e with 0.5 <= m < 1, so 2**e covers z and
+    2**(e-1) suffices exactly when m == 0.5.
     """
-    exps = {}
-    for u, val in entries.items():
-        if not (val >= 0.0) or math.isinf(val):
-            raise NegativeEntry(f"entry {u!r} has invalid value {val!r}")
-        if val == 0.0:
-            continue
-        m, e = math.frexp(val)
-        # frexp gives val = m * 2**e with 0.5 <= m < 1, so 2**e covers val
-        # and 2**(e-1) suffices exactly when m == 0.5.
-        exps[u] = e - 1 if m == 0.5 else e
-    return LevelVector(side, exps, _norm_of(exps))
+    m, e = np.frexp(values)
+    return e.astype(np.int64) - (m == 0.5)
 
 
-def truncate(z: LevelVector, eps: float) -> LevelVector:
-    """Keep entries strictly above eps times the vector norm."""
-    if not 0.0 <= eps <= 1.0:
-        raise DomainError(f"truncation fraction {eps!r} outside [0, 1]")
-    threshold = eps * z.norm
-    kept = {u: i for u, i in z.exponents.items() if _pow2(i) > threshold}
-    return LevelVector(z.side, kept, _norm_of(kept))
+def _norm(levels: np.ndarray, counts: np.ndarray) -> float:
+    """Euclidean norm of counts[k] entries equal to 2**levels[k], levels ascending.
 
-
-def multiply(g: BipartiteGraph, x: LevelVector) -> dict:
-    """Sparse product of x with the adjacency; lands on the opposite side.
-
-    Touches only edges incident to the support of x.
+    The top level is factored out of the sum of squares, so the result equals
+    sqrt(fsum of the squared entries) whenever each square is a normal float,
+    and stays finite and nonzero where those squares would overflow or
+    underflow.  A norm beyond the float range raises NegativeEntry.
     """
-    out: dict = {}
-    for u in sorted(x.exponents):
-        val = _pow2(x.exponents[u])
-        nbr, wt = g.neighbors(x.side, u)
-        for v, w in zip(nbr.tolist(), wt.tolist()):
-            out[v] = out.get(v, 0.0) + val * w
-    return out
-
-
-def level_sets(x: LevelVector) -> LevelSets:
-    buckets: dict = {}
-    for u, i in x.exponents.items():
-        buckets.setdefault(i, []).append(u)
-    ordered = {i: tuple(sorted(buckets[i])) for i in sorted(buckets)}
-    return LevelSets(x.side, ordered)
-
-
-def step(g: BipartiteGraph, x: LevelVector, eps_next: float):
-    """One move of the process: multiply, round, then truncate at eps_next.
-
-    Returns (next vector, level sets of the rounded product, norm of the
-    rounded product).  Raises ZeroVector, carrying those last two values,
-    when truncation empties the vector.
-    """
-    rounded = round_up_pow2(multiply(g, x), opposite(x.side))
-    post = level_sets(rounded)
-    pre_norm = rounded.norm
-    nxt = truncate(rounded, eps_next)
-    if not nxt.exponents:
-        raise ZeroVector("truncation removed every entry", post, pre_norm)
-    return nxt, post, pre_norm
-
-
-def evaluate_candidates(g: BipartiteGraph, x_levels: LevelSets, y_levels: LevelSets) -> Candidate:
-    """Densest pair (level of x, level of the rounded product).
-
-    All pair weights are accumulated in a single pass over the edges incident
-    to the support of x.  Ties prefer the smaller (i, j).
-    """
-    if not x_levels.by_exponent or not y_levels.by_exponent:
-        raise NoCandidate("a level family is empty")
-    ymap = y_levels.vertex_exponents()
-    ysizes = {j: len(vs) for j, vs in y_levels.by_exponent.items()}
-    pair_weight: dict = {}
-    for i, verts in x_levels.by_exponent.items():
-        for u in verts:
-            nbr, wt = g.neighbors(x_levels.side, u)
-            for v, w in zip(nbr.tolist(), wt.tolist()):
-                j = ymap.get(v)
-                if j is None:
-                    continue
-                key = (i, j)
-                pair_weight[key] = pair_weight.get(key, 0.0) + w
-    if not pair_weight:
-        raise NoCandidate("no edges between the level families")
-    best = None
-    for i, j in sorted(pair_weight):
-        e = pair_weight[(i, j)]
-        si = len(x_levels.by_exponent[i])
-        sj = ysizes[j]
-        d = e / math.sqrt(si * sj)
-        if best is None or d > best[0]:
-            best = (d, i, j, e, si, sj)
-    d, i, j, e, si, sj = best
-    xs = frozenset(x_levels.by_exponent[i])
-    ys = frozenset(y_levels.by_exponent[j])
-    if x_levels.side == LEFT:
-        sub = Subgraph(xs, ys, e, d)
-    else:
-        sub = Subgraph(ys, xs, e, d)
-    return Candidate(sub, i, j)
+    if not len(levels):
+        return 0.0
+    top = int(levels[-1])
+    total = math.fsum(
+        math.ldexp(c, 2 * (k - top)) for k, c in zip(levels.tolist(), counts.tolist())
+    )
+    try:
+        return math.ldexp(math.sqrt(total), top)
+    except OverflowError:
+        raise NegativeEntry(f"vector norm overflows at level 2**{top}") from None
 
 
 def growth_bound_check(
@@ -253,7 +157,9 @@ class StepRecord:
 
     eps_t is the schedule value indexed with the source vector (used by the
     growth and level-count checks); eps_prune is the next schedule value,
-    applied by the truncation that produced the following vector.
+    applied by the truncation that produced the following vector.  x_levels
+    is the source vector and post_levels the rounded product before
+    truncation.
     """
 
     t: int
@@ -262,9 +168,9 @@ class StepRecord:
     x_side: str
     x_norm: float
     x_support: int
-    x_levels: LevelSets
+    x_levels: LevelVector
     pre_norm: float
-    post_levels: LevelSets
+    post_levels: LevelVector
     max_pair_density: float
     pruned_mass: float
     pruned_count: int
@@ -298,14 +204,20 @@ def run_pruned_growth(
 ) -> ProcessOutcome:
     """Drive the process for len(epsilons) - 1 steps from `start`.
 
-    epsilons[t + 1] prunes the step taken from the t-th vector; epsilons[0]
-    is never applied (the start vector is used as given) but is recorded with
-    the first step for bound checking.  Candidates are evaluated from the
-    rounded product before each truncation, so a step that prunes to zero
-    still contributes its level pairs.
+    epsilons[t + 1] prunes the step taken from the t-th vector, keeping the
+    entries strictly above that fraction of the rounded product's norm;
+    epsilons[0] is never applied (the start vector is used as given) but is
+    recorded with the first step for bound checking.  Candidates are
+    evaluated from the rounded product before each truncation, so a step
+    that prunes to zero still contributes its level pairs.  The run stops
+    early, without taking the step, when the vector has no incident edges or
+    every product entry underflows to zero.  Ties between level pairs prefer
+    the smallest (i, j).
+
+    Raises DomainError for a pruning fraction outside [0, 1] and
+    NegativeEntry when a product entry or a norm overflows.
     """
     x = start
-    x_lv = level_sets(x)
     best: Candidate | None = None
     best_at: tuple | None = None
     edges_touched = 0
@@ -314,59 +226,97 @@ def run_pruned_growth(
     trace = GrowthTrace(label) if keep_trace else None
 
     for t in range(len(epsilons) - 1):
-        incident = sum(g.fanout(x.side, u) for u in x.exponents)
-        if incident == 0:
+        # gather the edges incident to the support in (vertex, neighbor) order
+        indptr, nbrs, wts = g.csr_arrays(x.side)
+        lo = indptr[x.index]
+        fan = indptr[x.index + 1] - lo
+        rows = np.repeat(np.arange(len(fan)), fan)
+        if not len(rows):
             stopped = True
             break
-        died = False
-        try:
-            x_next, post, pre_norm = step(g, x, epsilons[t + 1])
-        except ZeroVector as zv:
-            x_next, post, pre_norm = None, zv.post_levels, zv.pre_norm
-            died = True
+        pos = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(fan) - fan), fan)
+        nbr, wt = nbrs[pos], wts[pos]
+        # bincount adds in array order, so each product entry sums its terms
+        # in ascending source-vertex order
+        with np.errstate(over="ignore"):
+            terms = np.ldexp(1.0, x.exps)[rows] * wt
+        y_all, y_of_edge = np.unique(nbr, return_inverse=True)
+        prod = np.bincount(y_of_edge, weights=terms, minlength=len(y_all))
+        if np.isinf(prod).any():
+            raise NegativeEntry("a product entry overflows to inf")
+        live = prod > 0.0  # entries that underflowed to zero are dropped
+        if not live.any():
+            stopped = True
+            break
+        y_index = y_all[live]
+        y_exps = _round_up_pow2(prod[live])
+        y_levels, y_level_of, y_counts = np.unique(
+            y_exps, return_inverse=True, return_counts=True
+        )
+        pre_norm = _norm(y_levels, y_counts)
         executed += 1
-        edges_touched += 2 * incident
+        edges_touched += 2 * len(rows)
 
-        cand = evaluate_candidates(g, x_lv, post)
-        if best is None or cand.density > best.density:
-            best = cand
-            best_at = (t, cand.i, cand.j)
+        # weight of every (x level, y level) pair over the same edges; each
+        # pair's sum runs in (vertex, neighbor) order, the order a walk level
+        # by level visits that pair's edges in, so no sort by level is needed
+        x_levels, x_level_of, x_counts = np.unique(
+            x.exps, return_inverse=True, return_counts=True
+        )
+        on_live = live[y_of_edge]
+        live_pos = np.cumsum(live) - 1  # position of each live entry in y_index
+        ylev = y_level_of[live_pos[y_of_edge[on_live]]]
+        keys = x_level_of[rows[on_live]] * len(y_levels) + ylev
+        pairs, pair_of_edge = np.unique(keys, return_inverse=True)
+        pair_weight = np.bincount(pair_of_edge, weights=wt[on_live])
+        pi, pj = np.divmod(pairs, len(y_levels))
+        dens = pair_weight / np.sqrt(x_counts[pi] * y_counts[pj])
+        k = int(np.argmax(dens))  # first maximum in (i, j) order
+        d = float(dens[k])
+        if best is None or d > best.density:
+            i, j = int(x_levels[pi[k]]), int(y_levels[pj[k]])
+            xs = frozenset(x.index[x_level_of == pi[k]].tolist())
+            ys = frozenset(y_index[y_level_of == pj[k]].tolist())
+            e = float(pair_weight[k])
+            sub = Subgraph(xs, ys, e, d) if x.side == LEFT else Subgraph(ys, xs, e, d)
+            best = Candidate(sub, i, j)
+            best_at = (t, i, j)
+
+        eps = epsilons[t + 1]
+        if not 0.0 <= eps <= 1.0:
+            raise DomainError(f"truncation fraction {eps!r} outside [0, 1]")
+        # a level's entries share one value, so truncation keeps whole levels
+        keep = np.ldexp(1.0, y_levels) > eps * pre_norm
+        kept = keep[y_level_of]
+        y_side = opposite(x.side)
+        x_next = LevelVector(
+            y_side, y_index[kept], y_exps[kept], _norm(y_levels[keep], y_counts[keep])
+        )
 
         if keep_trace:
-            kept = set() if x_next is None else set(x_next.exponents)
-            removed = [
-                (v, j)
-                for j, vs in post.by_exponent.items()
-                for v in vs
-                if v not in kept
-            ]
-            pruned_mass = math.sqrt(
-                math.fsum(math.ldexp(1.0, 2 * j) for _, j in removed)
-            )
             trace.steps.append(
                 StepRecord(
                     t=t,
                     eps_t=epsilons[t],
-                    eps_prune=epsilons[t + 1],
+                    eps_prune=eps,
                     x_side=x.side,
                     x_norm=x.norm,
                     x_support=x.support_size,
-                    x_levels=x_lv,
+                    x_levels=x,
                     pre_norm=pre_norm,
-                    post_levels=post,
-                    max_pair_density=cand.density,
-                    pruned_mass=pruned_mass,
-                    pruned_count=len(removed),
-                    next_support=0 if x_next is None else x_next.support_size,
-                    next_norm=0.0 if x_next is None else x_next.norm,
+                    post_levels=LevelVector(y_side, y_index, y_exps, pre_norm),
+                    max_pair_density=d,
+                    pruned_mass=_norm(y_levels[~keep], y_counts[~keep]),
+                    pruned_count=int(y_counts[~keep].sum()),
+                    next_support=x_next.support_size,
+                    next_norm=x_next.norm,
                     best_so_far=best_at + (best.density,),
                 )
             )
 
-        if died:
+        if not x_next.support_size:
             stopped = True
             break
         x = x_next
-        x_lv = level_sets(x)
 
     return ProcessOutcome(best, best_at, executed, edges_touched, stopped, trace)

@@ -8,13 +8,12 @@ on the size of the whole graph.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from .errors import DomainError, NoCandidate, UnknownVertex
-from .graph import BipartiteGraph, Subgraph
-from .growth import GrowthTrace, LevelVector, run_pruned_growth
+from .graph import BipartiteGraph, Subgraph, is_int
+from .growth import LevelVector, run_pruned_growth
 
 __all__ = [
     "LocalSchedule",
@@ -42,8 +41,9 @@ class LocalSchedule:
 
     @classmethod
     def for_target(cls, target_size: int) -> "LocalSchedule":
-        if not isinstance(target_size, int) or target_size < 1:
+        if not is_int(target_size) or target_size < 1:
             raise DomainError(f"target size must be a positive integer, got {target_size!r}")
+        target_size = int(target_size)
         horizon = 1
         while 4**horizon < 2 * target_size:
             horizon += 1
@@ -150,19 +150,11 @@ def local_density(
         start=label,
         bound=bound,
         bound_eps=bound_eps,
-        target_size=target_size,
+        target_size=sched.target_size,
         edges_touched=outcome.edges_touched,
         steps=outcome.steps_executed,
         traces=(outcome.trace,) if keep_trace else None,
     )
-
-
-def _scan_one(g, seed, target_size, keep_trace):
-    if isinstance(seed, tuple) and len(seed) == 2 and seed[1] in ("L", "R"):
-        token, side = seed
-    else:
-        token, side = seed, None
-    return local_density(g, token, target_size, side, keep_trace)
 
 
 def seed_scan(
@@ -175,41 +167,30 @@ def seed_scan(
 ) -> ScanOutcome:
     """Run local_density over many seeds and keep the densest distinct results.
 
-    Seeds are external ids, optionally as (id, side) pairs.  Results that
-    name the same vertex pair are deduplicated keeping the earliest seed, and
-    the survivors are ordered by density with ties broken by seed order.  A
-    seed that fails (unknown or isolated) is recorded, not fatal.
+    Seeds are external ids, optionally as (id, side) pairs, and run one
+    after another in the given order.  Results that name the same vertex
+    pair are deduplicated keeping the earliest seed, and the survivors are
+    ordered by density with ties broken by seed order.  A seed that fails
+    (unknown or isolated) is recorded, not fatal.  parallel is accepted for
+    compatibility and ignored: threads gave no speedup on this pure-Python
+    and small-array work.
     """
     if top_n < 1:
         raise DomainError("top_n must be at least one")
-    runs: list = []
-    if parallel > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            futures = [
-                pool.submit(_scan_one, g, seed, target_size, keep_trace) for seed in seeds
-            ]
-            for seed, fut in zip(seeds, futures):
-                try:
-                    runs.append((seed, fut.result()))
-                except (UnknownVertex, NoCandidate) as exc:
-                    runs.append((seed, SeedFailure(seed, type(exc).__name__, str(exc))))
-    else:
-        for seed in seeds:
-            try:
-                runs.append((seed, _scan_one(g, seed, target_size, keep_trace)))
-            except (UnknownVertex, NoCandidate) as exc:
-                runs.append((seed, SeedFailure(seed, type(exc).__name__, str(exc))))
-
-    failures = [r for _, r in runs if isinstance(r, SeedFailure)]
-    seen: dict = {}
+    failures: list = []
+    seen: set = set()
     ordered: list = []
-    for order, (seed, res) in enumerate(runs):
-        if isinstance(res, SeedFailure):
+    for order, seed in enumerate(seeds):
+        pinned = isinstance(seed, tuple) and len(seed) == 2 and seed[1] in ("L", "R")
+        token, side = seed if pinned else (seed, None)
+        try:
+            res = local_density(g, token, target_size, side, keep_trace)
+        except (UnknownVertex, NoCandidate) as exc:
+            failures.append(SeedFailure(seed, type(exc).__name__, str(exc)))
             continue
         key = (res.subgraph.left, res.subgraph.right)
-        if key in seen:
-            continue
-        seen[key] = order
-        ordered.append((order, res))
+        if key not in seen:
+            seen.add(key)
+            ordered.append((order, res))
     ordered.sort(key=lambda pair: (-pair[1].density, pair[0]))
     return ScanOutcome([res for _, res in ordered[:top_n]], failures)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from localdense import build_bipartite
+from localdense import LEFT, RIGHT, Candidate, NegativeEntry, Subgraph, build_bipartite
 
 
 def k_ab(a, b, weight=1.0):
@@ -82,6 +83,115 @@ def random_bipartite(rng: random.Random, max_left, max_right, weighted=False, mi
         w = rng.uniform(0.1, 3.0) if weighted else 1.0
         edges.append((f"l{u}", f"r{v}", w))
     return build_bipartite(edges)
+
+
+def reference_norm(exponents):
+    """Norm of entries 2**i, top level factored out as the library does."""
+    exps = list(exponents)
+    if not exps:
+        return 0.0
+    top = max(exps)
+    total = math.fsum(math.ldexp(1.0, 2 * (i - top)) for i in exps)
+    return math.ldexp(math.sqrt(total), top)
+
+
+def reference_growth(g, side, start, epsilons):
+    """The growth process as plain dict loops; referee for run_pruned_growth.
+
+    start maps vertex index (on `side`) to exponent.  Returns the
+    ProcessOutcome fields as a dict whose "trace" is a list of dicts with
+    every StepRecord field, levels given as vertex -> exponent dicts.  The
+    product walks the support in vertex order and the pair weights walk it
+    level by level, each in its own pass over the edges.
+    """
+    x = dict(start)
+    x_norm = reference_norm(x.values())
+    best = best_at = None
+    edges_touched = executed = 0
+    stopped = False
+    steps = []
+    for t in range(len(epsilons) - 1):
+        incident = sum(g.fanout(side, u) for u in x)
+        if incident == 0:
+            stopped = True
+            break
+        prod = {}
+        for u in sorted(x):
+            val = math.ldexp(1.0, x[u])
+            nbr, wt = g.neighbors(side, u)
+            for v, w in zip(nbr.tolist(), wt.tolist()):
+                prod[v] = prod.get(v, 0.0) + val * w
+        y = {}
+        for v, z in prod.items():
+            if math.isinf(z):
+                raise NegativeEntry(f"entry {v!r} overflows")
+            if z > 0.0:
+                m, e = math.frexp(z)
+                y[v] = e - 1 if m == 0.5 else e
+        if not y:
+            stopped = True
+            break
+        executed += 1
+        edges_touched += 2 * incident
+        pre_norm = reference_norm(y.values())
+
+        pair = {}
+        for u in sorted(x, key=lambda u: (x[u], u)):
+            nbr, wt = g.neighbors(side, u)
+            for v, w in zip(nbr.tolist(), wt.tolist()):
+                if v in y:
+                    key = (x[u], y[v])
+                    pair[key] = pair.get(key, 0.0) + w
+        x_sizes, y_sizes = Counter(x.values()), Counter(y.values())
+        top = None
+        for i, j in sorted(pair):
+            d = pair[i, j] / math.sqrt(x_sizes[i] * y_sizes[j])
+            if top is None or d > top[0]:
+                top = (d, i, j)
+        d, i, j = top
+        if best is None or d > best.density:
+            xs = frozenset(u for u in x if x[u] == i)
+            ys = frozenset(v for v in y if y[v] == j)
+            pair_sets = (xs, ys) if side == LEFT else (ys, xs)
+            best = Candidate(Subgraph(*pair_sets, pair[i, j], d), i, j)
+            best_at = (t, i, j)
+
+        threshold = epsilons[t + 1] * pre_norm
+        nxt = {v: j for v, j in y.items() if math.ldexp(1.0, j) > threshold}
+        removed = [j for v, j in y.items() if v not in nxt]
+        next_norm = reference_norm(nxt.values())
+        steps.append(
+            {
+                "t": t,
+                "eps_t": epsilons[t],
+                "eps_prune": epsilons[t + 1],
+                "x_side": side,
+                "x_norm": x_norm,
+                "x_support": len(x),
+                "x_levels": dict(sorted(x.items())),
+                "pre_norm": pre_norm,
+                "post_levels": dict(sorted(y.items())),
+                "max_pair_density": d,
+                "pruned_mass": reference_norm(removed),
+                "pruned_count": len(removed),
+                "next_support": len(nxt),
+                "next_norm": next_norm,
+                "best_so_far": best_at + (best.density,),
+            }
+        )
+        if not nxt:
+            stopped = True
+            break
+        x, x_norm = nxt, next_norm
+        side = RIGHT if side == LEFT else LEFT
+    return {
+        "best": best,
+        "best_at": best_at,
+        "steps_executed": executed,
+        "edges_touched": edges_touched,
+        "stopped_early": stopped,
+        "trace": steps,
+    }
 
 
 @pytest.fixture

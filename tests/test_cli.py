@@ -256,6 +256,18 @@ def test_data_errors_exit_two(block_file, tmp_path):
     assert "line 1" in err3["message"]
 
 
+def test_overflowing_weights_are_data_errors(tmp_path):
+    # a finite weight whose products overflow ends in a typed error
+    huge = tmp_path / "huge.txt"
+    huge.write_text("a x 1e200\n")
+    for args in (("local", "--seed", "a", "--target-size", "4"), ("global",)):
+        proc = run_cli(args[0], str(huge), *args[1:])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"]["kind"] == "NegativeEntry"
+
+
 def test_verification_failures_use_exit_three():
     results = [
         PropertyResult("support-bound", "pass", "ok"),

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,14 @@ def test_schedule_invariants(n):
 
 def test_schedule_rejects_bad_sizes():
     for bad in (0, -1, 2.0):
+        with pytest.raises(DomainError):
+            GlobalSchedule.for_size(bad)
+
+
+def test_schedule_takes_numpy_ints_and_rejects_bools():
+    assert GlobalSchedule.for_size(np.int64(5)) == GlobalSchedule.for_size(5)
+    assert type(GlobalSchedule.for_size(np.int32(5)).vertex_count) is int
+    for bad in (True, False):
         with pytest.raises(DomainError):
             GlobalSchedule.for_size(bad)
 

@@ -82,6 +82,8 @@ def test_density_validation():
         density(g, {5}, {0})
     with pytest.raises(SideViolation):
         density(g, {-1}, {0})
+    with pytest.raises(SideViolation):
+        density(g, {True}, {0})
     assert edge_weight_between(g, set(), {0}) == 0.0
 
 

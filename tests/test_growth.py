@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,25 +11,24 @@ from hypothesis import strategies as st
 from localdense import (
     Candidate,
     DomainError,
-    LevelSets,
     LevelVector,
     NegativeEntry,
-    NoCandidate,
-    ZeroVector,
+    ProcessOutcome,
+    StepRecord,
     build_bipartite,
     density,
-    evaluate_candidates,
     from_directed,
     growth_bound_check,
-    level_sets,
-    multiply,
-    round_up_pow2,
     run_pruned_growth,
-    step,
-    truncate,
 )
 
-from conftest import dense_biadjacency, k_ab, random_bipartite
+from conftest import (
+    dense_biadjacency,
+    k_ab,
+    random_bipartite,
+    reference_growth,
+    reference_norm,
+)
 
 
 def smallest_pow2_at_least(z: float) -> Fraction:
@@ -45,67 +45,131 @@ def smallest_pow2_at_least(z: float) -> Fraction:
     return p
 
 
+def levels(vec: LevelVector) -> dict:
+    return dict(zip(vec.index.tolist(), vec.exps.tolist()))
+
+
+def vector(side, exponents: dict) -> LevelVector:
+    """A start vector with arbitrary exponents, normed like the referee."""
+    items = sorted(exponents.items())
+    return LevelVector(
+        side,
+        np.array([u for u, _ in items], dtype=np.int64),
+        np.array([i for _, i in items], dtype=np.int64),
+        reference_norm(exponents.values()),
+    )
+
+
+def outcome_fields(out: ProcessOutcome) -> dict:
+    """ProcessOutcome as the referee reports it: levels as dicts."""
+    fields = {f.name: getattr(out, f.name) for f in dataclasses.fields(ProcessOutcome)}
+    fields["trace"] = [
+        {
+            f.name: levels(v) if isinstance(v, LevelVector) else v
+            for f in dataclasses.fields(StepRecord)
+            for v in (getattr(rec, f.name),)
+        }
+        for rec in out.trace.steps
+    ]
+    return fields
+
+
+def first_step(g, start, eps=0.01):
+    out = run_pruned_growth(g, start, (0.5, eps), keep_trace=True)
+    return out, out.trace.steps[0]
+
+
 def test_round_up_examples():
-    vec = round_up_pow2({0: 3.0, 1: 4.0, 2: 0.3, 3: 1.0, 4: 0.5}, "L")
-    assert vec.exponents == {0: 2, 1: 2, 2: -1, 3: 0, 4: -1}
-    assert vec.value(0) == 4.0
-    assert vec.value(2) == 0.5
+    g = build_bipartite(
+        [("c", t, w) for t, w in zip("vwxyz", (3.0, 4.0, 0.3, 1.0, 0.5))]
+    )
+    _, rec = first_step(g, LevelVector.unit("L", 0))
+    assert levels(rec.post_levels) == {0: 2, 1: 2, 2: -1, 3: 0, 4: -1}
+    assert rec.post_levels.level_count == 3
 
 
 def test_round_up_drops_zeros_and_rejects_bad_entries():
-    vec = round_up_pow2({0: 0.0, 1: 1.0}, "L")
-    assert vec.exponents == {1: 0}
-    for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(NegativeEntry):
-            round_up_pow2({0: bad}, "L")
+    # from x the product to a underflows to 0.0 and is dropped, while the
+    # one to c survives
+    g = build_bipartite([("a", "x", 1e-320), ("c", "x", 1.0)])
+    out = run_pruned_growth(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1, 0.1), keep_trace=True)
+    first, second = out.trace.steps[:2]
+    (j,) = first.post_levels.exps.tolist()
+    assert Fraction(math.ldexp(1.0, j)) == smallest_pow2_at_least(1e-320)
+    assert first.pre_norm == math.ldexp(1.0, j)
+    assert levels(second.post_levels) == {1: j}
+    assert out.edges_touched == 2 + 4 + 2
+    # a finite product rounds to a finite level; the next one overflows
+    g = build_bipartite([("a", "x", 1e200)])
+    with pytest.raises(NegativeEntry):
+        run_pruned_growth(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1))
+    # a level whose power of two is beyond the float range
+    g = build_bipartite([("a", "x", 1.5 * 2.0**1023)])
+    with pytest.raises(NegativeEntry):
+        run_pruned_growth(g, LevelVector.unit("L", 0), (0.5, 0.1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(1e-30, 1e30, allow_nan=False, allow_infinity=False))
 def test_round_up_sandwich(z):
-    vec = round_up_pow2({0: z}, "L")
-    rounded = vec.value(0)
+    g = build_bipartite([("a", "x", z)])
+    _, rec = first_step(g, LevelVector.unit("L", 0))
+    (j,) = rec.post_levels.exps.tolist()
+    rounded = math.ldexp(1.0, j)
     assert Fraction(rounded) == smallest_pow2_at_least(z)
     assert z <= rounded < 2 * z
 
 
 def test_unit_and_ones_vectors():
     u = LevelVector.unit("L", 3)
-    assert u.exponents == {3: 0}
+    assert levels(u) == {3: 0}
     assert u.norm == 1.0
+    assert u.level_count == 1
     ones = LevelVector.ones("R", 4)
     assert ones.support_size == 4
     assert ones.norm == pytest.approx(2.0)
+    assert ones == LevelVector.ones("R", 4)
+    assert ones != LevelVector.ones("L", 4)
+    assert ones != vector("R", {0: 0, 1: 0, 2: 0, 3: 1})
 
 
-def test_truncate_is_strict():
-    single = LevelVector.unit("L", 0)
-    assert truncate(single, 1.0).exponents == {}
-    assert truncate(single, 0.999).exponents == {0: 0}
-    with pytest.raises(DomainError):
-        truncate(single, -0.1)
-    with pytest.raises(DomainError):
-        truncate(single, 1.5)
+def test_truncate_is_strict(star4):
+    # the product is four entries 1.0 with norm 2; eps 0.5 puts the
+    # threshold exactly at 1.0
+    out = run_pruned_growth(star4, LevelVector.unit("L", 0), (0.5, 0.5), keep_trace=True)
+    assert out.trace.steps[0].next_support == 0
+    out = run_pruned_growth(star4, LevelVector.unit("L", 0), (0.5, 0.4999), keep_trace=True)
+    assert out.trace.steps[0].next_support == 4
+    for bad in (-0.1, 1.5):
+        with pytest.raises(DomainError):
+            run_pruned_growth(star4, LevelVector.unit("L", 0), (0.5, bad))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.dictionaries(st.integers(0, 30), st.integers(-30, 30), min_size=1, max_size=30),
+    st.integers(0, 10_000),
+    st.dictionaries(st.integers(0, 8), st.integers(-30, 30), min_size=1, max_size=9),
     st.floats(0.01, 1.0),
 )
-def test_truncate_support_bound(exps, eps):
-    vec = LevelVector.from_exponents("L", exps)
-    kept = truncate(vec, eps)
-    assert kept.support_size <= 1.0 / eps**2
-    threshold = eps * vec.norm
-    assert all(kept.value(u) > threshold for u in kept.exponents)
+def test_truncate_support_bound(seed, exps, eps):
+    g = random_bipartite(random.Random(seed), 9, 9, weighted=True)
+    exps = {u: i for u, i in exps.items() if u < g.left_count} or {0: 0}
+    out = run_pruned_growth(g, vector("L", exps), (0.5, eps, 0.5), keep_trace=True)
+    rec = out.trace.steps[0]
+    assert rec.next_support <= 1.0 / eps**2
+    if rec.next_support:
+        threshold = eps * rec.pre_norm
+        kept = out.trace.steps[1].x_levels
+        assert all(math.ldexp(1.0, i) > threshold for i in kept.exps.tolist())
 
 
 def test_multiply_star(star4):
-    out = multiply(star4, LevelVector.unit("L", 0))
-    assert out == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
-    back = multiply(star4, LevelVector.ones("R", 4))
-    assert back == {0: 4.0}
+    out = run_pruned_growth(star4, LevelVector.unit("L", 0), (0.5, 0.01, 0.01), keep_trace=True)
+    there, back = out.trace.steps
+    assert levels(there.post_levels) == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert levels(back.post_levels) == {0: 2}
+    _, rec = first_step(star4, LevelVector.ones("R", 4))
+    assert levels(rec.post_levels) == {0: 2}
 
 
 @settings(max_examples=120, deadline=None)
@@ -113,31 +177,33 @@ def test_multiply_star(star4):
 def test_multiply_matches_dense_matvec(seed, exps):
     rng = random.Random(seed)
     g = random_bipartite(rng, 6, 6, weighted=True)
-    exps = {u: i for u, i in exps.items() if u < g.left_count}
-    if not exps:
-        exps = {0: 0}
-    vec = LevelVector.from_exponents("L", exps)
-    out = multiply(g, vec)
+    exps = {u: i for u, i in exps.items() if u < g.left_count} or {0: 0}
+    _, rec = first_step(g, vector("L", exps))
     dense = np.zeros(g.left_count)
     for u, i in exps.items():
         dense[u] = math.ldexp(1.0, i)
     prod = dense @ dense_biadjacency(g)
-    for v in range(g.right_count):
-        assert out.get(v, 0.0) == pytest.approx(prod[v], rel=1e-12, abs=1e-300)
+    rounded = levels(rec.post_levels)
+    assert set(rounded) == {v for v in range(g.right_count) if prod[v] > 0}
+    for v, j in rounded.items():
+        assert prod[v] * (1 - 1e-12) <= math.ldexp(1.0, j) < 2 * prod[v] * (1 + 1e-12)
 
 
 def test_step_on_star(star4):
-    nxt, post, pre_norm = step(star4, LevelVector.unit("L", 0), 0.01)
-    assert pre_norm == 2.0
-    assert post.by_exponent == {0: (0, 1, 2, 3)}
-    assert nxt.exponents == {0: 0, 1: 0, 2: 0, 3: 0}
+    _, rec = first_step(star4, LevelVector.unit("L", 0))
+    assert rec.pre_norm == 2.0
+    assert levels(rec.post_levels) == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert rec.next_support == 4
+    assert rec.next_norm == 2.0
 
 
 def test_step_raises_when_everything_prunes(star4):
-    with pytest.raises(ZeroVector) as exc:
-        step(star4, LevelVector.unit("L", 0), 1.0)
-    assert exc.value.pre_norm == 2.0
-    assert exc.value.post_levels.support_size == 4
+    # the dying step still reports the rounded product it pruned away
+    out, rec = first_step(star4, LevelVector.unit("L", 0), eps=1.0)
+    assert out.stopped_early
+    assert rec.pre_norm == 2.0
+    assert rec.post_levels.support_size == 4
+    assert rec.next_support == 0
 
 
 def test_step_referee_against_exact_rounding():
@@ -145,67 +211,73 @@ def test_step_referee_against_exact_rounding():
     for _ in range(40):
         g = random_bipartite(rng, 7, 7, weighted=True)
         support = rng.sample(range(g.left_count), rng.randint(1, g.left_count))
-        vec = LevelVector.from_exponents(
-            "L", {u: rng.randint(-5, 2) for u in support}
-        )
+        exps = {u: rng.randint(-5, 2) for u in support}
         eps = rng.choice([0.01, 0.1, 0.3, 0.7])
+        out = run_pruned_growth(g, vector("L", exps), (0.5, eps, 0.5), keep_trace=True)
         prod = {}
-        for u, i in vec.exponents.items():
+        for u, i in sorted(exps.items()):
             for v, w in zip(*(a.tolist() for a in g.neighbors("L", u))):
                 prod[v] = prod.get(v, 0.0) + math.ldexp(1.0, i) * w
         expected = {v: smallest_pow2_at_least(z) for v, z in prod.items() if z > 0}
         expected_norm = math.sqrt(float(sum(p * p for p in expected.values())))
-        try:
-            nxt, post, pre_norm = step(g, vec, eps)
-            kept = dict(nxt.exponents)
-        except ZeroVector as zv:
-            post, pre_norm, kept = zv.post_levels, zv.pre_norm, {}
-        got = {
-            v: Fraction(math.ldexp(1.0, j))
-            for j, vs in post.by_exponent.items()
-            for v in vs
-        }
+        rec = out.trace.steps[0]
+        got = {v: Fraction(math.ldexp(1.0, j)) for v, j in levels(rec.post_levels).items()}
         assert got == expected
-        assert pre_norm == pytest.approx(expected_norm, rel=1e-12)
-        threshold = eps * pre_norm
+        assert rec.pre_norm == pytest.approx(expected_norm, rel=1e-12)
+        threshold = eps * rec.pre_norm
+        kept = levels(out.trace.steps[1].x_levels) if len(out.trace.steps) > 1 else {}
+        assert rec.next_support == len(kept)
         for v, p in expected.items():
             assert (v in kept) == (float(p) > threshold)
 
 
 def test_evaluate_candidates_star(star4):
-    x_lv = level_sets(LevelVector.unit("L", 0))
-    _, post, _ = step(star4, LevelVector.unit("L", 0), 0.01)
-    cand = evaluate_candidates(star4, x_lv, post)
-    assert cand.density == 2.0
-    assert (cand.i, cand.j) == (0, 0)
-    assert cand.subgraph.left == frozenset({0})
-    assert cand.subgraph.right == frozenset({0, 1, 2, 3})
+    out, _ = first_step(star4, LevelVector.unit("L", 0))
+    assert out.best.density == 2.0
+    assert (out.best.i, out.best.j) == (0, 0)
+    assert out.best.subgraph.left == frozenset({0})
+    assert out.best.subgraph.right == frozenset({0, 1, 2, 3})
 
 
 def test_evaluate_candidates_tie_prefers_smallest_pair():
+    # a sits at level 0 and b at level 1, so x and y land on levels 0 and 1
+    # and the pairs (0, 0) and (1, 1) both have density 1
     g = build_bipartite([("a", "x", 1.0), ("b", "y", 1.0)])
-    x_lv = LevelSets("L", {0: (0,), 1: (1,)})
-    y_lv = LevelSets("R", {0: (0,), 1: (1,)})
-    cand = evaluate_candidates(g, x_lv, y_lv)
-    assert cand.density == 1.0
-    assert (cand.i, cand.j) == (0, 0)
+    out, rec = first_step(g, vector("L", {0: 0, 1: 1}))
+    assert levels(rec.post_levels) == {0: 0, 1: 1}
+    assert out.best.density == 1.0
+    assert (out.best.i, out.best.j) == (0, 0)
+    assert out.best.subgraph.left == frozenset({0})
 
 
 def test_evaluate_candidates_canonical_orientation():
     g = build_bipartite([("a", "x", 1.0)])
-    cand = evaluate_candidates(
-        g, LevelSets("R", {0: (0,)}), LevelSets("L", {0: (0,)})
-    )
-    assert cand.subgraph.left == frozenset({0})
-    assert cand.subgraph.right == frozenset({0})
+    out, _ = first_step(g, LevelVector.unit("R", 0))
+    assert out.best.subgraph.left == frozenset({0})
+    assert out.best.subgraph.right == frozenset({0})
 
 
 def test_evaluate_candidates_failures():
-    g = build_bipartite([("a", "x", 1.0), ("b", "y", 1.0)])
-    with pytest.raises(NoCandidate):
-        evaluate_candidates(g, LevelSets("L", {}), LevelSets("R", {0: (0,)}))
-    with pytest.raises(NoCandidate):
-        evaluate_candidates(g, LevelSets("L", {0: (0,)}), LevelSets("R", {0: (1,)}))
+    # a step with no level pair yields no candidate: here every product of
+    # the second step underflows to 0.0, so the run stops before taking it
+    g = build_bipartite([("a", "x", 1e-320)])
+    out = run_pruned_growth(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1), keep_trace=True)
+    assert out.stopped_early
+    assert out.steps_executed == 1
+    assert len(out.trace.steps) == 1
+    assert out.edges_touched == 2
+    assert out.best.density == 1e-320
+    j = int(out.trace.steps[0].post_levels.exps[0])
+    assert j < -1000 and out.best_at == (0, 0, j)
+
+
+def test_level_sets_round_trip():
+    vec = vector("L", {5: -2, 1: 0, 3: -2})
+    assert vec.index.tolist() == [1, 3, 5]
+    assert vec.exps.tolist() == [0, -2, -2]
+    assert vec.level_count == 2
+    assert vec.support_size == 3
+    assert levels(vec) == {1: 0, 3: -2, 5: -2}
 
 
 def test_growth_bound_check_cases():
@@ -216,15 +288,6 @@ def test_growth_bound_check_cases():
     cap = 2.0 * 1.0 * 1.0 * math.log2(2.0 * 4.0 / 0.1)
     assert growth_bound_check(1.0, 4.0, 0.1, 1.0, cap, 0.5)
     assert not growth_bound_check(1.0, 4.0, 0.1, 1.0, cap * 1.01, 0.5)
-
-
-def test_level_sets_round_trip():
-    vec = LevelVector.from_exponents("L", {5: -2, 1: 0, 3: -2})
-    lv = level_sets(vec)
-    assert lv.by_exponent == {-2: (3, 5), 0: (1,)}
-    assert lv.level_count == 2
-    assert lv.support_size == 3
-    assert lv.vertex_exponents() == {1: 0, 3: -2, 5: -2}
 
 
 def test_run_pruned_growth_counts_work(star4):
@@ -246,8 +309,10 @@ def test_run_pruned_growth_dying_step_still_reports(star4):
     assert out.best.density == 2.0
     rec = out.trace.steps[0]
     assert rec.next_support == 0
+    assert rec.next_norm == 0.0
     assert rec.pruned_count == 4
     assert rec.pruned_mass == pytest.approx(2.0)
+    assert rec.post_levels.support_size == 4
 
 
 def test_run_pruned_growth_single_edge_round_trip():
@@ -280,6 +345,48 @@ def test_run_pruned_growth_deterministic():
     assert runs[0].best_at == runs[1].best_at
     assert runs[0].edges_touched == runs[1].edges_touched
     assert runs[0].trace.steps == runs[1].trace.steps
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["unit", "weighted", "subnormal"]),
+    st.sampled_from(["unit", "ones", "spread"]),
+    st.sampled_from(["L", "R"]),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7),
+)
+def test_growth_matches_dict_referee(seed, weights, start, side, epsilons):
+    rng = random.Random(seed)
+    g = random_bipartite(rng, 9, 9, weighted=weights != "unit")
+    if weights == "subnormal":
+        # products of these weights with small entries underflow to 0.0
+        g = build_bipartite(
+            (g.left_id(u), g.right_id(v), w * 1e-320 if rng.random() < 0.4 else w)
+            for u, v, w in g.edges()
+        )
+    n = g.side_count(side)
+    if start == "unit":
+        u = rng.randrange(n)
+        exps, vec = {u: 0}, LevelVector.unit(side, u)
+    elif start == "ones":
+        exps, vec = dict.fromkeys(range(n), 0), LevelVector.ones(side, n)
+    else:
+        support = rng.sample(range(n), rng.randint(1, n))
+        exps = {u: rng.randint(-8, 3) for u in support}
+        vec = vector(side, exps)
+    out = run_pruned_growth(g, vec, epsilons, keep_trace=True)
+    assert outcome_fields(out) == reference_growth(g, side, exps, epsilons)
+    for rec in out.trace.steps:
+        assert rec.next_support * rec.eps_prune**2 <= 1.0
+
+
+def test_subnormal_graphs_match_dict_referee():
+    eps = (0.5, 0.1, 0.1, 0.1, 0.1)
+    for edges in ([("a", "x", 1e-320)], [("a", "x", 1e-320), ("c", "x", 1.0)]):
+        g = build_bipartite(edges)
+        for side in ("L", "R"):
+            out = run_pruned_growth(g, LevelVector.unit(side, 0), eps, keep_trace=True)
+            assert outcome_fields(out) == reference_growth(g, side, {0: 0}, eps)
 
 
 def test_candidate_density_property():

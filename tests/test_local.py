@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,16 @@ def test_schedule_rejects_bad_targets():
     for bad in (0, -3, 1.5, "4"):
         with pytest.raises(DomainError):
             LocalSchedule.for_target(bad)
+
+
+def test_schedule_takes_numpy_ints_and_rejects_bools(star4):
+    assert LocalSchedule.for_target(np.int64(8)) == LocalSchedule.for_target(8)
+    for bad in (True, False, np.int64(0)):
+        with pytest.raises(DomainError):
+            LocalSchedule.for_target(bad)
+    res = local_density(star4, "c", np.int64(4))
+    assert res.target_size == 4 and type(res.target_size) is int
+    assert res.density == 2.0
 
 
 def test_star_seed_finds_whole_star(star4):
@@ -119,6 +131,32 @@ def test_work_is_independent_of_ambient_size():
         runs[scale] = (res.edges_touched, res.density, res.steps)
     assert runs[1][0] == runs[20][0]
     assert runs[1][1] == runs[20][1] == pytest.approx(4.0)
+
+
+def test_local_run_allocates_nothing_of_graph_size():
+    # the graphs of acceptance check c09; one array over the vertices of the
+    # larger graph would be about 4 MB, the whole traced run is ~15 kB
+    peaks = {}
+    for scale in (10_000, 1_000_000):
+        g, left, _ = generate_planted(
+            n_left=scale // 2 + 4,
+            n_right=scale // 2 + 4,
+            noise_edges=scale,
+            planted_a=4,
+            planted_b=4,
+            rng_seed=77,
+            noise_avoids_planted=True,
+        )
+        seed = g.left_id(min(left))
+        local_density(g, seed, 4, "L", keep_trace=True)
+        tracemalloc.start()
+        try:
+            local_density(g, seed, 4, "L", keep_trace=True)
+            peaks[scale] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del g
+    assert max(peaks.values()) <= 2 * min(peaks.values()), peaks
 
 
 def test_traces_kept_only_on_request(star4):
