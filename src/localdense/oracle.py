@@ -22,6 +22,7 @@ from .graph import (
     Subgraph,
     density,
     edge_weight_between,
+    is_int,
     restrict,
 )
 
@@ -45,6 +46,12 @@ def biadjacency(g: BipartiteGraph) -> csr_matrix:
 # exact search
 
 
+# float64 entries in each buffer of the blocked exact search: the buffers stay
+# cache-sized and peak memory stays flat, while each numpy call still covers
+# enough subsets to spread its fixed cost
+_BLOCK_ENTRIES = 1 << 14
+
+
 def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
     """Maximize density over all vertex-set pairs by enumerating one side.
 
@@ -52,10 +59,25 @@ def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
     partner of each size is formed greedily from the vertices with the
     largest incident weight into the subset, which is optimal because the
     denominator depends only on the partner's size.  Ties are broken toward
-    the subset enumerated first and then the smaller partner.
+    the subset enumerated first (in increasing bitmask order) and then the
+    smaller partner.
 
-    Raises TooLarge when the smaller side exceeds side_cap.
+    Subsets are scored a block at a time.  A table holds the incident-weight
+    rows of every subset of the lowest few vertices; each block adds the
+    rows of one combination of the remaining vertices to a copy of it.  Rows
+    are added in ascending vertex order, so every incident vector is
+    bit-for-bit the sum mat[members].sum(axis=0) would give, and the block
+    then sorts, accumulates and scores all its subsets in a few array calls.
+    The block height is chosen from the partner side's width so that each
+    buffer holds about 2**14 floats (at least two rows).  Memory is the dense
+    smaller-side-by-partner matrix, a denominator table of the same size and
+    a handful of block buffers, whatever the number of subsets.
+
+    Raises DomainError when side_cap is not an integer of at least one, and
+    TooLarge when the smaller side exceeds side_cap.
     """
+    if not is_int(side_cap):
+        raise DomainError(f"side cap must be an integer, got {side_cap!r}")
     if side_cap < 1:
         raise DomainError("side cap must be at least one")
     flip = g.right_count < g.left_count
@@ -66,30 +88,50 @@ def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
         )
     mat = biadjacency(g).toarray()
     if flip:
-        mat = mat.T
+        mat = np.ascontiguousarray(mat.T)
     other = mat.shape[1]
-    partner_order_tiebreak = np.arange(other)
-    sizes = np.sqrt(np.arange(1, other + 1, dtype=np.float64))
+    # scale[c, k] is the denominator for c subset and k + 1 partner vertices
+    scale = np.sqrt(np.arange(small + 1.0))[:, None] * np.sqrt(np.arange(1.0, other + 1))
 
-    best = None  # (density, weight, subset tuple, partner tuple)
-    members: list[int] = []
-    for mask in range(1, 1 << small):
-        members = [u for u in range(small) if mask >> u & 1]
-        incident = mat[members].sum(axis=0)
-        order = np.lexsort((partner_order_tiebreak, -incident))
-        prefix = np.cumsum(incident[order])
-        dens = prefix / (math.sqrt(len(members)) * sizes)
-        k = int(np.argmax(dens))
-        d = float(dens[k])
-        if best is None or d > best[0]:
-            partner = tuple(sorted(order[: k + 1].tolist()))
-            best = (d, float(prefix[k]), tuple(members), partner)
+    # table[m] is the incident row of low-bit mask m, summed in ascending
+    # vertex order; with two rows or more the first block still has a subset
+    # once the empty one is skipped
+    low = min(small, max(1, (_BLOCK_ENTRIES // other).bit_length() - 1))
+    table = np.zeros((1 << low, other))
+    for j in range(low):
+        table[1 << j : 2 << j] = table[: 1 << j] + mat[j]
+    low_counts = np.array([m.bit_count() for m in range(1 << low)])
 
-    _, _, subset, partner = best
+    block = np.empty_like(table)
+    best_d, best_mask, best_k = -math.inf, 0, 0
+    for high in range(1 << (small - low)):
+        np.copyto(block, table)
+        high_rows = [low + j for j in range(small - low) if high >> j & 1]
+        for u in high_rows:
+            block += mat[u]
+        first = 0 if high else 1  # skip the empty subset
+        rows = block[first:]
+        # sorting the negated rows puts the largest weights first; tied
+        # weights give the same prefix sums whichever of them comes first
+        rows *= -1
+        rows.sort(axis=1)
+        # negated densities: the flat argmin is the first subset, then the
+        # smallest partner
+        neg = np.cumsum(rows, axis=1)
+        neg /= scale[low_counts[first:] + len(high_rows)]
+        r, k = divmod(int(neg.argmin()), other)
+        d = -float(neg[r, k])
+        if d > best_d:
+            best_d, best_mask, best_k = d, (high << low) + first + r, k
+
+    members = [u for u in range(small) if best_mask >> u & 1]
+    incident = mat[members].sum(axis=0)
+    order = np.lexsort((np.arange(other), -incident))
+    partner = sorted(order[: best_k + 1].tolist())
     if flip:
-        left_set, right_set = frozenset(partner), frozenset(subset)
+        left_set, right_set = frozenset(partner), frozenset(members)
     else:
-        left_set, right_set = frozenset(subset), frozenset(partner)
+        left_set, right_set = frozenset(members), frozenset(partner)
     return density(g, left_set, right_set)
 
 

@@ -14,7 +14,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from localdense import LEFT, RIGHT, Candidate, NegativeEntry, Subgraph, build_bipartite
+from localdense import (
+    LEFT,
+    RIGHT,
+    Candidate,
+    DomainError,
+    NegativeEntry,
+    Subgraph,
+    TooLarge,
+    biadjacency,
+    build_bipartite,
+    density,
+)
 
 
 def k_ab(a, b, weight=1.0):
@@ -65,6 +76,50 @@ def naive_densest(g):
             cols = [v for v in range(nr) if tmasks[k] >> v & 1]
             best = (d, frozenset(rows), frozenset(cols))
     return best
+
+
+def reference_exact_densest(g, side_cap=20):
+    """The exact search one mask at a time; referee for exact_densest.
+
+    Sums each subset's incident row with mat[members].sum(axis=0), orders the
+    partner side with lexsort and keeps the first maximum, so its result is
+    the one the blocked search must reproduce bit for bit.
+    """
+    if side_cap < 1:
+        raise DomainError("side cap must be at least one")
+    flip = g.right_count < g.left_count
+    small = g.right_count if flip else g.left_count
+    if small > side_cap:
+        raise TooLarge(
+            f"smaller side has {small} vertices, above the cap of {side_cap}"
+        )
+    mat = biadjacency(g).toarray()
+    if flip:
+        mat = mat.T
+    other = mat.shape[1]
+    partner_order_tiebreak = np.arange(other)
+    sizes = np.sqrt(np.arange(1, other + 1, dtype=np.float64))
+
+    best = None  # (density, weight, subset tuple, partner tuple)
+    members: list[int] = []
+    for mask in range(1, 1 << small):
+        members = [u for u in range(small) if mask >> u & 1]
+        incident = mat[members].sum(axis=0)
+        order = np.lexsort((partner_order_tiebreak, -incident))
+        prefix = np.cumsum(incident[order])
+        dens = prefix / (math.sqrt(len(members)) * sizes)
+        k = int(np.argmax(dens))
+        d = float(dens[k])
+        if best is None or d > best[0]:
+            partner = tuple(sorted(order[: k + 1].tolist()))
+            best = (d, float(prefix[k]), tuple(members), partner)
+
+    _, _, subset, partner = best
+    if flip:
+        left_set, right_set = frozenset(partner), frozenset(subset)
+    else:
+        left_set, right_set = frozenset(subset), frozenset(partner)
+    return density(g, left_set, right_set)
 
 
 def random_bipartite(rng: random.Random, max_left, max_right, weighted=False, min_edges=1):

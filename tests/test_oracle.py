@@ -1,8 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localdense import (
     DomainError,
@@ -19,7 +22,14 @@ from localdense import (
     top_eigenvalue,
 )
 
-from conftest import dense_biadjacency, dense_eigenvalue, k_ab, naive_densest, random_bipartite
+from conftest import (
+    dense_biadjacency,
+    dense_eigenvalue,
+    k_ab,
+    naive_densest,
+    random_bipartite,
+    reference_exact_densest,
+)
 
 
 def test_biadjacency_matches_dense():
@@ -52,6 +62,37 @@ def test_exact_tie_breaks_toward_first_subset():
     assert sub.right == frozenset({0})
 
 
+def test_exact_tie_breaks_toward_first_block():
+    # two identical K2,4 blocks on left vertices {0, 5} and {1, 6}: masks 33,
+    # 66 and their union 99 all score 8 / sqrt(8) to the last bit (with K2,2
+    # the union would win, as 2.0 beats 4 / (sqrt(2) * sqrt(2))).  The 300
+    # light pendant edges widen the partner side so that the masks are
+    # scored in different blocks.
+    edges = [(f"l{u}", f"r{j}", 1.0) for u in (0, 5) for j in range(4)]
+    edges += [(f"l{u}", f"r{j}", 1.0) for u in (1, 6) for j in range(4, 8)]
+    edges += [(f"l{2 + i % 3}", f"p{i}", 0.01) for i in range(300)]
+    g = build_bipartite(sorted(edges, key=lambda e: (int(e[0][1:]), e[1])))
+    assert (g.left_count, g.right_count) == (7, 308)
+    assert [g.left_id(u) for u in (0, 1, 5, 6)] == ["l0", "l1", "l5", "l6"]
+    sub = exact_densest(g)
+    assert sub.density == 8 / math.sqrt(8)
+    assert sub.left == frozenset({0, 5})
+    assert {g.right_id(v) for v in sub.right} == {"r0", "r1", "r2", "r3"}
+    assert sub == reference_exact_densest(g)
+
+
+def test_exact_finds_optimum_without_low_vertices():
+    # at this width a block covers the subsets of the five lowest vertices,
+    # so mask 96 = {5, 6} is the first subset of its block
+    edges = [(f"l{u}", f"r{j}", 1.0) for u in (5, 6) for j in range(4)]
+    edges += [(f"l{i % 5}", f"p{i}", 0.01) for i in range(300)]
+    g = build_bipartite(sorted(edges, key=lambda e: (int(e[0][1:]), e[1])))
+    assert [g.left_id(u) for u in (5, 6)] == ["l5", "l6"]
+    sub = exact_densest(g)
+    assert sub.left == frozenset({5, 6})
+    assert sub.density == 8 / math.sqrt(8)
+
+
 def test_exact_handles_wide_graphs_by_flipping():
     sub = exact_densest(k_ab(5, 2))
     assert sub.density == pytest.approx(math.sqrt(10))
@@ -65,6 +106,93 @@ def test_exact_side_cap():
     with pytest.raises(DomainError):
         exact_densest(g, side_cap=0)
     assert exact_densest(g, side_cap=6).density == 1.0
+
+
+def test_exact_side_cap_must_be_an_integer():
+    g = build_bipartite([(f"l{i}", f"r{i}", 1.0) for i in range(6)])
+    for cap in (True, False, "x", 6.0, None):
+        with pytest.raises(DomainError):
+            exact_densest(g, side_cap=cap)
+    assert exact_densest(g, side_cap=np.int64(6)).density == 1.0
+    with pytest.raises(TooLarge):
+        exact_densest(g, side_cap=np.int32(5))
+
+
+def exact_case(rng, small, width, weights, small_on_left):
+    """Random graph on at most `small` vertices of one side and `width` of the other.
+
+    Sparse noise, then up to two identical complete blocks on random disjoint
+    vertex sets with the noise at their vertices removed: the optimum often
+    avoids the lowest vertices, and the two blocks score the same to the bit.
+    """
+
+    def weight():
+        if weights == "unit":
+            return 1.0
+        if weights == "integer":
+            return float(rng.randint(1, 9))
+        if weights == "decimal":
+            # sums that tie in exact arithmetic, where rounding decides
+            return rng.choice((0.1, 0.2, 0.3, 0.7))
+        w = rng.uniform(0.1, 3.0)
+        return w * 1e-320 if weights == "subnormal" and rng.random() < 0.5 else w
+
+    wt = {(u, rng.randrange(width)): weight() for u in range(small)}
+    wt.update(((rng.randrange(small), v), weight()) for v in range(width))
+    for _ in range(rng.randint(0, small + width)):
+        wt[rng.randrange(small), rng.randrange(width)] = weight()
+    copies = min(rng.choice((0, 1, 2, 2)), small, width)
+    a = rng.randint(1, small // max(copies, 1))
+    b = rng.randint(1, min(width // max(copies, 1), 12))
+    us = rng.sample(range(small), copies * a)
+    vs = rng.sample(range(width), copies * b)
+    wt = {(u, v): w for (u, v), w in wt.items() if u not in us and v not in vs}
+    pattern = [[4 * weight() for _ in range(b)] for _ in range(a)]
+    for c in range(copies):
+        rows, cols = sorted(us[c * a : c * a + a]), sorted(vs[c * b : c * b + b])
+        for i, u in enumerate(rows):
+            for j, v in enumerate(cols):
+                wt[u, v] = pattern[i][j]
+    return build_bipartite(
+        (f"s{u}", f"p{v}", w) if small_on_left else (f"p{v}", f"s{u}", w)
+        for (u, v), w in sorted(wt.items())
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    # narrow partner sides fit 2**8 or more subsets in one block; wide ones
+    # only 2 to 16, so small sides fall below, at and above one block
+    st.one_of(
+        st.tuples(st.integers(1, 12), st.integers(1, 64)),
+        st.tuples(st.integers(1, 7), st.integers(1000, 4100)),
+    ),
+    st.sampled_from(["unit", "integer", "decimal", "float", "subnormal"]),
+    st.booleans(),
+)
+def test_exact_matches_per_mask_referee(seed, shape, weights, small_on_left):
+    small, width = shape
+    g = exact_case(random.Random(seed), small, width, weights, small_on_left)
+    ours = exact_densest(g)
+    ref = reference_exact_densest(g)
+    assert ours.left == ref.left
+    assert ours.right == ref.right
+    assert ours.edge_weight.hex() == ref.edge_weight.hex()
+    assert ours.density.hex() == ref.density.hex()
+
+
+def test_exact_search_memory_stays_per_block():
+    # the full table of 2**14 incident rows would take 131 MB here
+    g, _, _ = generate_planted(14, 1000, 4000, 12, 40, 0.5, rng_seed=1)
+    exact_densest(g)
+    tracemalloc.start()
+    try:
+        exact_densest(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_exact_agrees_with_full_enumeration():
