@@ -65,10 +65,9 @@ def global_density(g: BipartiteGraph, keep_trace: bool = False) -> DensityResult
     times the top adjacency eigenvalue.
     """
     sched = GlobalSchedule.for_size(g.vertex_count)
-    left_start = LevelVector.ones(LEFT, g.left_count)
-    right_start = LevelVector.ones(RIGHT, g.right_count)
-    out_l = run_pruned_growth(g, left_start, sched.epsilons, keep_trace, "ones:L")
-    out_r = run_pruned_growth(g, right_start, sched.epsilons, keep_trace, "ones:R")
+    starts = [LevelVector.ones(LEFT, g.left_count), LevelVector.ones(RIGHT, g.right_count)]
+    batch = run_pruned_growth(g, starts, sched.epsilons, keep_trace, ["ones:L", "ones:R"])
+    out_l, out_r = batch.outcomes
 
     winner, label = out_l, "ones:L"
     if out_l.best is None or (out_r.best is not None and out_r.best.density > out_l.best.density):
@@ -90,7 +89,7 @@ def global_density(g: BipartiteGraph, keep_trace: bool = False) -> DensityResult
         bound=bound,
         bound_eps=None,
         target_size=None,
-        edges_touched=out_l.edges_touched + out_r.edges_touched,
-        steps=out_l.steps_executed + out_r.steps_executed,
+        edges_touched=batch.edges_touched,
+        steps=batch.steps_executed,
         traces=traces,
     )

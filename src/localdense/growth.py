@@ -11,6 +11,17 @@ candidate subgraphs are the pairs (level of the current vector, level of the
 rounded product).  The densest pair over all steps is the process output.
 A step gathers the edges incident to the support once; the same edges give
 both the product and the weight of every level pair.
+
+run_pruned_growth grows many start vectors at once, one lane per start, and
+returns a GrowthBatch.  The lanes that start on one side advance together:
+their vectors are held as one set of (lane, index, exponent) arrays sorted by
+(lane, index), and each step is one array pass over all of them.  Product
+entries are keyed by (lane, neighbor), and level and level-pair ids are lane
+local and come from bincounts over small ranges, so nothing of graph size is
+allocated.  A lane never sees another: each of its sums runs over its own
+terms in the order a batch of one would use, so every lane's outcome equals
+that of its start run alone, to the bit.  A lane leaves the batch when its
+run stops.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NegativeEntry
-from .graph import LEFT, BipartiteGraph, Subgraph, opposite
+from .graph import LEFT, RIGHT, BipartiteGraph, Subgraph, opposite
 
 __all__ = [
     "LevelVector",
@@ -30,6 +41,7 @@ __all__ = [
     "StepRecord",
     "GrowthTrace",
     "ProcessOutcome",
+    "GrowthBatch",
     "growth_bound_check",
     "run_pruned_growth",
 ]
@@ -107,24 +119,113 @@ def _round_up_pow2(values: np.ndarray) -> np.ndarray:
     return e.astype(np.int64) - (m == 0.5)
 
 
-def _norm(levels: np.ndarray, counts: np.ndarray) -> float:
-    """Euclidean norm of counts[k] entries equal to 2**levels[k], levels ascending.
+def _levels(slot: np.ndarray, exps: np.ndarray, slots: int):
+    """Level sets of every lane's vector, numbered in (slot, exponent) order.
 
-    The top level is factored out of the sum of squares, so the result equals
-    sqrt(fsum of the squared entries) whenever each square is a normal float,
-    and stays finite and nonzero where those squares would overflow or
-    underflow.  A norm beyond the float range raises NegativeEntry.
+    slot and exps give each entry's lane slot (0 <= slot < slots) and
+    exponent.  Returns the level of each entry and the slot, exponent and
+    entry count of each level.  The numbering comes from one bincount over
+    slots times the exponent span, not from a sort.
     """
-    if not len(levels):
-        return 0.0
-    top = int(levels[-1])
-    total = math.fsum(
-        math.ldexp(c, 2 * (k - top)) for k, c in zip(levels.tolist(), counts.tolist())
-    )
-    try:
-        return math.ldexp(math.sqrt(total), top)
-    except OverflowError:
-        raise NegativeEntry(f"vector norm overflows at level 2**{top}") from None
+    if not len(exps):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    low = int(exps.min())
+    span = int(exps.max()) - low + 1
+    key = slot * span + (exps - low)
+    counts = np.bincount(key, minlength=slots * span)
+    present = np.flatnonzero(counts)
+    level_slot, level_exp = np.divmod(present, span)
+    return (np.cumsum(counts > 0) - 1)[key], level_slot, level_exp + low, counts[present]
+
+
+def _norms(level_slot: np.ndarray, level_exp: np.ndarray, counts: np.ndarray, slots: int):
+    """Euclidean norm of each slot's vector of counts[k] entries equal to
+    2**level_exp[k], levels ascending within a slot; 0 for a slot without.
+
+    Each slot's top level is factored out of its sum of squares, so a norm
+    equals sqrt(fsum of the squared entries) whenever each square is a
+    normal float, and stays finite and nonzero where those squares would
+    overflow or underflow.  A norm beyond the float range raises
+    NegativeEntry.
+    """
+    norms = np.zeros(slots)
+    if not len(level_slot):
+        return norms
+    last = np.flatnonzero(np.append(level_slot[1:] != level_slot[:-1], True))
+    first = np.append(0, last[:-1] + 1)
+    top = level_exp[last]
+    terms = np.ldexp(
+        counts.astype(np.float64), 2 * (level_exp - np.repeat(top, last - first + 1))
+    ).tolist()
+    runs = zip(level_slot[last].tolist(), first.tolist(), (last + 1).tolist(), top.tolist())
+    for s, a, b, k in runs:
+        try:
+            norms[s] = math.ldexp(math.sqrt(math.fsum(terms[a:b])), k)
+        except OverflowError:
+            raise NegativeEntry(f"vector norm overflows at level 2**{k}") from None
+    return norms
+
+
+def _product(g, side, slot, index, exps, slots):
+    """The edges of one step for every lane at once, and their product.
+
+    Gathers the edges incident to the supports in (slot, vertex, neighbor)
+    order.  Returns each edge's source entry and weight, each slot's edge
+    count, the sorted slot * width + neighbor key of each product entry,
+    each edge's product entry and the product values.  bincount adds in
+    array order, so each product entry sums its terms in ascending
+    source-vertex order.
+    """
+    indptr, nbrs, wts = g.csr_arrays(side)
+    lo = indptr[index]
+    fan = indptr[index + 1] - lo
+    rows = np.repeat(np.arange(len(fan)), fan)
+    pos = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(fan) - fan), fan)
+    wt = wts[pos]
+    key = slot[rows] * g.side_count(opposite(side)) + nbrs[pos]
+    del pos  # np.unique takes about five more arrays of this length
+    keys, y_of_edge = np.unique(key, return_inverse=True)
+    del key
+    with np.errstate(over="ignore"):
+        terms = np.ldexp(1.0, exps)[rows] * wt
+    prod = np.bincount(y_of_edge, weights=terms, minlength=len(keys))
+    edges = np.bincount(slot, weights=fan, minlength=slots).astype(np.int64)
+    return rows, wt, edges, keys, y_of_edge, prod
+
+
+def _pair_weights(slot, rows, wt, y_slot, y_of_edge, live, x_levels, y_levels, slots):
+    """Weight of every (x level, y level) pair of each lane that has edges.
+
+    Each pair's sum runs over its edges in (vertex, neighbor) order, the
+    order a walk level by level visits them in.  Slot s owns the ids
+    pair_base[s] + i * ny[s] + j for its i-th x level and j-th y level, so
+    a bincount over them lists the pairs in (slot, i, j) order.  Returns
+    the slot, x level, y level and weight of each pair, levels as numbered
+    by _levels.
+    """
+    x_level_of, x_level_slot = x_levels[:2]
+    y_level_of, y_level_slot = y_levels[:2]
+    nx = np.bincount(x_level_slot, minlength=slots)
+    ny = np.bincount(y_level_slot, minlength=slots)
+    x_first, y_first = np.cumsum(nx) - nx, np.cumsum(ny) - ny
+    pair_end = np.cumsum(nx * ny)
+    pair_base = pair_end - nx * ny
+    total = int(pair_end[-1])
+    # an edge's id is its source entry's part plus its product entry's;
+    # edges into entries that underflowed land past the last id and are
+    # cut off
+    x_part = pair_base[slot] + (x_level_of - x_first[slot]) * ny[slot]
+    y_part = np.full(len(live), total)
+    y_part[live] = y_level_of - y_first[y_slot]
+    ids = x_part[rows] + y_part[y_of_edge]
+    weight = np.bincount(ids, weights=wt, minlength=total)[:total]
+    # edge weights are positive, so a pair has edges exactly when its
+    # weight does
+    pairs = np.flatnonzero(weight)
+    p_slot = np.searchsorted(pair_end, pairs, side="right")
+    pi, pj = np.divmod(pairs - pair_base[p_slot], ny[p_slot])
+    return p_slot, pi + x_first[p_slot], pj + y_first[p_slot], weight[pairs]
 
 
 def growth_bound_check(
@@ -195,128 +296,224 @@ class ProcessOutcome:
     trace: GrowthTrace | None
 
 
+@dataclass
+class GrowthBatch:
+    """Result of one run_pruned_growth call.
+
+    outcomes holds one ProcessOutcome per start, in the order of the starts;
+    edges_touched and steps_executed are their totals.
+    """
+
+    outcomes: list
+    edges_touched: int
+    steps_executed: int
+
+
 def run_pruned_growth(
     g: BipartiteGraph,
-    start: LevelVector,
+    starts: Sequence[LevelVector],
     epsilons: Sequence[float],
     keep_trace: bool = False,
-    label: str = "",
-) -> ProcessOutcome:
-    """Drive the process for len(epsilons) - 1 steps from `start`.
+    labels: Sequence[str] | None = None,
+) -> GrowthBatch:
+    """Drive the process for len(epsilons) - 1 steps from each start.
+
+    Every start is an independent lane, and every lane gets the outcome a
+    batch holding only that start would give, to the bit: its product
+    entries and level-pair weights sum their terms in the same order, and it
+    keeps the same first maximum.  Lanes from one side advance together, one
+    array pass per step, and leave the batch when their run stops; the left
+    starts run before the right ones.  labels names each lane's trace
+    (default "").
 
     epsilons[t + 1] prunes the step taken from the t-th vector, keeping the
     entries strictly above that fraction of the rounded product's norm;
     epsilons[0] is never applied (the start vector is used as given) but is
     recorded with the first step for bound checking.  Candidates are
     evaluated from the rounded product before each truncation, so a step
-    that prunes to zero still contributes its level pairs.  The run stops
+    that prunes to zero still contributes its level pairs.  A run stops
     early, without taking the step, when the vector has no incident edges or
     every product entry underflows to zero.  Ties between level pairs prefer
     the smallest (i, j).
 
-    Raises DomainError for a pruning fraction outside [0, 1] and
-    NegativeEntry when a product entry or a norm overflows.
+    Raises DomainError for a start entry that is not a positive float (an
+    exponent outside [-1074, 1023]) or a pruning fraction outside [0, 1]
+    that a lane reaches, and NegativeEntry when a product entry or a norm of
+    any lane overflows; the whole call then returns nothing.
     """
-    x = start
-    best: Candidate | None = None
-    best_at: tuple | None = None
-    edges_touched = 0
-    executed = 0
-    stopped = False
-    trace = GrowthTrace(label) if keep_trace else None
+    starts = list(starts)
+    labels = [""] * len(starts) if labels is None else list(labels)
+    if len(labels) != len(starts):
+        raise DomainError(f"{len(labels)} labels for {len(starts)} starts")
+    outcomes: list = [None] * len(starts)
+    for side in (LEFT, RIGHT):
+        lanes = [k for k, start in enumerate(starts) if start.side == side]
+        if lanes:
+            grown = _grow_lanes(
+                g, side, [starts[k] for k in lanes], epsilons, keep_trace,
+                [labels[k] for k in lanes],
+            )
+            for k, out in zip(lanes, grown):
+                outcomes[k] = out
+    return GrowthBatch(
+        outcomes,
+        sum(out.edges_touched for out in outcomes),
+        sum(out.steps_executed for out in outcomes),
+    )
+
+
+def _grow_lanes(g, side, starts, epsilons, keep_trace, labels) -> list:
+    """run_pruned_growth for starts that all lie on `side`.
+
+    The working vectors of the lanes still running are held as one
+    (slot, index, exps) triple of arrays sorted by (slot, index), where slot
+    k is lane active[k]; each lane's norm is norm[slot].
+    """
+    lanes = len(starts)
+    best: list = [None] * lanes  # (t, i, j, x set, y set, weight, density, x side)
+    best_d = np.full(lanes, -np.inf)
+    executed = np.zeros(lanes, dtype=np.int64)
+    touched = np.zeros(lanes, dtype=np.int64)
+    stopped = np.zeros(lanes, dtype=bool)
+    traces = [GrowthTrace(label) for label in labels] if keep_trace else None
+
+    active = np.arange(lanes)
+    slot = np.repeat(active, [start.support_size for start in starts])
+    index = np.concatenate([start.index for start in starts]).astype(np.int64)
+    exps = np.concatenate([start.exps for start in starts]).astype(np.int64)
+    norm = np.array([start.norm for start in starts], dtype=np.float64)
+    x_side = side
+    # every level id below comes from a bincount over the exponent span,
+    # which the float range keeps under 2100
+    if len(exps) and not (-1074 <= exps.min() and exps.max() <= 1023):
+        raise DomainError("a start entry 2**i lies outside the float range")
 
     for t in range(len(epsilons) - 1):
-        # gather the edges incident to the support in (vertex, neighbor) order
-        indptr, nbrs, wts = g.csr_arrays(x.side)
-        lo = indptr[x.index]
-        fan = indptr[x.index + 1] - lo
-        rows = np.repeat(np.arange(len(fan)), fan)
-        if not len(rows):
-            stopped = True
-            break
-        pos = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(fan) - fan), fan)
-        nbr, wt = nbrs[pos], wts[pos]
-        # bincount adds in array order, so each product entry sums its terms
-        # in ascending source-vertex order
-        with np.errstate(over="ignore"):
-            terms = np.ldexp(1.0, x.exps)[rows] * wt
-        y_all, y_of_edge = np.unique(nbr, return_inverse=True)
-        prod = np.bincount(y_of_edge, weights=terms, minlength=len(y_all))
+        slots = len(active)
+        y_side = opposite(x_side)
+        rows, wt, edges, keys, y_of_edge, prod = _product(g, x_side, slot, index, exps, slots)
         if np.isinf(prod).any():
             raise NegativeEntry("a product entry overflows to inf")
         live = prod > 0.0  # entries that underflowed to zero are dropped
-        if not live.any():
-            stopped = True
-            break
-        y_index = y_all[live]
+        y_slot, y_index = np.divmod(keys[live], g.side_count(y_side))
         y_exps = _round_up_pow2(prod[live])
-        y_levels, y_level_of, y_counts = np.unique(
-            y_exps, return_inverse=True, return_counts=True
-        )
-        pre_norm = _norm(y_levels, y_counts)
-        executed += 1
-        edges_touched += 2 * len(rows)
+        # a lane with no edges, or whose products all underflowed, stops
+        # without taking the step
+        go = np.bincount(y_slot, minlength=slots) > 0
+        stopped[active[~go]] = True
+        if not go.any():
+            break
+        stepping = active[go]
+        executed[stepping] += 1
+        touched[stepping] += 2 * edges[go]
 
-        # weight of every (x level, y level) pair over the same edges; each
-        # pair's sum runs in (vertex, neighbor) order, the order a walk level
-        # by level visits that pair's edges in, so no sort by level is needed
-        x_levels, x_level_of, x_counts = np.unique(
-            x.exps, return_inverse=True, return_counts=True
+        x_levels = _levels(slot, exps, slots)
+        y_levels = _levels(y_slot, y_exps, slots)
+        x_level_of, _, x_level_exp, x_counts = x_levels
+        y_level_of, y_level_slot, y_level_exp, y_counts = y_levels
+        pre_norm = _norms(y_level_slot, y_level_exp, y_counts, slots)
+        p_slot, pi, pj, pair_weight = _pair_weights(
+            slot, rows, wt, y_slot, y_of_edge, live, x_levels, y_levels, slots
         )
-        on_live = live[y_of_edge]
-        live_pos = np.cumsum(live) - 1  # position of each live entry in y_index
-        ylev = y_level_of[live_pos[y_of_edge[on_live]]]
-        keys = x_level_of[rows[on_live]] * len(y_levels) + ylev
-        pairs, pair_of_edge = np.unique(keys, return_inverse=True)
-        pair_weight = np.bincount(pair_of_edge, weights=wt[on_live])
-        pi, pj = np.divmod(pairs, len(y_levels))
+        # the per-edge arrays go before the next step gathers its own
+        del rows, wt, keys, y_of_edge, prod, live
         dens = pair_weight / np.sqrt(x_counts[pi] * y_counts[pj])
-        k = int(np.argmax(dens))  # first maximum in (i, j) order
-        d = float(dens[k])
-        if best is None or d > best.density:
-            i, j = int(x_levels[pi[k]]), int(y_levels[pj[k]])
-            xs = frozenset(x.index[x_level_of == pi[k]].tolist())
-            ys = frozenset(y_index[y_level_of == pj[k]].tolist())
-            e = float(pair_weight[k])
-            sub = Subgraph(xs, ys, e, d) if x.side == LEFT else Subgraph(ys, xs, e, d)
-            best = Candidate(sub, i, j)
-            best_at = (t, i, j)
+        # each stepping lane's first maximum in (i, j) order: a stable sort
+        # by (slot, -density) puts it first among the lane's pairs
+        win = np.lexsort((-dens, p_slot))[np.searchsorted(p_slot, np.flatnonzero(go))]
+
+        better = dens[win] > best_d[stepping]
+        if better.any():
+            up, lanes_up = win[better], stepping[better]
+            best_d[lanes_up] = dens[up]
+            # the winning levels of each improving slot, -1 elsewhere
+            x_win = np.full(slots, -1)
+            y_win = np.full(slots, -1)
+            x_win[p_slot[up]] = pi[up]
+            y_win[p_slot[up]] = pj[up]
+            # the entries of those levels, slot by slot, and where each
+            # slot's run of them ends
+            xs = index[x_level_of == x_win[slot]]
+            ys = y_index[y_level_of == y_win[y_slot]]
+            x_end = np.cumsum(x_counts[pi[up]])
+            y_end = np.cumsum(y_counts[pj[up]])
+            for lane, i, j, xa, xb, ya, yb, e, d in zip(
+                lanes_up.tolist(),
+                x_level_exp[pi[up]].tolist(),
+                y_level_exp[pj[up]].tolist(),
+                (x_end - x_counts[pi[up]]).tolist(),
+                x_end.tolist(),
+                (y_end - y_counts[pj[up]]).tolist(),
+                y_end.tolist(),
+                pair_weight[up].tolist(),
+                dens[up].tolist(),
+            ):
+                best[lane] = (t, i, j, xs[xa:xb], ys[ya:yb], e, d, x_side)
 
         eps = epsilons[t + 1]
         if not 0.0 <= eps <= 1.0:
             raise DomainError(f"truncation fraction {eps!r} outside [0, 1]")
         # a level's entries share one value, so truncation keeps whole levels
-        keep = np.ldexp(1.0, y_levels) > eps * pre_norm
+        keep = np.ldexp(1.0, y_level_exp) > eps * pre_norm[y_level_slot]
         kept = keep[y_level_of]
-        y_side = opposite(x.side)
-        x_next = LevelVector(
-            y_side, y_index[kept], y_exps[kept], _norm(y_levels[keep], y_counts[keep])
-        )
+        next_norm = _norms(y_level_slot[keep], y_level_exp[keep], y_counts[keep], slots)
+        next_support = np.bincount(y_slot[kept], minlength=slots)
 
         if keep_trace:
-            trace.steps.append(
-                StepRecord(
-                    t=t,
-                    eps_t=epsilons[t],
-                    eps_prune=eps,
-                    x_side=x.side,
-                    x_norm=x.norm,
-                    x_support=x.support_size,
-                    x_levels=x,
-                    pre_norm=pre_norm,
-                    post_levels=LevelVector(y_side, y_index, y_exps, pre_norm),
-                    max_pair_density=d,
-                    pruned_mass=_norm(y_levels[~keep], y_counts[~keep]),
-                    pruned_count=int(y_counts[~keep].sum()),
-                    next_support=x_next.support_size,
-                    next_norm=x_next.norm,
-                    best_so_far=best_at + (best.density,),
+            pruned_mass = _norms(y_level_slot[~keep], y_level_exp[~keep], y_counts[~keep], slots)
+            max_density = np.zeros(slots)
+            max_density[go] = dens[win]
+            x_bounds = np.searchsorted(slot, np.arange(slots + 1))
+            y_bounds = np.searchsorted(y_slot, np.arange(slots + 1))
+            for s in np.flatnonzero(go).tolist():
+                lane = int(active[s])
+                xa, xb = x_bounds[s], x_bounds[s + 1]
+                ya, yb = y_bounds[s], y_bounds[s + 1]
+                at = best[lane]
+                traces[lane].steps.append(
+                    StepRecord(
+                        t=t,
+                        eps_t=epsilons[t],
+                        eps_prune=eps,
+                        x_side=x_side,
+                        x_norm=float(norm[s]),
+                        x_support=int(xb - xa),
+                        x_levels=LevelVector(x_side, index[xa:xb], exps[xa:xb], float(norm[s])),
+                        pre_norm=float(pre_norm[s]),
+                        post_levels=LevelVector(
+                            y_side, y_index[ya:yb], y_exps[ya:yb], float(pre_norm[s])
+                        ),
+                        max_pair_density=float(max_density[s]),
+                        pruned_mass=float(pruned_mass[s]),
+                        pruned_count=int(yb - ya) - int(next_support[s]),
+                        next_support=int(next_support[s]),
+                        next_norm=float(next_norm[s]),
+                        best_so_far=(at[0], at[1], at[2], at[6]),
+                    )
                 )
-            )
 
-        if not x_next.support_size:
-            stopped = True
+        cont = next_support > 0
+        stopped[active[go & ~cont]] = True
+        if not cont.any():
             break
-        x = x_next
+        slot = (np.cumsum(cont) - 1)[y_slot[kept]]
+        index, exps = y_index[kept], y_exps[kept]
+        norm = next_norm[cont]
+        active = active[cont]
+        x_side = y_side
 
-    return ProcessOutcome(best, best_at, executed, edges_touched, stopped, trace)
+    outcomes = []
+    for lane in range(lanes):
+        cand = at = None
+        if best[lane] is not None:
+            t, i, j, xs, ys, e, d, on = best[lane]
+            xs, ys = frozenset(xs.tolist()), frozenset(ys.tolist())
+            sub = Subgraph(xs, ys, e, d) if on == LEFT else Subgraph(ys, xs, e, d)
+            cand, at = Candidate(sub, i, j), (t, i, j)
+        outcomes.append(
+            ProcessOutcome(
+                cand, at, int(executed[lane]), int(touched[lane]), bool(stopped[lane]),
+                traces[lane] if keep_trace else None,
+            )
+        )
+    return outcomes

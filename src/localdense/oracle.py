@@ -90,8 +90,10 @@ def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
     if flip:
         mat = np.ascontiguousarray(mat.T)
     other = mat.shape[1]
-    # scale[c, k] is the denominator for c subset and k + 1 partner vertices
-    scale = np.sqrt(np.arange(small + 1.0))[:, None] * np.sqrt(np.arange(1.0, other + 1))
+    # scale[c, k] is the denominator for c subset and k + 1 partner vertices,
+    # sqrt(c * (k + 1)) as density() takes it, so that pairs of equal density
+    # tie exactly and the first one wins
+    scale = np.sqrt(np.arange(small + 1.0)[:, None] * np.arange(1.0, other + 1))
 
     # table[m] is the incident row of low-bit mask m, summed in ascending
     # vertex order; with two rows or more the first block still has a subset

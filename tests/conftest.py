@@ -98,7 +98,7 @@ def reference_exact_densest(g, side_cap=20):
         mat = mat.T
     other = mat.shape[1]
     partner_order_tiebreak = np.arange(other)
-    sizes = np.sqrt(np.arange(1, other + 1, dtype=np.float64))
+    sizes = np.arange(1, other + 1, dtype=np.float64)
 
     best = None  # (density, weight, subset tuple, partner tuple)
     members: list[int] = []
@@ -107,7 +107,7 @@ def reference_exact_densest(g, side_cap=20):
         incident = mat[members].sum(axis=0)
         order = np.lexsort((partner_order_tiebreak, -incident))
         prefix = np.cumsum(incident[order])
-        dens = prefix / (math.sqrt(len(members)) * sizes)
+        dens = prefix / np.sqrt(len(members) * sizes)
         k = int(np.argmax(dens))
         d = float(dens[k])
         if best is None or d > best[0]:

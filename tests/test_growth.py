@@ -74,8 +74,12 @@ def outcome_fields(out: ProcessOutcome) -> dict:
     return fields
 
 
+def grow(g, start, epsilons, keep_trace=False):
+    return run_pruned_growth(g, [start], epsilons, keep_trace).outcomes[0]
+
+
 def first_step(g, start, eps=0.01):
-    out = run_pruned_growth(g, start, (0.5, eps), keep_trace=True)
+    out = grow(g, start, (0.5, eps), keep_trace=True)
     return out, out.trace.steps[0]
 
 
@@ -92,7 +96,7 @@ def test_round_up_drops_zeros_and_rejects_bad_entries():
     # from x the product to a underflows to 0.0 and is dropped, while the
     # one to c survives
     g = build_bipartite([("a", "x", 1e-320), ("c", "x", 1.0)])
-    out = run_pruned_growth(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1, 0.1), keep_trace=True)
+    out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1, 0.1), keep_trace=True)
     first, second = out.trace.steps[:2]
     (j,) = first.post_levels.exps.tolist()
     assert Fraction(math.ldexp(1.0, j)) == smallest_pow2_at_least(1e-320)
@@ -102,11 +106,16 @@ def test_round_up_drops_zeros_and_rejects_bad_entries():
     # a finite product rounds to a finite level; the next one overflows
     g = build_bipartite([("a", "x", 1e200)])
     with pytest.raises(NegativeEntry):
-        run_pruned_growth(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1))
+        grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1))
     # a level whose power of two is beyond the float range
     g = build_bipartite([("a", "x", 1.5 * 2.0**1023)])
     with pytest.raises(NegativeEntry):
-        run_pruned_growth(g, LevelVector.unit("L", 0), (0.5, 0.1))
+        grow(g, LevelVector.unit("L", 0), (0.5, 0.1))
+    # a start entry that is no positive float
+    for i in (1024, -1075):
+        start = LevelVector("L", np.array([0]), np.array([i]), 1.0)
+        with pytest.raises(DomainError):
+            grow(g, start, (0.5, 0.1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,13 +145,13 @@ def test_unit_and_ones_vectors():
 def test_truncate_is_strict(star4):
     # the product is four entries 1.0 with norm 2; eps 0.5 puts the
     # threshold exactly at 1.0
-    out = run_pruned_growth(star4, LevelVector.unit("L", 0), (0.5, 0.5), keep_trace=True)
+    out = grow(star4, LevelVector.unit("L", 0), (0.5, 0.5), keep_trace=True)
     assert out.trace.steps[0].next_support == 0
-    out = run_pruned_growth(star4, LevelVector.unit("L", 0), (0.5, 0.4999), keep_trace=True)
+    out = grow(star4, LevelVector.unit("L", 0), (0.5, 0.4999), keep_trace=True)
     assert out.trace.steps[0].next_support == 4
     for bad in (-0.1, 1.5):
         with pytest.raises(DomainError):
-            run_pruned_growth(star4, LevelVector.unit("L", 0), (0.5, bad))
+            grow(star4, LevelVector.unit("L", 0), (0.5, bad))
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,7 +163,7 @@ def test_truncate_is_strict(star4):
 def test_truncate_support_bound(seed, exps, eps):
     g = random_bipartite(random.Random(seed), 9, 9, weighted=True)
     exps = {u: i for u, i in exps.items() if u < g.left_count} or {0: 0}
-    out = run_pruned_growth(g, vector("L", exps), (0.5, eps, 0.5), keep_trace=True)
+    out = grow(g, vector("L", exps), (0.5, eps, 0.5), keep_trace=True)
     rec = out.trace.steps[0]
     assert rec.next_support <= 1.0 / eps**2
     if rec.next_support:
@@ -164,7 +173,7 @@ def test_truncate_support_bound(seed, exps, eps):
 
 
 def test_multiply_star(star4):
-    out = run_pruned_growth(star4, LevelVector.unit("L", 0), (0.5, 0.01, 0.01), keep_trace=True)
+    out = grow(star4, LevelVector.unit("L", 0), (0.5, 0.01, 0.01), keep_trace=True)
     there, back = out.trace.steps
     assert levels(there.post_levels) == {0: 0, 1: 0, 2: 0, 3: 0}
     assert levels(back.post_levels) == {0: 2}
@@ -213,7 +222,7 @@ def test_step_referee_against_exact_rounding():
         support = rng.sample(range(g.left_count), rng.randint(1, g.left_count))
         exps = {u: rng.randint(-5, 2) for u in support}
         eps = rng.choice([0.01, 0.1, 0.3, 0.7])
-        out = run_pruned_growth(g, vector("L", exps), (0.5, eps, 0.5), keep_trace=True)
+        out = grow(g, vector("L", exps), (0.5, eps, 0.5), keep_trace=True)
         prod = {}
         for u, i in sorted(exps.items()):
             for v, w in zip(*(a.tolist() for a in g.neighbors("L", u))):
@@ -261,7 +270,7 @@ def test_evaluate_candidates_failures():
     # a step with no level pair yields no candidate: here every product of
     # the second step underflows to 0.0, so the run stops before taking it
     g = build_bipartite([("a", "x", 1e-320)])
-    out = run_pruned_growth(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1), keep_trace=True)
+    out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1), keep_trace=True)
     assert out.stopped_early
     assert out.steps_executed == 1
     assert len(out.trace.steps) == 1
@@ -291,7 +300,7 @@ def test_growth_bound_check_cases():
 
 
 def test_run_pruned_growth_counts_work(star4):
-    out = run_pruned_growth(star4, LevelVector.unit("L", 0), (0.25, 0.01))
+    out = grow(star4, LevelVector.unit("L", 0), (0.25, 0.01))
     assert out.steps_executed == 1
     assert out.edges_touched == 8
     assert out.best.density == 2.0
@@ -301,7 +310,7 @@ def test_run_pruned_growth_counts_work(star4):
 
 
 def test_run_pruned_growth_dying_step_still_reports(star4):
-    out = run_pruned_growth(
+    out = grow(
         star4, LevelVector.unit("L", 0), (0.5, 0.6), keep_trace=True
     )
     assert out.stopped_early
@@ -317,7 +326,7 @@ def test_run_pruned_growth_dying_step_still_reports(star4):
 
 def test_run_pruned_growth_single_edge_round_trip():
     h = build_bipartite([("a", "x", 1.0)])
-    out = run_pruned_growth(h, LevelVector.unit("R", 0), (0.25, 0.01, 0.001))
+    out = grow(h, LevelVector.unit("R", 0), (0.25, 0.01, 0.001))
     assert out.steps_executed == 2
     assert out.edges_touched == 4
     assert out.best.density == 1.0
@@ -327,7 +336,7 @@ def test_run_pruned_growth_single_edge_round_trip():
 def test_run_pruned_growth_isolated_start_stops_immediately():
     g = from_directed([("a", "b", 1.0)])
     # the left copy of "b" exists but has no outgoing edges
-    out = run_pruned_growth(g, LevelVector.unit("L", 1), (0.25, 0.01))
+    out = grow(g, LevelVector.unit("L", 1), (0.25, 0.01))
     assert out.stopped_early
     assert out.steps_executed == 0
     assert out.best is None
@@ -338,13 +347,48 @@ def test_run_pruned_growth_deterministic():
     g = random_bipartite(rng, 8, 8, weighted=True, min_edges=10)
     eps = (0.25, 0.125, 0.0625, 0.03125)
     runs = [
-        run_pruned_growth(g, LevelVector.unit("L", 0), eps, keep_trace=True)
+        grow(g, LevelVector.unit("L", 0), eps, keep_trace=True)
         for _ in range(2)
     ]
     assert runs[0].best == runs[1].best
     assert runs[0].best_at == runs[1].best_at
     assert runs[0].edges_touched == runs[1].edges_touched
     assert runs[0].trace.steps == runs[1].trace.steps
+
+
+def referee_graph(rng, weights, directed=False):
+    """A random graph on up to 9 + 9 vertices with unit, weighted or partly
+    subnormal weights.  A directed one puts every vertex on both sides, so a
+    vertex without arcs out (or in) is isolated on the left (or right)."""
+    if directed:
+        n = rng.randint(2, 9)
+        edges = [
+            (f"v{a}", f"v{b}", 1.0 if weights == "unit" else rng.uniform(0.1, 3.0))
+            for a in range(n)
+            for b in range(n)
+            if a != b and rng.random() < 0.25
+        ] or [("v0", "v1", 1.0)]
+    else:
+        g = random_bipartite(rng, 9, 9, weighted=weights != "unit")
+        edges = [(g.left_id(u), g.right_id(v), w) for u, v, w in g.edges()]
+    if weights == "subnormal":
+        # products of these weights with small entries underflow to 0.0
+        edges = [(a, b, w * 1e-320 if rng.random() < 0.4 else w) for a, b, w in edges]
+    return (from_directed if directed else build_bipartite)(edges)
+
+
+def referee_start(rng, g, kind, side):
+    """(exponents, LevelVector) of a unit, ones, spread or isolated start."""
+    n = g.side_count(side)
+    if kind == "ones":
+        return dict.fromkeys(range(n), 0), LevelVector.ones(side, n)
+    if kind == "spread":
+        support = rng.sample(range(n), rng.randint(1, n))
+        exps = {u: rng.randint(-8, 3) for u in support}
+        return exps, vector(side, exps)
+    idle = [u for u in range(n) if g.fanout(side, u) == 0]
+    u = rng.choice(idle) if kind == "isolated" and idle else rng.randrange(n)
+    return {u: 0}, LevelVector.unit(side, u)
 
 
 @settings(max_examples=250, deadline=None)
@@ -357,27 +401,53 @@ def test_run_pruned_growth_deterministic():
 )
 def test_growth_matches_dict_referee(seed, weights, start, side, epsilons):
     rng = random.Random(seed)
-    g = random_bipartite(rng, 9, 9, weighted=weights != "unit")
-    if weights == "subnormal":
-        # products of these weights with small entries underflow to 0.0
-        g = build_bipartite(
-            (g.left_id(u), g.right_id(v), w * 1e-320 if rng.random() < 0.4 else w)
-            for u, v, w in g.edges()
-        )
-    n = g.side_count(side)
-    if start == "unit":
-        u = rng.randrange(n)
-        exps, vec = {u: 0}, LevelVector.unit(side, u)
-    elif start == "ones":
-        exps, vec = dict.fromkeys(range(n), 0), LevelVector.ones(side, n)
-    else:
-        support = rng.sample(range(n), rng.randint(1, n))
-        exps = {u: rng.randint(-8, 3) for u in support}
-        vec = vector(side, exps)
-    out = run_pruned_growth(g, vec, epsilons, keep_trace=True)
+    g = referee_graph(rng, weights)
+    exps, vec = referee_start(rng, g, start, side)
+    out = grow(g, vec, epsilons, keep_trace=True)
     assert outcome_fields(out) == reference_growth(g, side, exps, epsilons)
     for rec in out.trace.steps:
         assert rec.next_support * rec.eps_prune**2 <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from(["unit", "weighted", "subnormal"]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["unit", "ones", "spread", "isolated", "repeat"]),
+            st.sampled_from(["L", "R"]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7),
+)
+def test_lanes_match_lone_runs_and_dict_referee(seed, directed, weights, kinds, epsilons):
+    rng = random.Random(seed)
+    g = referee_graph(rng, weights, directed)
+    lanes = []  # (side, exponents, start vector)
+    for kind, side in kinds:
+        if kind == "repeat" and lanes:
+            lanes.append(rng.choice(lanes))
+        else:
+            lanes.append((side, *referee_start(rng, g, kind, side)))
+    starts = [vec for _, _, vec in lanes]
+    labels = [f"lane{k}" for k in range(len(lanes))]
+    batch = run_pruned_growth(g, starts, epsilons, keep_trace=True, labels=labels)
+    bare = run_pruned_growth(g, starts, epsilons)
+    assert len(batch.outcomes) == len(bare.outcomes) == len(lanes)
+    for (side, exps, vec), label, out, plain in zip(lanes, labels, batch.outcomes, bare.outcomes):
+        fields = outcome_fields(out)
+        assert fields == reference_growth(g, side, exps, epsilons)
+        assert fields == outcome_fields(grow(g, vec, epsilons, keep_trace=True))
+        assert out.trace.start == label
+        assert plain.trace is None
+        assert dataclasses.replace(plain, trace=out.trace) == out
+    outcomes = batch.outcomes
+    assert batch.edges_touched == bare.edges_touched == sum(o.edges_touched for o in outcomes)
+    assert batch.steps_executed == bare.steps_executed == sum(o.steps_executed for o in outcomes)
 
 
 def test_subnormal_graphs_match_dict_referee():
@@ -385,8 +455,14 @@ def test_subnormal_graphs_match_dict_referee():
     for edges in ([("a", "x", 1e-320)], [("a", "x", 1e-320), ("c", "x", 1.0)]):
         g = build_bipartite(edges)
         for side in ("L", "R"):
-            out = run_pruned_growth(g, LevelVector.unit(side, 0), eps, keep_trace=True)
+            out = grow(g, LevelVector.unit(side, 0), eps, keep_trace=True)
             assert outcome_fields(out) == reference_growth(g, side, {0: 0}, eps)
+    # from 2**-30 the product to x underflows to 0.0 while the one to y
+    # stays subnormal; x's edge must add nothing to any pair's weight
+    g = build_bipartite([("b", "y", 1e-310), ("b", "x", 1e-315)])
+    out = grow(g, vector("L", {0: -30}), eps, keep_trace=True)
+    assert outcome_fields(out) == reference_growth(g, "L", {0: -30}, eps)
+    assert out.best.subgraph.edge_weight == 1e-310
 
 
 def test_candidate_density_property():

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from localdense import (
     local_guarantee_bound,
     seed_scan,
 )
+from localdense.local import _LANES
 
 from conftest import k_ab
 
@@ -133,30 +135,61 @@ def test_work_is_independent_of_ambient_size():
     assert runs[1][1] == runs[20][1] == pytest.approx(4.0)
 
 
+def _peak(run) -> int:
+    """tracemalloc peak of a second call of run, after one to warm up."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _c09_graph(scale):
+    return generate_planted(
+        n_left=scale // 2 + 4,
+        n_right=scale // 2 + 4,
+        noise_edges=scale,
+        planted_a=4,
+        planted_b=4,
+        rng_seed=77,
+        noise_avoids_planted=True,
+    )
+
+
+def _planted_lanes(g, left, right, count):
+    """count seeds cycling over the planted block's vertices, both sides.
+
+    The block has no noise edges, so these seeds see the same neighborhood
+    whatever the size of the graph around it."""
+    block = [(g.left_id(u), "L") for u in sorted(left)]
+    block += [(g.right_id(v), "R") for v in sorted(right)]
+    return [block[k % len(block)] for k in range(count)]
+
+
 def test_local_run_allocates_nothing_of_graph_size():
     # the graphs of acceptance check c09; one array over the vertices of the
-    # larger graph would be about 4 MB, the whole traced run is ~15 kB
-    peaks = {}
+    # larger graph would be about 4 MB, while a traced local run takes ~20 kB
+    # and a scan of one chunk of lanes ~0.3 MB
+    runs, chunks = {}, {}
     for scale in (10_000, 1_000_000):
-        g, left, _ = generate_planted(
-            n_left=scale // 2 + 4,
-            n_right=scale // 2 + 4,
-            noise_edges=scale,
-            planted_a=4,
-            planted_b=4,
-            rng_seed=77,
-            noise_avoids_planted=True,
-        )
+        g, left, right = _c09_graph(scale)
         seed = g.left_id(min(left))
-        local_density(g, seed, 4, "L", keep_trace=True)
-        tracemalloc.start()
-        try:
-            local_density(g, seed, 4, "L", keep_trace=True)
-            peaks[scale] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        runs[scale] = _peak(lambda: local_density(g, seed, 4, "L", keep_trace=True))
+        lanes = _planted_lanes(g, left, right, _LANES)
+        chunks[scale] = _peak(lambda: seed_scan(g, lanes, 4))
         del g
-    assert max(peaks.values()) <= 2 * min(peaks.values()), peaks
+    assert max(runs.values()) <= 2 * min(runs.values()), runs
+    assert max(chunks.values()) <= 2 * min(chunks.values()), chunks
+
+
+def test_seed_scan_memory_stays_per_chunk():
+    # four chunks grow one after another, not as one four-times-wider batch
+    g, left, right = _c09_graph(10_000)
+    one = _peak(lambda: seed_scan(g, _planted_lanes(g, left, right, _LANES), 4))
+    four = _peak(lambda: seed_scan(g, _planted_lanes(g, left, right, 4 * _LANES), 4))
+    assert four <= 1.5 * one, (one, four)
 
 
 def test_traces_kept_only_on_request(star4):
@@ -195,6 +228,61 @@ def test_seed_scan_top_n_truncates(star4):
     assert len(out.results) == 1
     with pytest.raises(DomainError):
         seed_scan(star4, ["c"], target_size=4, top_n=0)
+
+
+def test_seed_scan_validates_before_growing(star4):
+    for bad in (True, 2.5, "3", None, np.int64(0)):
+        with pytest.raises(DomainError):
+            seed_scan(star4, ["c", "w"], target_size=4, top_n=bad)
+    out = seed_scan(star4, ["c", "w"], target_size=4, top_n=np.int64(1))
+    assert [r.start for r in out.results] == ["seed:L:c"]
+    # the schedule is built before any seed grows, so a bad target size is
+    # reported even when there is nothing to grow
+    for bad in (0, 1.5, True):
+        with pytest.raises(DomainError):
+            seed_scan(star4, [], target_size=bad)
+
+
+def _scan_one_by_one(g, seeds, target_size, keep_trace):
+    """seed_scan's contract as a loop of local_density calls, all results kept."""
+    failures, seen, ordered = [], set(), []
+    for order, seed in enumerate(seeds):
+        token, side = seed if isinstance(seed, tuple) else (seed, None)
+        try:
+            res = local_density(g, token, target_size, side, keep_trace)
+        except (UnknownVertex, NoCandidate) as exc:
+            failures.append(SeedFailure(seed, type(exc).__name__, str(exc)))
+            continue
+        if (res.subgraph.left, res.subgraph.right) not in seen:
+            seen.add((res.subgraph.left, res.subgraph.right))
+            ordered.append((order, res))
+    ordered.sort(key=lambda pair: (-pair[1].density, pair[0]))
+    return [res for _, res in ordered], failures
+
+
+@pytest.mark.parametrize("keep_trace", [False, True])
+def test_seed_scan_chunks_match_lone_runs(keep_trace):
+    # every vertex is on both sides; those without arcs out (in) are
+    # isolated on the left (right)
+    rng = random.Random(11)
+    g = from_directed(
+        (f"v{rng.randrange(90)}", f"v{rng.randrange(120)}", rng.choice((1.0, 0.5, 2.5)))
+        for _ in range(300)
+    )
+    tokens = [g.left_id(u) for u in range(g.left_count)]
+    seeds = []
+    for k in range(2 * _LANES + 3):
+        token = f"missing{k}" if k % 9 == 5 else tokens[k * 7 % len(tokens)]
+        seeds.append((token, "LR"[k % 2]) if k % 3 == 1 else token)
+    want_results, want_failures = _scan_one_by_one(g, seeds, 8, keep_trace)
+    assert {f.kind for f in want_failures} == {"UnknownVertex", "NoCandidate"}
+    assert len(want_results) > 2 * _LANES // 3
+    out = seed_scan(g, seeds, 8, top_n=len(seeds), keep_trace=keep_trace)
+    assert out.results == want_results
+    assert out.failures == want_failures
+    top = seed_scan(g, seeds, 8, top_n=5, keep_trace=keep_trace)
+    assert top.results == want_results[:5]
+    assert top.failures == want_failures
 
 
 def test_seed_scan_parallel_matches_sequential():

@@ -63,11 +63,10 @@ def test_exact_tie_breaks_toward_first_subset():
 
 
 def test_exact_tie_breaks_toward_first_block():
-    # two identical K2,4 blocks on left vertices {0, 5} and {1, 6}: masks 33,
-    # 66 and their union 99 all score 8 / sqrt(8) to the last bit (with K2,2
-    # the union would win, as 2.0 beats 4 / (sqrt(2) * sqrt(2))).  The 300
-    # light pendant edges widen the partner side so that the masks are
-    # scored in different blocks.
+    # two identical K2,4 blocks on left vertices {0, 5} and {1, 6}: masks 33
+    # and 66 score 8 / sqrt(8) and their union 99 scores 16 / sqrt(32), the
+    # same float to the last bit.  The 300 light pendant edges widen the
+    # partner side so that the masks are scored in different blocks.
     edges = [(f"l{u}", f"r{j}", 1.0) for u in (0, 5) for j in range(4)]
     edges += [(f"l{u}", f"r{j}", 1.0) for u in (1, 6) for j in range(4, 8)]
     edges += [(f"l{2 + i % 3}", f"p{i}", 0.01) for i in range(300)]
@@ -79,6 +78,19 @@ def test_exact_tie_breaks_toward_first_block():
     assert sub.left == frozenset({0, 5})
     assert {g.right_id(v) for v in sub.right} == {"r0", "r1", "r2", "r3"}
     assert sub == reference_exact_densest(g)
+
+
+def test_exact_tie_between_block_and_union_prefers_lower_mask():
+    # two disjoint K2,2 blocks: each scores 4 / sqrt(2 * 2) and their union
+    # 8 / sqrt(4 * 4), both exactly 2.0, so the first subset (mask 3) wins.
+    # A denominator of sqrt(2) * sqrt(2) scores each block just under 2.0
+    # and lets the union win.
+    edges = [(f"l{u}", f"r{u // 2 * 2 + j}", 1.0) for u in range(4) for j in range(2)]
+    g = build_bipartite(edges)
+    for sub in (exact_densest(g), reference_exact_densest(g)):
+        assert sub.density == 2.0
+        assert sub.left == frozenset({0, 1})
+        assert sub.right == frozenset({0, 1})
 
 
 def test_exact_finds_optimum_without_low_vertices():
