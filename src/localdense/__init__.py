@@ -53,7 +53,6 @@ from .growth import (
     LevelVector,
     ProcessOutcome,
     StepRecord,
-    growth_bound_check,
     run_pruned_growth,
 )
 from .io import (
@@ -127,7 +126,6 @@ __all__ = [
     "global_density",
     "global_guarantee_bound",
     "good_seed_set",
-    "growth_bound_check",
     "load_edge_list",
     "local_density",
     "local_guarantee_bound",

@@ -21,6 +21,7 @@ from .io import (
     load_edge_list,
     result_record,
     save_edge_list,
+    subgraph_record,
     trace_records,
     write_records,
 )
@@ -215,16 +216,7 @@ def _cmd_exact(args) -> int:
     t0 = time.perf_counter()
     sub = exact_densest(g, args.side_cap)
     _note(f"wall_time_ms={1000.0 * (time.perf_counter() - t0):.3f}")
-    record = {
-        "kind": "exact",
-        "S": sorted(str(g.left_id(u)) for u in sub.left),
-        "T": sorted(str(g.right_id(v)) for v in sub.right),
-        "S_size": len(sub.left),
-        "T_size": len(sub.right),
-        "edge_weight": sub.edge_weight,
-        "density": sub.density,
-    }
-    _write_out([record], args)
+    _write_out([subgraph_record(g, sub, "exact")], args)
     return 0
 
 

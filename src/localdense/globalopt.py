@@ -78,7 +78,7 @@ def global_density(g: BipartiteGraph, keep_trace: bool = False) -> DensityResult
         raise DomainError("no candidate found on an edgeless graph")
 
     n = g.vertex_count
-    bound = 1.0 / (8.0 + 4.0 * math.log2(n)) if n >= 2 else None
+    bound = global_guarantee_bound(1.0, n) if n >= 2 else None
     traces = None
     if keep_trace:
         traces = tuple(t for t in (out_l.trace, out_r.trace) if t is not None)

@@ -42,7 +42,6 @@ __all__ = [
     "GrowthTrace",
     "ProcessOutcome",
     "GrowthBatch",
-    "growth_bound_check",
     "run_pruned_growth",
 ]
 
@@ -226,30 +225,6 @@ def _pair_weights(slot, rows, wt, y_slot, y_of_edge, live, x_levels, y_levels, s
     p_slot = np.searchsorted(pair_end, pairs, side="right")
     pi, pj = np.divmod(pairs - pair_base[p_slot], ny[p_slot])
     return p_slot, pi + x_first[p_slot], pj + y_first[p_slot], weight[pairs]
-
-
-def growth_bound_check(
-    density_threshold: float,
-    max_degree: float,
-    eps: float,
-    vec_norm: float,
-    rounded_norm: float,
-    max_pair_density: float,
-) -> bool:
-    """Check the one-step norm growth cap.
-
-    When every level pair of the step has density at most density_threshold,
-    the rounded product's norm must stay within
-    2 * density_threshold * vec_norm * log2(2 * max_degree / eps).
-    Vacuously true when some pair exceeds the threshold or the step involved
-    a zero vector.
-    """
-    if vec_norm == 0.0 or rounded_norm == 0.0:
-        return True
-    if max_pair_density > density_threshold:
-        return True
-    cap = 2.0 * density_threshold * vec_norm * math.log2(2.0 * max_degree / eps)
-    return rounded_norm <= cap
 
 
 @dataclass(frozen=True)

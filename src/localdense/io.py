@@ -13,7 +13,7 @@ import math
 from typing import IO, Iterable
 
 from .errors import ParseError
-from .graph import BipartiteGraph, build_bipartite, from_directed, ratio_density
+from .graph import BipartiteGraph, Subgraph, build_bipartite, from_directed, ratio_density
 from .local import DensityResult
 
 __all__ = [
@@ -90,17 +90,13 @@ def _sorted_ids(ids):
     return sorted(ids, key=lambda tok: (str(type(tok).__name__), str(tok)))
 
 
-def result_record(g: BipartiteGraph, result: DensityResult, kind: str) -> dict:
-    """Flatten one run result into a JSON-ready mapping.
+def subgraph_record(g: BipartiteGraph, sub: Subgraph, kind: str) -> dict:
+    """The fields every record of a vertex-set pair carries.
 
-    Vertex sets are reported as sorted external ids.  Wall-clock timing is
-    deliberately absent: documents for identical inputs must be
-    byte-identical.
+    Vertex sets are reported as sorted external ids.
     """
-    sub = result.subgraph
     left_ids = _sorted_ids(g.left_id(u) for u in sub.left)
     right_ids = _sorted_ids(g.right_id(v) for v in sub.right)
-    t, i, j = result.found_at
     return {
         "kind": kind,
         "S": left_ids,
@@ -109,6 +105,20 @@ def result_record(g: BipartiteGraph, result: DensityResult, kind: str) -> dict:
         "T_size": len(right_ids),
         "edge_weight": sub.edge_weight,
         "density": sub.density,
+    }
+
+
+def result_record(g: BipartiteGraph, result: DensityResult, kind: str) -> dict:
+    """Flatten one run result into a JSON-ready mapping.
+
+    Vertex sets are reported as sorted external ids.  Wall-clock timing is
+    deliberately absent: documents for identical inputs must be
+    byte-identical.
+    """
+    sub = result.subgraph
+    t, i, j = result.found_at
+    return {
+        **subgraph_record(g, sub, kind),
         "ratio_density": ratio_density(g, sub.left, sub.right),
         "t": t,
         "i": i,

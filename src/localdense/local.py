@@ -110,9 +110,7 @@ def local_guarantee_bound(density_threshold: float, max_degree: float, target_si
 
 def _bound_factors(g: BipartiteGraph, schedule: LocalSchedule):
     delta = g.max_degree
-    factor = None
-    if delta >= 1:
-        factor = 1.0 / (8.0 * math.log2(16.0 * delta * schedule.target_size))
+    factor = local_guarantee_bound(1.0, delta, schedule.target_size) if delta >= 1 else None
     factor_eps = None
     arg = 2.0 * delta / schedule.epsilons[0]
     if arg > 1.0:

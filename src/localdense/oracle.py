@@ -2,8 +2,9 @@
 
 These routines are deliberately independent of the growth process so they can
 serve as referees for it.  The exact search enumerates one side outright and
-is meant for desk-scale graphs; the spectral estimate and the seed analysis
-scale to anything the rest of the package handles.
+is meant for desk-scale graphs.  The spectral estimate is one Lanczos
+routine on the symmetric adjacency, and it and the seed analysis scale to
+anything the rest of the package handles.
 """
 
 from __future__ import annotations
@@ -145,10 +146,14 @@ def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
 class EigenEstimate:
     """Top adjacency eigenvalue estimate with a nonnegative unit vector.
 
-    left and right are the vector's two halves; residual is the norm of
-    (vector times adjacency minus value times vector).  The true top
-    eigenvalue lies within residual of value once the iteration has settled,
-    and it always dominates every subgraph density.
+    left and right are the vector's two halves; value is its Rayleigh
+    quotient and residual is the norm of (vector times adjacency minus value
+    times vector).  The true top eigenvalue lies within residual of value,
+    and it always dominates every subgraph density.  iterations counts the
+    adjacency-vector products taken, the final one for the residual
+    included.  converged is False when the Lanczos rounds ran out before the
+    residual reached 1e-12 of the value; the estimate then comes from the
+    last round's vector.
     """
 
     value: float
@@ -159,65 +164,76 @@ class EigenEstimate:
     converged: bool
 
 
-def top_eigenvalue(g: BipartiteGraph, tol: float = 1e-9, max_iters: int = 10000) -> EigenEstimate:
-    """Power iteration for the top eigenvalue of the bipartite adjacency.
+# Lanczos vectors held at once (ARPACK's default), rounds allowed before the
+# estimate is returned unconverged, and the residual, relative to the
+# eigenvalue, at which it counts as converged.  scipy's ARPACK (eigsh) would
+# do the same job, but importing scipy.sparse.linalg costs every process that
+# calls this about 10 MB of resident memory.
+_KRYLOV = 20
+_RESTARTS = 200
+_TOL = 1e-12
 
-    Iterates the two-step product (adjacency squared), which keeps the sign
-    structure stable, and reports the square root.  The final vector is
-    symmetrized across the two sides so it approximates an eigenvector of the
-    one-step adjacency, and the reported value is its Rayleigh quotient.
-    A run that hits max_iters returns its best estimate with converged False.
+
+def top_eigenvalue(g: BipartiteGraph) -> EigenEstimate:
+    """Thick-restart Lanczos for the top eigenvalue of the bipartite adjacency.
+
+    Works on the symmetric adjacency [[0, B], [B^T, 0]], starting from the
+    all-ones vector.  Each round grows an orthonormal basis of up to 20
+    vectors, each the adjacency times the last, fully reorthogonalized, and
+    takes the top Ritz pair of the adjacency projected onto it.  A round
+    that has not converged keeps the top half of its Ritz vectors and
+    continues from the top one's residual (Wu & Simon 2000).  A basis that
+    stops growing spans an invariant subspace, whose Ritz pair is exact; this
+    is how tied components and graphs of a single edge end.  Nothing is
+    random, so repeated runs agree to the bit.
+
+    The adjacency is nonnegative, so its top eigenspace is spanned by
+    nonnegative vectors on disjoint components (Perron-Frobenius): the
+    entrywise absolute value of the Ritz vector stays in it, and is
+    renormalized before the Rayleigh quotient and residual are taken.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
     mat = biadjacency(g)
     nl, nr = mat.shape
-    xl = np.ones(nl) / math.sqrt(nl + nr)
-    xr = np.ones(nr) / math.sqrt(nl + nr)
+    applications = 0
 
-    def apply_adj(al, ar):
-        return mat @ ar, mat.T @ al
+    def apply_adj(x):
+        nonlocal applications
+        applications += 1
+        return np.concatenate((mat @ x[nl:], mat.T @ x[:nl]))
 
-    def symmetrized(al, ar, scale):
-        # blend x with x A / scale so both sides carry the same growth rate,
-        # then renormalize; this is the eigenvector once the two-step
-        # iteration has converged
-        yl, yr = apply_adj(al, ar)
-        if scale > 0.0:
-            pl, pr = al + yl / scale, ar + yr / scale
-        else:
-            pl, pr = al, ar
-        pnorm = math.sqrt(float(pl @ pl + pr @ pr))
-        if pnorm > 0.0:
-            pl, pr = pl / pnorm, pr / pnorm
-        ql, qr = apply_adj(pl, pr)
-        rayleigh = float(pl @ ql + pr @ qr)
-        residual = math.sqrt(
-            float((ql - rayleigh * pl) @ (ql - rayleigh * pl))
-            + float((qr - rayleigh * pr) @ (qr - rayleigh * pr))
-        )
-        return pl, pr, rayleigh, residual
-
-    prev = None
-    value = 0.0
-    iterations = 0
-    while iterations < max_iters:
-        iterations += 1
-        yl, yr = apply_adj(xl, xr)
-        value = math.sqrt(float(yl @ yl + yr @ yr))
-        zl, zr = apply_adj(yl, yr)
-        znorm = math.sqrt(float(zl @ zl + zr @ zr))
-        if znorm == 0.0:
+    size = min(_KRYLOV, nl + nr)
+    basis = np.empty((size, nl + nr))
+    images = np.empty_like(basis)  # the adjacency times each basis vector
+    k = 0
+    w = np.ones(nl + nr)
+    converged = False
+    for _ in range(_RESTARTS):
+        while k < size:
+            scale = np.linalg.norm(w)
+            for _ in range(2):  # twice is enough (Kahan, Parlett)
+                w -= basis[:k].T @ (basis[:k] @ w)
+            norm = np.linalg.norm(w)
+            if norm <= _TOL * scale:
+                break
+            basis[k] = w / norm
+            images[k] = apply_adj(basis[k])
+            w = images[k].copy()
+            k += 1
+        theta, ritz = np.linalg.eigh(basis[:k] @ images[:k].T)
+        vec = ritz[:, -1] @ basis[:k]
+        w = ritz[:, -1] @ images[:k] - theta[-1] * vec
+        if k < size or np.linalg.norm(w) <= _TOL * theta[-1]:
+            converged = True
             break
-        xl, xr = zl / znorm, zr / znorm
-        if prev is not None and abs(value - prev) <= tol * max(value, 1e-300):
-            pl, pr, rayleigh, residual = symmetrized(xl, xr, value)
-            if residual <= tol * max(rayleigh, 1e-300):
-                return EigenEstimate(rayleigh, pl, pr, residual, iterations, True)
-        prev = value
-
-    pl, pr, rayleigh, residual = symmetrized(xl, xr, value)
-    return EigenEstimate(rayleigh, pl, pr, residual, iterations, False)
+        keep = ritz[:, -(size // 2) :].T
+        k = len(keep)
+        basis[:k], images[:k] = keep @ basis[:size], keep @ images[:size]
+    vec = np.abs(vec)
+    vec /= np.linalg.norm(vec)
+    prod = apply_adj(vec)
+    value = float(vec @ prod)
+    residual = float(np.linalg.norm(prod - value * vec))
+    return EigenEstimate(value, vec[:nl], vec[nl:], residual, applications, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +291,7 @@ def _certificate_margin(g: BipartiteGraph, vec_left: dict, vec_right: dict, thre
     return worst
 
 
-def good_seed_set(
-    g: BipartiteGraph,
-    left_set,
-    right_set,
-    density_threshold: float,
-    tol: float = 1e-9,
-    max_iters: int = 10000,
-) -> GoodSeedReport:
+def good_seed_set(g: BipartiteGraph, left_set, right_set, density_threshold: float) -> GoodSeedReport:
     """Certify left vertices of a dense pair as productive local seeds.
 
     Requires density(left_set, right_set) >= 2 * density_threshold.  Peels in
@@ -310,7 +319,7 @@ def good_seed_set(
             h = restrict(g, remaining, base.right)
         except EmptyGraph:
             break
-        est = top_eigenvalue(h, tol, max_iters)
+        est = top_eigenvalue(h)
         if est.value < density_threshold:
             break
         vec_left = {}

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .errors import NoCandidate, TooLarge, UnknownVertex
 from .graph import LEFT, BipartiteGraph, density
 from .globalopt import global_density, global_guarantee_bound
-from .growth import growth_bound_check
 from .local import local_density, local_guarantee_bound
 from .oracle import exact_densest, good_seed_set, top_eigenvalue
 
@@ -55,6 +54,40 @@ def _collect_traces(g: BipartiteGraph, target_size: int, seed_count: int):
     return results, traces
 
 
+# the per-step properties, in report order, with the noun their detail counts
+_STEP_CHECKS = {
+    "support-bound": "support checks",
+    "level-count": "level counts",
+    "growth-cap": "growth checks",
+    "prune-mass": "pruning checks",
+}
+
+
+def _step_checks(rec, delta: float, wfloor: float):
+    """Yield (property, ok) for every per-step bound one trace step is held to."""
+    # support-bound: a vector truncated at fraction eps has at most 1/eps^2
+    # surviving entries
+    yield "support-bound", rec.x_support <= 1.0 / rec.eps_t**2
+    yield "support-bound", rec.next_support <= 1.0 / rec.eps_prune**2
+    # level-count: the rounded product occupies few distinct powers of two;
+    # edge weights below one widen the spread, so the cap folds them in
+    cap = math.ceil(math.log2(2.0 * delta / (rec.eps_t * wfloor))) + 1
+    yield "level-count", rec.post_levels.level_count <= cap
+    # growth-cap: when no level pair is denser than d, the rounded product's
+    # norm stays within 2 * d * norm * log2(2 * delta / eps); d is the step's
+    # measured densest pair, and a zero vector passes vacuously
+    yield "growth-cap", (
+        rec.x_norm == 0.0
+        or rec.pre_norm == 0.0
+        or rec.pre_norm
+        <= 2.0 * rec.max_pair_density * rec.x_norm * math.log2(2.0 * delta / rec.eps_t)
+    )
+    # prune-mass: what truncation removed is small relative to what existed
+    if rec.pruned_count:
+        cap = rec.eps_prune * rec.pre_norm * math.sqrt(rec.pruned_count)
+        yield "prune-mass", rec.pruned_mass <= cap * (1.0 + 1e-12)
+
+
 def run_verification(
     g: BipartiteGraph,
     density_threshold: float | None = None,
@@ -72,86 +105,22 @@ def run_verification(
     runs, traces = _collect_traces(g, target_size, seed_count)
     delta = g.max_degree
 
-    # support-bound: a vector truncated at fraction eps has at most 1/eps^2
-    # surviving entries
-    bad = 0
-    checked = 0
-    for tr in traces:
-        for rec in tr.steps:
-            checked += 2
-            if rec.x_support > 1.0 / rec.eps_t**2:
-                bad += 1
-            if rec.next_support > 1.0 / rec.eps_prune**2:
-                bad += 1
-    out.append(
-        PropertyResult(
-            "support-bound",
-            "pass" if bad == 0 else "fail",
-            f"{checked} support checks, {bad} violations",
-        )
-    )
-
-    # level-count: the rounded product occupies few distinct powers of two;
-    # edge weights below one widen the spread, so the cap folds them in
+    checked = dict.fromkeys(_STEP_CHECKS, 0)
+    bad = dict.fromkeys(_STEP_CHECKS, 0)
     wfloor = min(g.min_weight, 1.0)
-    bad = 0
-    checked = 0
     for tr in traces:
         for rec in tr.steps:
-            checked += 1
-            cap = math.ceil(math.log2(2.0 * delta / (rec.eps_t * wfloor))) + 1
-            if rec.post_levels.level_count > cap:
-                bad += 1
-    out.append(
-        PropertyResult(
-            "level-count",
-            "pass" if bad == 0 else "fail",
-            f"{checked} level counts, {bad} violations",
-        )
-    )
-
-    # growth-cap: per-step norm growth against the measured densest pair
-    bad = 0
-    checked = 0
-    for tr in traces:
-        for rec in tr.steps:
-            checked += 1
-            ok = growth_bound_check(
-                rec.max_pair_density,
-                delta,
-                rec.eps_t,
-                rec.x_norm,
-                rec.pre_norm,
-                rec.max_pair_density,
+            for name, ok in _step_checks(rec, delta, wfloor):
+                checked[name] += 1
+                bad[name] += not ok
+    for name, noun in _STEP_CHECKS.items():
+        out.append(
+            PropertyResult(
+                name,
+                "pass" if bad[name] == 0 else "fail",
+                f"{checked[name]} {noun}, {bad[name]} violations",
             )
-            if not ok:
-                bad += 1
-    out.append(
-        PropertyResult(
-            "growth-cap",
-            "pass" if bad == 0 else "fail",
-            f"{checked} growth checks, {bad} violations",
         )
-    )
-
-    # prune-mass: what truncation removed is small relative to what existed
-    bad = 0
-    checked = 0
-    for tr in traces:
-        for rec in tr.steps:
-            if rec.pruned_count == 0:
-                continue
-            checked += 1
-            cap = rec.eps_prune * rec.pre_norm * math.sqrt(rec.pruned_count)
-            if rec.pruned_mass > cap * (1.0 + 1e-12):
-                bad += 1
-    out.append(
-        PropertyResult(
-            "prune-mass",
-            "pass" if bad == 0 else "fail",
-            f"{checked} pruning checks, {bad} violations",
-        )
-    )
 
     est = top_eigenvalue(g)
     best_density = max(res.density for _, res in runs)

@@ -18,7 +18,6 @@ from localdense import (
     build_bipartite,
     density,
     from_directed,
-    growth_bound_check,
     run_pruned_growth,
 )
 
@@ -287,16 +286,6 @@ def test_level_sets_round_trip():
     assert vec.level_count == 2
     assert vec.support_size == 3
     assert levels(vec) == {1: 0, 3: -2, 5: -2}
-
-
-def test_growth_bound_check_cases():
-    # vacuous: zero vectors or a pair already denser than the threshold
-    assert growth_bound_check(1.0, 4.0, 0.1, 0.0, 5.0, 0.5)
-    assert growth_bound_check(1.0, 4.0, 0.1, 5.0, 0.0, 0.5)
-    assert growth_bound_check(1.0, 4.0, 0.1, 1.0, 1e9, 2.0)
-    cap = 2.0 * 1.0 * 1.0 * math.log2(2.0 * 4.0 / 0.1)
-    assert growth_bound_check(1.0, 4.0, 0.1, 1.0, cap, 0.5)
-    assert not growth_bound_check(1.0, 4.0, 0.1, 1.0, cap * 1.01, 0.5)
 
 
 def test_run_pruned_growth_counts_work(star4):

@@ -19,8 +19,10 @@ from localdense import (
     good_seed_set,
     local_density,
     local_guarantee_bound,
+    restrict,
     top_eigenvalue,
 )
+from localdense import oracle
 
 from conftest import (
     dense_biadjacency,
@@ -263,12 +265,80 @@ def test_eigenvector_is_unit_and_consistent():
     assert np.allclose(mat.T @ est.left, est.value * est.right, atol=1e-7)
 
 
-def test_eigenvalue_iteration_budget():
-    with pytest.raises(DomainError):
-        top_eigenvalue(k_ab(2, 2), tol=0.0)
-    est = top_eigenvalue(k_ab(2, 2), max_iters=1)
+def eigen_case(rng, kind, weighted):
+    """Graph of one shape for the spectral differential test."""
+
+    def weight():
+        return rng.uniform(0.1, 3.0) if weighted else 1.0
+
+    if kind == "random":
+        return random_bipartite(rng, 12, 12, weighted=weighted)
+    if kind == "edge":
+        return build_bipartite([("a", "x", weight())])
+    if kind == "star":
+        edges = [("hub", f"r{j}", weight()) for j in range(rng.randint(1, 12))]
+        return build_bipartite(edges if rng.random() < 0.5 else [(v, u, w) for u, v, w in edges])
+    if kind == "tied":
+        # identical disjoint blocks share the top eigenvalue; a lighter copy
+        # adds a component below it
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        pattern = [[weight() for _ in range(b)] for _ in range(a)]
+        scales = [1.0] * rng.randint(2, 3) + [0.5] * rng.randint(0, 1)
+        return build_bipartite(
+            (f"l{c}.{i}", f"r{c}.{j}", scale * pattern[i][j])
+            for c, scale in enumerate(scales)
+            for i in range(a)
+            for j in range(b)
+        )
+    # restricted to sets around one edge, which leaves isolated vertices
+    g = random_bipartite(rng, 12, 12, weighted=weighted)
+    u, v, _ = rng.choice(list(g.edges()))
+    left = {u} | {x for x in range(g.left_count) if rng.random() < 0.3}
+    right = {v} | {y for y in range(g.right_count) if rng.random() < 0.3}
+    return restrict(g, left, right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "edge", "star", "tied", "restricted"]),
+    st.booleans(),
+    # a basis of 6 makes most graphs here restart, one of 20 only some
+    st.sampled_from([20, 6]),
+)
+def test_eigenvalue_matches_dense_solve(seed, kind, weighted, krylov):
+    g = eigen_case(random.Random(seed), kind, weighted)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_KRYLOV", krylov)
+        est = top_eigenvalue(g)
+    lam = dense_eigenvalue(g)
+    assert est.converged
+    assert abs(est.value - lam) <= 1e-12 * lam
+    assert est.residual <= 1e-9 * lam
+    vec = np.concatenate([est.left, est.right])
+    assert vec.min() >= 0.0
+    assert float(vec @ vec) == pytest.approx(1.0, rel=1e-12)
+    mat = dense_biadjacency(g)
+    assert np.allclose(mat @ est.right, est.value * est.left, rtol=0.0, atol=1e-9 * lam)
+    assert np.allclose(mat.T @ est.left, est.value * est.right, rtol=0.0, atol=1e-9 * lam)
+
+
+def test_eigenvalue_unconverged_when_rounds_run_out(monkeypatch):
+    # the path l0 r0 l1 r1 l2 r2 has six distinct eigenvalues; two Lanczos
+    # vectors and a single round cannot find the top one, 2 cos(pi / 7)
+    monkeypatch.setattr(oracle, "_KRYLOV", 2)
+    monkeypatch.setattr(oracle, "_RESTARTS", 1)
+    g = build_bipartite([("l0", "r0", 1.0), ("l1", "r0", 1.0), ("l1", "r1", 1.0),
+                         ("l2", "r1", 1.0), ("l2", "r2", 1.0)])
+    est = top_eigenvalue(g)
     assert not est.converged
-    assert est.iterations == 1
+    assert est.iterations == 3  # the residual's product included
+    # a Rayleigh quotient: above the ones vector's 2 * 5 / 6, below the top
+    assert 5 / 3 < est.value < 2 * math.cos(math.pi / 7)
+    assert est.residual > 1e-3
+    vec = np.concatenate([est.left, est.right])
+    assert vec.min() >= 0.0
+    assert float(vec @ vec) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_good_seeds_on_complete_block():

@@ -1,6 +1,12 @@
+import dataclasses
+import math
 import random
 
-from localdense import build_bipartite, generate_planted
+import numpy as np
+import pytest
+
+from localdense import LevelVector, build_bipartite, generate_planted
+from localdense import verify
 from localdense.verify import PROPERTY_NAMES, exit_code, run_verification
 
 from conftest import k_ab, random_bipartite
@@ -59,3 +65,43 @@ def test_verification_passes_on_random_graphs():
         results = run_verification(g, target_size=4, seed_count=3)
         failed = [r for r in results if r.status == "fail"]
         assert not failed, [(r.name, r.detail) for r in failed]
+
+
+def growth_cap(rec, delta):
+    return 2.0 * rec.max_pair_density * rec.x_norm * math.log2(2.0 * delta / rec.eps_t)
+
+
+@pytest.mark.parametrize(
+    "name, broken, bad",
+    [
+        ("support-bound", lambda rec, delta: {"x_support": 10**9}, 1),
+        ("support-bound", lambda rec, delta: {"next_support": 10**9}, 1),
+        (
+            "level-count",
+            lambda rec, delta: {
+                "post_levels": LevelVector("L", np.arange(200), -np.arange(200), 1.0)
+            },
+            1,
+        ),
+        ("growth-cap", lambda rec, delta: {"pre_norm": growth_cap(rec, delta) * 1.01}, 1),
+        ("growth-cap", lambda rec, delta: {"pre_norm": growth_cap(rec, delta)}, 0),
+        ("growth-cap", lambda rec, delta: {"x_norm": 0.0, "pre_norm": 1e300}, 0),
+        ("prune-mass", lambda rec, delta: {"pruned_count": 1, "pruned_mass": 1e300}, 1),
+        ("prune-mass", lambda rec, delta: {"pruned_count": 0, "pruned_mass": 1e300}, 0),
+    ],
+)
+def test_step_checks_catch_a_broken_step(monkeypatch, name, broken, bad):
+    # one step of a real trace is edited; only its property may change
+    g = k_ab(3, 4)
+    runs, traces = verify._collect_traces(g, 4, 2)
+    clean = by_name(run_verification(g, target_size=4, seed_count=2))
+    rec = traces[0].steps[0]
+    step = dataclasses.replace(rec, **broken(rec, g.max_degree))
+    tampered = [dataclasses.replace(traces[0], steps=[step, *traces[0].steps[1:]]), *traces[1:]]
+    monkeypatch.setattr(verify, "_collect_traces", lambda *args: (runs, tampered))
+    results = by_name(run_verification(g, target_size=4, seed_count=2))
+    for other in ("support-bound", "level-count", "growth-cap", "prune-mass"):
+        if other != name:
+            assert results[other].detail == clean[other].detail
+    assert results[name].status == ("fail" if bad else "pass")
+    assert results[name].detail.endswith(f", {bad} violations")
