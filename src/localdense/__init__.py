@@ -76,7 +76,6 @@ from .oracle import (
     Certificate,
     EigenEstimate,
     GoodSeedReport,
-    biadjacency,
     exact_densest,
     good_seed_set,
     top_eigenvalue,
@@ -115,7 +114,6 @@ __all__ = [
     "Subgraph",
     "TooLarge",
     "UnknownVertex",
-    "biadjacency",
     "build_bipartite",
     "degree_stats",
     "density",

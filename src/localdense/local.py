@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import DomainError, NoCandidate, UnknownVertex
+from .errors import DomainError, NegativeEntry, NoCandidate, UnknownVertex
 from .graph import BipartiteGraph, Subgraph, is_int
 from .growth import LevelVector, run_pruned_growth
 
@@ -131,9 +131,11 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
     """Grow from each (token, side) seed; side None resolves as in local_density.
 
     Yields one entry per seed, in order: its DensityResult, or the
-    UnknownVertex or NoCandidate error local_density would raise for it.
-    The seeds grow _LANES at a time as the lanes of one run_pruned_growth
-    call, each with the outcome it would have alone.
+    UnknownVertex, NoCandidate or NegativeEntry error local_density would
+    raise for it.  The seeds grow _LANES at a time as the lanes of one
+    run_pruned_growth call, each with the outcome it would have alone; a
+    call that overflows is grown again one lane at a time, so that only the
+    seeds that overflow alone fail.
     """
     bound, bound_eps = _bound_factors(g, sched)
     seeds = iter(seeds)
@@ -151,21 +153,32 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
                 break
         if not pending:
             return
+        starts = [LevelVector.unit(side, idx) for _, side, idx in lanes]
+        labels = [f"seed:{side}:{token}" for token, side, _ in lanes]
+        try:
+            outcomes = run_pruned_growth(g, starts, sched.epsilons, keep_trace, labels).outcomes
+        except NegativeEntry:
+            outcomes = []
+            for start, label in zip(starts, labels):
+                try:
+                    (outcome,) = run_pruned_growth(
+                        g, [start], sched.epsilons, keep_trace, [label]
+                    ).outcomes
+                except NegativeEntry as exc:
+                    outcome = exc
+                outcomes.append(outcome)
         # reversed and popped one by one, so that no outcome is kept past
         # its seed's turn while the next chunk grows
-        outcomes = run_pruned_growth(
-            g,
-            [LevelVector.unit(side, idx) for _, side, idx in lanes],
-            sched.epsilons,
-            keep_trace,
-            [f"seed:{side}:{token}" for token, side, _ in lanes],
-        ).outcomes[::-1]
+        outcomes.reverse()
         for item in pending:
             if isinstance(item, Exception):
                 yield item
                 continue
             token, side, _ = item
             outcome = outcomes.pop()
+            if isinstance(outcome, NegativeEntry):
+                yield outcome
+                continue
             if outcome.best is None:
                 yield NoCandidate(f"seed {token!r} has no incident edges")
                 continue
@@ -220,11 +233,11 @@ def seed_scan(
     run_pruned_growth), and each result equals that of local_density on its
     seed alone.  Results that name the same vertex pair are deduplicated
     keeping the earliest seed, and the survivors are ordered by density with
-    ties broken by seed order.  A seed that fails (unknown or isolated) is
-    recorded, in seed order, not fatal.  top_n and target_size are checked
-    before any seed grows.  parallel is accepted for compatibility and
-    ignored: threads gave no speedup on this pure-Python and small-array
-    work.
+    ties broken by seed order.  A seed that fails (unknown, isolated or
+    overflowing) is recorded, in seed order, not fatal.  top_n and
+    target_size are checked before any seed grows.  parallel is accepted for
+    compatibility and ignored: threads gave no speedup on this pure-Python
+    and small-array work.
     """
     if not is_int(top_n) or top_n < 1:
         raise DomainError(f"top_n must be a positive integer, got {top_n!r}")

@@ -4,7 +4,8 @@ These routines are deliberately independent of the growth process so they can
 serve as referees for it.  The exact search enumerates one side outright and
 is meant for desk-scale graphs.  The spectral estimate is one Lanczos
 routine on the symmetric adjacency, and it and the seed analysis scale to
-anything the rest of the package handles.
+anything the rest of the package handles.  Both read the graph's own CSR
+arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import DomainError, EmptyGraph, PreconditionFailed, TooLarge
 from .graph import (
@@ -35,12 +35,6 @@ __all__ = [
     "top_eigenvalue",
     "good_seed_set",
 ]
-
-
-def biadjacency(g: BipartiteGraph) -> csr_matrix:
-    """Left-by-right sparse weight matrix sharing the graph's arrays."""
-    ptr, nbr, wt = g.csr_arrays(LEFT)
-    return csr_matrix((wt, nbr, ptr), shape=(g.left_count, g.right_count))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +81,9 @@ def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
         raise TooLarge(
             f"smaller side has {small} vertices, above the cap of {side_cap}"
         )
-    mat = biadjacency(g).toarray()
+    ptr, nbr, wt = g.csr_arrays(LEFT)
+    mat = np.zeros((g.left_count, g.right_count))
+    mat[np.repeat(np.arange(g.left_count), np.diff(ptr)), nbr] = wt
     if flip:
         mat = np.ascontiguousarray(mat.T)
     other = mat.shape[1]
@@ -148,12 +144,14 @@ class EigenEstimate:
 
     left and right are the vector's two halves; value is its Rayleigh
     quotient and residual is the norm of (vector times adjacency minus value
-    times vector).  The true top eigenvalue lies within residual of value,
-    and it always dominates every subgraph density.  iterations counts the
-    adjacency-vector products taken, the final one for the residual
-    included.  converged is False when the Lanczos rounds ran out before the
-    residual reached 1e-12 of the value; the estimate then comes from the
-    last round's vector.
+    times vector).  Being a Rayleigh quotient, value is at most the top
+    eigenvalue, which dominates every subgraph density.  The residual places
+    some eigenvalue within residual of value, not necessarily the top one,
+    so value + residual bounds the top eigenvalue only once the run has
+    converged to it.  iterations counts the adjacency-vector products taken,
+    the final one for the residual included.  converged is False when the
+    Lanczos rounds ran out before the residual reached 1e-12 of the value;
+    the estimate then comes from the last round's vector.
     """
 
     value: float
@@ -166,9 +164,9 @@ class EigenEstimate:
 
 # Lanczos vectors held at once (ARPACK's default), rounds allowed before the
 # estimate is returned unconverged, and the residual, relative to the
-# eigenvalue, at which it counts as converged.  scipy's ARPACK (eigsh) would
-# do the same job, but importing scipy.sparse.linalg costs every process that
-# calls this about 10 MB of resident memory.
+# eigenvalue, at which it counts as converged.  The routine is written out
+# here, not taken from an ARPACK binding, because the package depends on
+# numpy alone.
 _KRYLOV = 20
 _RESTARTS = 200
 _TOL = 1e-12
@@ -192,14 +190,22 @@ def top_eigenvalue(g: BipartiteGraph) -> EigenEstimate:
     entrywise absolute value of the Ritz vector stays in it, and is
     renormalized before the Rayleigh quotient and residual are taken.
     """
-    mat = biadjacency(g)
-    nl, nr = mat.shape
+    nl, nr = g.left_count, g.right_count
+    lptr, lnbr, lwt = g.csr_arrays(LEFT)
+    rptr, rnbr, rwt = g.csr_arrays(RIGHT)
+    lrow = np.repeat(np.arange(nl), np.diff(lptr))
+    rrow = np.repeat(np.arange(nr), np.diff(rptr))
     applications = 0
 
+    # bincount adds each row's terms in CSR order, which is ascending
+    # neighbour order on both sides
     def apply_adj(x):
         nonlocal applications
         applications += 1
-        return np.concatenate((mat @ x[nl:], mat.T @ x[:nl]))
+        return np.concatenate((
+            np.bincount(lrow, weights=lwt * x[nl:].take(lnbr), minlength=nl),
+            np.bincount(rrow, weights=rwt * x.take(rnbr), minlength=nr),
+        ))
 
     size = min(_KRYLOV, nl + nr)
     basis = np.empty((size, nl + nr))

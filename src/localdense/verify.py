@@ -126,7 +126,8 @@ def run_verification(
     best_density = max(res.density for _, res in runs)
 
     # spectral-dominance: no observed density may exceed the eigenvalue
-    # estimate plus its residual
+    # estimate plus its residual, which bounds the top eigenvalue only when
+    # the estimate has converged to it
     ok = best_density <= est.value + est.residual + 1e-9
     out.append(
         PropertyResult(

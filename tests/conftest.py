@@ -22,7 +22,6 @@ from localdense import (
     NegativeEntry,
     Subgraph,
     TooLarge,
-    biadjacency,
     build_bipartite,
     density,
 )
@@ -93,7 +92,7 @@ def reference_exact_densest(g, side_cap=20):
         raise TooLarge(
             f"smaller side has {small} vertices, above the cap of {side_cap}"
         )
-    mat = biadjacency(g).toarray()
+    mat = dense_biadjacency(g)
     if flip:
         mat = mat.T
     other = mat.shape[1]

@@ -268,6 +268,21 @@ def test_overflowing_weights_are_data_errors(tmp_path):
         assert json.loads(line)["error"]["kind"] == "NegativeEntry"
 
 
+def test_scan_reports_overflowing_seeds(tmp_path):
+    graph = tmp_path / "huge.txt"
+    graph.write_text("a x 1e300\nb x 1e300\nc y 1.0\n")
+    proc = run_cli("scan", str(graph), "--seeds", "all", "--target-size", "4")
+    assert proc.returncode == 0
+    records = parse_stdout(proc)
+    # y's pair is c's, so it is deduplicated away
+    assert records[0]["kind"] == "local"
+    assert records[0]["seed"] == "seed:L:c"
+    assert [(r["kind"], r["seed"], r["reason"]) for r in records[1:]] == [
+        ("seed-failure", f"{seed!r}", "NegativeEntry")
+        for seed in (("a", "L"), ("b", "L"), ("x", "R"))
+    ]
+
+
 def test_verification_failures_use_exit_three():
     results = [
         PropertyResult("support-bound", "pass", "ok"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from localdense import (
     DomainError,
     LocalSchedule,
+    NegativeEntry,
     NoCandidate,
     SeedFailure,
     UnknownVertex,
@@ -250,7 +251,7 @@ def _scan_one_by_one(g, seeds, target_size, keep_trace):
         token, side = seed if isinstance(seed, tuple) else (seed, None)
         try:
             res = local_density(g, token, target_size, side, keep_trace)
-        except (UnknownVertex, NoCandidate) as exc:
+        except (UnknownVertex, NoCandidate, NegativeEntry) as exc:
             failures.append(SeedFailure(seed, type(exc).__name__, str(exc)))
             continue
         if (res.subgraph.left, res.subgraph.right) not in seen:
@@ -283,6 +284,30 @@ def test_seed_scan_chunks_match_lone_runs(keep_trace):
     top = seed_scan(g, seeds, 8, top_n=5, keep_trace=keep_trace)
     assert top.results == want_results[:5]
     assert top.failures == want_failures
+
+
+def test_seed_scan_records_an_overflowing_seed():
+    # a's growth overflows (1e300 squared) while c's stays small; sharing a
+    # growth call must not cost c its result
+    g = build_bipartite([("a", "x", 1e300), ("b", "x", 1e300), ("c", "y", 1.0)])
+    with pytest.raises(NegativeEntry):
+        local_density(g, "a", 4)
+    out = seed_scan(g, ["c", "a"], 4)
+    assert (out.results, out.failures) == _scan_one_by_one(g, ["c", "a"], 4, False)
+    assert [r.start for r in out.results] == ["seed:L:c"]
+    assert [(f.seed, f.kind) for f in out.failures] == [("a", "NegativeEntry")]
+    # overflowing seeds in both chunks of a larger scan cost only themselves
+    rng = random.Random(5)
+    g = from_directed(
+        [(f"v{rng.randrange(60)}", f"v{rng.randrange(60)}", 1.0) for _ in range(200)]
+        + [("big", "hub", 1e300), ("huge", "hub", 1e300)]
+    )
+    seeds = [g.left_id(u) for u in range(g.left_count)] * 3
+    assert len(seeds) > _LANES
+    want_results, want_failures = _scan_one_by_one(g, seeds, 8, True)
+    assert {f.seed for f in want_failures if f.kind == "NegativeEntry"} == {"big", "huge"}
+    out = seed_scan(g, seeds, 8, top_n=len(seeds), keep_trace=True)
+    assert (out.results, out.failures) == (want_results, want_failures)
 
 
 def test_seed_scan_parallel_matches_sequential():

@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import localdense
 from localdense import (
     DomainError,
     PreconditionFailed,
     TooLarge,
     build_bipartite,
-    biadjacency,
     density,
     exact_densest,
     generate_planted,
@@ -32,12 +36,6 @@ from conftest import (
     random_bipartite,
     reference_exact_densest,
 )
-
-
-def test_biadjacency_matches_dense():
-    rng = random.Random(1)
-    g = random_bipartite(rng, 6, 6, weighted=True, min_edges=8)
-    assert np.array_equal(biadjacency(g).toarray(), dense_biadjacency(g))
 
 
 def test_exact_on_complete_block():
@@ -339,6 +337,36 @@ def test_eigenvalue_unconverged_when_rounds_run_out(monkeypatch):
     vec = np.concatenate([est.left, est.right])
     assert vec.min() >= 0.0
     assert float(vec @ vec) == pytest.approx(1.0, rel=1e-12)
+
+
+_SCIPY_PROBE = """
+import json, sys
+import localdense
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+g, _, _ = localdense.generate_planted(6, 9, 20, 3, 3, rng_seed=1)
+localdense.top_eigenvalue(g)
+localdense.exact_densest(g)
+loaded["oracles"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_package_loads_no_scipy():
+    # numpy is the only runtime dependency: importing the package and running
+    # both matrix oracles must not load scipy, even where it is installed
+    src = os.path.dirname(os.path.dirname(localdense.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": [], "oracles": []}
 
 
 def test_good_seeds_on_complete_block():
