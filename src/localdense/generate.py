@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .errors import DomainError
-from .graph import build_bipartite
+from .graph import build_bipartite, is_int
 
 __all__ = ["generate_planted"]
 
@@ -34,6 +34,15 @@ def generate_planted(
     touched by an edge become vertices.  Returns (graph, planted left index
     set, planted right index set).
     """
+    for name, value in (
+        ("n_left", n_left),
+        ("n_right", n_right),
+        ("noise_edges", noise_edges),
+        ("planted_a", planted_a),
+        ("planted_b", planted_b),
+    ):
+        if not is_int(value):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if planted_a < 1 or planted_b < 1:
         raise DomainError("planted sides must be at least one vertex")
     if planted_a > n_left or planted_b > n_right:

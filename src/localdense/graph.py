@@ -3,8 +3,8 @@
 A graph has a left side and a right side.  External vertex ids (any hashable
 tokens) are mapped to dense integer indices per side at construction time;
 everything downstream works with index sets.  Adjacency is stored CSR-style
-in numpy arrays, mirrored on both sides, with neighbor lists sorted by index
-so that iteration order is reproducible.
+in numpy arrays, once per side in a table keyed by the side, with neighbor
+lists sorted by index so that iteration order is reproducible.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
 
 LEFT = "L"
 RIGHT = "R"
+_SIDE_NAMES = {LEFT: "left", RIGHT: "right"}
 
 
 def opposite(side: str) -> str:
@@ -65,74 +66,56 @@ class GraphStats(NamedTuple):
 class BipartiteGraph:
     """Immutable weighted bipartite graph.
 
+    Every fact about a side lives in one table keyed by the side (LEFT or
+    RIGHT): its vertex ids in index order, the id-to-index dict, and its CSR
+    triple (indptr, neighbor indices on the other side, weights), with each
+    neighbor list sorted by index.  No accessor favours a side.
+
     Construct through build_bipartite, from_directed, or restrict; the raw
     constructor expects already merged, validated edge arrays.  Vertices with
     no incident edges are legal (restriction can produce them) but the graph
     as a whole always carries at least one edge.
     """
 
-    __slots__ = (
-        "_left_ids",
-        "_right_ids",
-        "_left_index",
-        "_right_index",
-        "_lptr",
-        "_lnbr",
-        "_lwt",
-        "_rptr",
-        "_rnbr",
-        "_rwt",
-        "_total_weight",
-        "_max_degree",
-        "_max_fanout",
-    )
+    __slots__ = ("_ids", "_index", "_csr", "_total_weight", "_max_degree", "_max_fanout")
 
     def __init__(self, left_ids, right_ids, l_arr, r_arr, w_arr):
-        nl, nr = len(left_ids), len(right_ids)
         if len(w_arr) == 0:
             raise EmptyGraph("graph has no edges")
-        self._left_ids = tuple(left_ids)
-        self._right_ids = tuple(right_ids)
-        self._left_index = {tok: k for k, tok in enumerate(self._left_ids)}
-        self._right_index = {tok: k for k, tok in enumerate(self._right_ids)}
-
         l_arr = np.asarray(l_arr, dtype=np.int64)
         r_arr = np.asarray(r_arr, dtype=np.int64)
         w_arr = np.asarray(w_arr, dtype=np.float64)
 
-        order = np.lexsort((r_arr, l_arr))
-        self._lnbr = r_arr[order]
-        self._lwt = w_arr[order]
-        counts = np.bincount(l_arr, minlength=nl)
-        self._lptr = np.concatenate(([0], np.cumsum(counts)))
-
-        order = np.lexsort((l_arr, r_arr))
-        self._rnbr = l_arr[order]
-        self._rwt = w_arr[order]
-        counts = np.bincount(r_arr, minlength=nr)
-        self._rptr = np.concatenate(([0], np.cumsum(counts)))
-
+        self._ids, self._index, self._csr = {}, {}, {}
+        degrees, fanouts = [], []
+        for side, ids, rows, cols in (
+            (LEFT, left_ids, l_arr, r_arr),
+            (RIGHT, right_ids, r_arr, l_arr),
+        ):
+            ids = self._ids[side] = tuple(ids)
+            self._index[side] = {tok: k for k, tok in enumerate(ids)}
+            order = np.lexsort((cols, rows))
+            counts = np.bincount(rows, minlength=len(ids))
+            self._csr[side] = (np.concatenate(([0], np.cumsum(counts))), cols[order], w_arr[order])
+            degrees.append(np.bincount(rows, weights=w_arr, minlength=len(ids)).max(initial=0.0))
+            fanouts.append(counts.max(initial=0))
         self._total_weight = float(w_arr.sum())
-        ldeg = np.bincount(l_arr, weights=w_arr, minlength=nl)
-        rdeg = np.bincount(r_arr, weights=w_arr, minlength=nr)
-        self._max_degree = float(max(ldeg.max(initial=0.0), rdeg.max(initial=0.0)))
-        lfan = np.diff(self._lptr)
-        rfan = np.diff(self._rptr)
-        self._max_fanout = int(max(lfan.max(initial=0), rfan.max(initial=0)))
+        self._max_degree = float(max(degrees))
+        self._max_fanout = int(max(fanouts))
 
     # ---- size and id accessors -------------------------------------------------
 
     @property
     def left_count(self) -> int:
-        return len(self._left_ids)
+        return len(self._ids[LEFT])
 
     @property
     def right_count(self) -> int:
-        return len(self._right_ids)
+        return len(self._ids[RIGHT])
 
     @property
     def vertex_count(self) -> int:
-        return len(self._left_ids) + len(self._right_ids)
+        return self.left_count + self.right_count
 
     @property
     def total_weight(self) -> float:
@@ -152,19 +135,16 @@ class BipartiteGraph:
     @property
     def min_weight(self) -> float:
         """Smallest merged edge weight (always positive)."""
-        return float(self._lwt.min()) if len(self._lwt) else 0.0
+        return float(self._csr[LEFT][2].min())
 
     def side_count(self, side: str) -> int:
-        return self.left_count if side == LEFT else self.right_count
+        return len(self._ids[side])
 
     def left_id(self, idx: int):
-        return self._left_ids[idx]
+        return self._ids[LEFT][idx]
 
     def right_id(self, idx: int):
-        return self._right_ids[idx]
-
-    def vertex_id(self, side: str, idx: int):
-        return self._left_ids[idx] if side == LEFT else self._right_ids[idx]
+        return self._ids[RIGHT][idx]
 
     def find_vertex(self, token: Hashable, side: str | None = None) -> tuple[str, int]:
         """Resolve an external id to (side, index).
@@ -172,61 +152,49 @@ class BipartiteGraph:
         With side=None the left side is searched first; a token present on
         both sides resolves to its left copy.
         """
-        if side in (None, LEFT) and token in self._left_index:
-            return (LEFT, self._left_index[token])
-        if side in (None, RIGHT) and token in self._right_index:
-            return (RIGHT, self._right_index[token])
+        for s in (LEFT, RIGHT) if side is None else (side,):
+            idx = self._index.get(s, {}).get(token)
+            if idx is not None:
+                return (s, idx)
         raise UnknownVertex(f"vertex {token!r} not found" + (f" on side {side}" if side else ""))
 
     def left_indices(self, tokens: Iterable[Hashable]) -> frozenset:
-        out = set()
-        for tok in tokens:
-            if tok not in self._left_index:
-                raise UnknownVertex(f"left vertex {tok!r} not found")
-            out.add(self._left_index[tok])
-        return frozenset(out)
+        return self._indices(LEFT, tokens)
 
     def right_indices(self, tokens: Iterable[Hashable]) -> frozenset:
+        return self._indices(RIGHT, tokens)
+
+    def _indices(self, side: str, tokens: Iterable[Hashable]) -> frozenset:
+        index = self._index[side]
         out = set()
         for tok in tokens:
-            if tok not in self._right_index:
-                raise UnknownVertex(f"right vertex {tok!r} not found")
-            out.add(self._right_index[tok])
+            if tok not in index:
+                raise UnknownVertex(f"{_SIDE_NAMES[side]} vertex {tok!r} not found")
+            out.add(index[tok])
         return frozenset(out)
 
     # ---- adjacency -------------------------------------------------------------
 
     def neighbors(self, side: str, idx: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices (on the opposite side) and weights, sorted by index."""
-        if side == LEFT:
-            lo, hi = self._lptr[idx], self._lptr[idx + 1]
-            return self._lnbr[lo:hi], self._lwt[lo:hi]
-        lo, hi = self._rptr[idx], self._rptr[idx + 1]
-        return self._rnbr[lo:hi], self._rwt[lo:hi]
+        ptr, nbr, wt = self._csr[side]
+        lo, hi = ptr[idx], ptr[idx + 1]
+        return nbr[lo:hi], wt[lo:hi]
 
     def fanout(self, side: str, idx: int) -> int:
-        if side == LEFT:
-            return int(self._lptr[idx + 1] - self._lptr[idx])
-        return int(self._rptr[idx + 1] - self._rptr[idx])
-
-    def weighted_degree(self, side: str, idx: int) -> float:
-        _, wt = self.neighbors(side, idx)
-        return float(wt.sum())
+        ptr = self._csr[side][0]
+        return int(ptr[idx + 1] - ptr[idx])
 
     def edges(self):
         """Yield (left_idx, right_idx, weight) sorted by (left, right)."""
-        lnbr = self._lnbr.tolist()
-        lwt = self._lwt.tolist()
-        ptr = self._lptr.tolist()
+        ptr, nbr, wt = (a.tolist() for a in self._csr[LEFT])
         for u in range(self.left_count):
             for pos in range(ptr[u], ptr[u + 1]):
-                yield u, lnbr[pos], lwt[pos]
+                yield u, nbr[pos], wt[pos]
 
     def csr_arrays(self, side: str):
         """Raw (indptr, indices, weights) for one side; treat as read-only."""
-        if side == LEFT:
-            return self._lptr, self._lnbr, self._lwt
-        return self._rptr, self._rnbr, self._rwt
+        return self._csr[side]
 
     def __repr__(self):
         return (
@@ -259,10 +227,9 @@ def build_bipartite(edges) -> BipartiteGraph:
         NegativeWeight: if any weight is negative or not finite.
         EmptyGraph: if no positive-weight edge remains.
     """
+    # each dict's insertion order is its side's id order
     left_index: dict = {}
     right_index: dict = {}
-    left_ids: list = []
-    right_ids: list = []
     l_list: list[int] = []
     r_list: list[int] = []
     w_list: list[float] = []
@@ -274,21 +241,19 @@ def build_bipartite(edges) -> BipartiteGraph:
             continue
         li = left_index.get(u)
         if li is None:
-            li = left_index[u] = len(left_ids)
-            left_ids.append(u)
+            li = left_index[u] = len(left_index)
         ri = right_index.get(v)
         if ri is None:
-            ri = right_index[v] = len(right_ids)
-            right_ids.append(v)
+            ri = right_index[v] = len(right_index)
         l_list.append(li)
         r_list.append(ri)
         w_list.append(w)
     if not w_list:
         raise EmptyGraph("no positive-weight edges")
     l_arr, r_arr, w_arr = _merge_indexed_edges(
-        len(left_ids), len(right_ids), l_list, r_list, w_list
+        len(left_index), len(right_index), l_list, r_list, w_list
     )
-    return BipartiteGraph(left_ids, right_ids, l_arr, r_arr, w_arr)
+    return BipartiteGraph(left_index, right_index, l_arr, r_arr, w_arr)
 
 
 def from_directed(arcs) -> BipartiteGraph:
@@ -296,27 +261,28 @@ def from_directed(arcs) -> BipartiteGraph:
 
     Both sides carry the full vertex set; an arc x -> y becomes an edge
     between the left copy of x and the right copy of y.  Self-loops are
-    ordinary edges here.  Duplicate arcs merge by weight sum.
+    ordinary edges here.  Duplicate arcs merge by weight sum.  The endpoints
+    of a zero-weight arc are still vertices, with no edge between them.
     """
     index: dict = {}
-    ids: list = []
-    rows = []
+    l_list: list[int] = []
+    r_list: list[int] = []
+    w_list: list[float] = []
     for x, y, w in arcs:
         w = float(w)
         if not (w >= 0.0) or math.isinf(w):
             raise NegativeWeight(f"arc ({x!r}, {y!r}) has invalid weight {w!r}")
         for tok in (x, y):
             if tok not in index:
-                index[tok] = len(ids)
-                ids.append(tok)
-        rows.append((index[x], index[y], w))
-    l_list = [a for a, _, w in rows if w > 0.0]
-    r_list = [b for _, b, w in rows if w > 0.0]
-    w_list = [w for _, _, w in rows if w > 0.0]
+                index[tok] = len(index)
+        if w > 0.0:
+            l_list.append(index[x])
+            r_list.append(index[y])
+            w_list.append(w)
     if not w_list:
         raise EmptyGraph("no positive-weight arcs")
-    l_arr, r_arr, w_arr = _merge_indexed_edges(len(ids), len(ids), l_list, r_list, w_list)
-    return BipartiteGraph(ids, ids, l_arr, r_arr, w_arr)
+    l_arr, r_arr, w_arr = _merge_indexed_edges(len(index), len(index), l_list, r_list, w_list)
+    return BipartiteGraph(index, index, l_arr, r_arr, w_arr)
 
 
 def _validate_side_set(g: BipartiteGraph, side: str, vertices) -> frozenset:
@@ -338,16 +304,12 @@ def edge_weight_between(g: BipartiteGraph, left_set, right_set) -> float:
     rs = _validate_side_set(g, RIGHT, right_set)
     if not ls or not rs:
         return 0.0
-    left_fan = sum(g.fanout(LEFT, u) for u in ls)
-    right_fan = sum(g.fanout(RIGHT, v) for v in rs)
+    sets = {LEFT: ls, RIGHT: rs}
+    # min keeps the first of equal keys, so a tie probes from the left
+    side = min(sets, key=lambda s: sum(g.fanout(s, u) for u in sets[s]))
+    members = sets[opposite(side)]
     total = 0.0
-    if left_fan <= right_fan:
-        probe, members = sorted(ls), rs
-        side = LEFT
-    else:
-        probe, members = sorted(rs), ls
-        side = RIGHT
-    for u in probe:
+    for u in sorted(sets[side]):
         nbr, wt = g.neighbors(side, u)
         for v, w in zip(nbr.tolist(), wt.tolist()):
             if v in members:
@@ -386,7 +348,8 @@ def restrict(g: BipartiteGraph, left_set, right_set) -> BipartiteGraph:
     """Induced subgraph on the chosen sets, keeping only crossing edges.
 
     Every chosen vertex survives under its original id, including vertices
-    left with no edges.  Raises EmptyGraph if no edge survives.
+    left with no edges; each side's kept vertices are numbered in ascending
+    order of their indices in g.  Raises EmptyGraph if no edge survives.
     """
     ls = _validate_side_set(g, LEFT, left_set)
     rs = _validate_side_set(g, RIGHT, right_set)

@@ -67,11 +67,9 @@ def load_edge_list(path, mode: str = "bipartite") -> BipartiteGraph:
     """
     if mode not in ("bipartite", "directed"):
         raise ParseError(0, f"unknown mode {mode!r}")
+    build = from_directed if mode == "directed" else build_bipartite
     with open(path, "r", encoding="utf-8") as fh:
-        rows = list(parse_edge_lines(fh))
-    if mode == "directed":
-        return from_directed(rows)
-    return build_bipartite(rows)
+        return build(parse_edge_lines(fh))
 
 
 def save_edge_list(g: BipartiteGraph, path) -> None:

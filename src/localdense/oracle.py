@@ -127,11 +127,7 @@ def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
     incident = mat[members].sum(axis=0)
     order = np.lexsort((np.arange(other), -incident))
     partner = sorted(order[: best_k + 1].tolist())
-    if flip:
-        left_set, right_set = frozenset(partner), frozenset(members)
-    else:
-        left_set, right_set = frozenset(members), frozenset(partner)
-    return density(g, left_set, right_set)
+    return density(g, *((partner, members) if flip else (members, partner)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +324,9 @@ def good_seed_set(g: BipartiteGraph, left_set, right_set, density_threshold: flo
         est = top_eigenvalue(h)
         if est.value < density_threshold:
             break
-        vec_left = {}
-        for k, val in enumerate(est.left.tolist()):
-            if val > 0.0:
-                vec_left[g.find_vertex(h.left_id(k), LEFT)[1]] = val
-        vec_right = {}
-        for k, val in enumerate(est.right.tolist()):
-            if val > 0.0:
-                vec_right[g.find_vertex(h.right_id(k), RIGHT)[1]] = val
+        # restrict numbers each side's kept vertices in ascending order
+        vec_left = {u: x for u, x in zip(sorted(remaining), est.left.tolist()) if x > 0.0}
+        vec_right = {v: x for v, x in zip(sorted(base.right), est.right.tolist()) if x > 0.0}
         qualified = [
             v for v in sorted(remaining)
             if vec_left.get(v, 0.0) >= min_weight - 1e-12

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoCandidate, TooLarge, UnknownVertex
-from .graph import LEFT, BipartiteGraph, density
+from .errors import DomainError, NoCandidate, TooLarge, UnknownVertex
+from .graph import LEFT, BipartiteGraph, density, is_int
 from .globalopt import global_density, global_guarantee_bound
 from .local import local_density, local_guarantee_bound
 from .oracle import exact_densest, good_seed_set, top_eigenvalue
@@ -99,8 +99,13 @@ def run_verification(
     """Evaluate every property against the graph; returns one result each.
 
     planted, when given, is a pair of id lists naming a known dense block;
-    density_threshold defaults to half that block's density.
+    density_threshold defaults to half that block's density.  Local runs
+    start from the first seed_count left vertices.
+
+    Raises DomainError when seed_count is not a nonnegative integer.
     """
+    if not is_int(seed_count) or seed_count < 0:
+        raise DomainError(f"seed count must be a nonnegative integer, got {seed_count!r}")
     out: list[PropertyResult] = []
     runs, traces = _collect_traces(g, target_size, seed_count)
     delta = g.max_degree

@@ -1,14 +1,18 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localdense import (
+    LEFT,
+    RIGHT,
     EmptyGraph,
     EmptySide,
     NegativeWeight,
     SideViolation,
+    UnknownVertex,
     build_bipartite,
     degree_stats,
     density,
@@ -194,3 +198,90 @@ def test_restrict_density_matches_original(rows):
     assert density(h, left, right).density == pytest.approx(
         density(g, left, right).density, rel=1e-12
     )
+
+
+# the same small tokens on both sides, and some zero-weight rows, whose
+# endpoints stay vertices only in a directed graph
+arc_rows = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.integers(0, 5),
+        st.one_of(st.just(0.0), st.floats(0.125, 8.0)),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _expected_graph(rows, directed):
+    """Each side's ids and the dense biadjacency, straight from the rows."""
+    live = [row for row in rows if row[2] > 0.0]
+    if directed:
+        left_ids = right_ids = list(dict.fromkeys(tok for x, y, _ in rows for tok in (x, y)))
+    else:
+        left_ids = list(dict.fromkeys(u for u, _, _ in live))
+        right_ids = list(dict.fromkeys(v for _, v, _ in live))
+    mat = np.zeros((len(left_ids), len(right_ids)))
+    for u, v, w in live:
+        mat[left_ids.index(u), right_ids.index(v)] += w
+    return left_ids, right_ids, mat
+
+
+def _check_accessors(g, left_ids, right_ids, expected):
+    mat = dense_biadjacency(g)
+    assert mat.tolist() == expected.tolist()
+    assert g.min_weight == expected[expected > 0].min()
+    assert g.max_fanout == max((mat > 0).sum(axis=0).max(), (mat > 0).sum(axis=1).max())
+    assert g.max_degree == pytest.approx(
+        max(mat.sum(axis=0).max(), mat.sum(axis=1).max()), rel=1e-12
+    )
+    for side, ids, m in ((LEFT, left_ids, mat), (RIGHT, right_ids, mat.T)):
+        indices = g.left_indices if side == LEFT else g.right_indices
+        rows = [np.flatnonzero(m[k]) for k in range(len(ids))]
+        assert g.side_count(side) == len(ids)
+        assert indices(ids) == frozenset(range(len(ids)))
+        ptr, nbr, wt = g.csr_arrays(side)
+        assert ptr.tolist() == [0] + np.cumsum([len(r) for r in rows]).tolist()
+        assert nbr.tolist() == np.concatenate(rows).tolist()
+        assert wt.tolist() == [m[k, v] for k, r in enumerate(rows) for v in r]
+        for k, tok in enumerate(ids):
+            got_nbr, got_wt = g.neighbors(side, k)
+            assert got_nbr.tolist() == rows[k].tolist()
+            assert got_wt.tolist() == m[k, rows[k]].tolist()
+            assert g.fanout(side, k) == len(rows[k])
+            assert g.find_vertex(tok, side) == (side, k)
+            assert indices([tok]) == frozenset({k})
+        with pytest.raises(UnknownVertex):
+            g.find_vertex("absent", side)
+        with pytest.raises(UnknownVertex):
+            indices([ids[0], "absent"])
+    # without a side, a token on both sides resolves to its left copy
+    for tok in set(left_ids) | set(right_ids):
+        if tok in left_ids:
+            assert g.find_vertex(tok) == (LEFT, left_ids.index(tok))
+        else:
+            assert g.find_vertex(tok) == (RIGHT, right_ids.index(tok))
+    with pytest.raises(UnknownVertex):
+        g.find_vertex("absent")
+
+
+@settings(max_examples=120, deadline=None)
+@given(arc_rows, st.booleans())
+def test_accessors_match_dense_matrix(rows, directed):
+    assume(any(w > 0.0 for _, _, w in rows))
+    g = (from_directed if directed else build_bipartite)(rows)
+    _check_accessors(g, *_expected_graph(rows, directed))
+
+
+@settings(max_examples=120, deadline=None)
+@given(arc_rows, st.booleans(), st.data())
+def test_restricted_accessors_match_dense_matrix(rows, directed, data):
+    assume(any(w > 0.0 for _, _, w in rows))
+    g = (from_directed if directed else build_bipartite)(rows)
+    left = sorted(data.draw(st.sets(st.integers(0, g.left_count - 1), min_size=1)))
+    right = sorted(data.draw(st.sets(st.integers(0, g.right_count - 1), min_size=1)))
+    left_ids, right_ids, mat = _expected_graph(rows, directed)
+    expected = mat[np.ix_(left, right)]
+    assume(expected.any())
+    h = restrict(g, left, right)
+    _check_accessors(h, [left_ids[u] for u in left], [right_ids[v] for v in right], expected)

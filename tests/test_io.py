@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from localdense import (
@@ -196,6 +197,18 @@ def test_generator_validation():
     for kwargs in cases:
         with pytest.raises(DomainError):
             generate_planted(**kwargs)
+
+
+def test_generator_requires_integer_counts():
+    counts = dict(n_left=9, n_right=9, noise_edges=4, planted_a=3, planted_b=3)
+    for name in counts:
+        for bad in (2.5, 3.0, True, "3"):
+            with pytest.raises(DomainError):
+                generate_planted(**{**counts, name: bad})
+    g, left, right = generate_planted(**{k: np.int64(v) for k, v in counts.items()})
+    h, h_left, h_right = generate_planted(**counts)
+    assert list(g.edges()) == list(h.edges())
+    assert (left, right) == (h_left, h_right)
 
 
 def test_generator_dense_noise_regime():

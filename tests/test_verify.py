@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from localdense import LevelVector, build_bipartite, generate_planted
+from localdense import DomainError, LevelVector, build_bipartite, generate_planted
 from localdense import verify
 from localdense.verify import PROPERTY_NAMES, exit_code, run_verification
 
@@ -39,6 +39,16 @@ def test_planted_checks_run_with_block():
     for name in ("planted-coverage", "planted-certificates", "planted-local-guarantee"):
         assert results[name].status == "pass", results[name].detail
     assert exit_code(run_verification(g, planted=planted, target_size=4)) == 0
+
+
+def test_seed_count_must_be_a_nonnegative_integer():
+    g = k_ab(14, 3)
+    for bad in (2.5, "3", True, -1):
+        with pytest.raises(DomainError):
+            run_verification(g, seed_count=bad)
+    assert run_verification(g, target_size=4, seed_count=np.int64(2)) == run_verification(
+        g, target_size=4, seed_count=2
+    )
 
 
 def test_exact_agreement_skips_above_cap():
