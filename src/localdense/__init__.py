@@ -48,7 +48,6 @@ from .graph import (
     restrict,
 )
 from .growth import (
-    Candidate,
     GrowthTrace,
     LevelVector,
     ProcessOutcome,
@@ -85,7 +84,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteGraph",
-    "Candidate",
     "Certificate",
     "DensityResult",
     "DomainError",

@@ -138,23 +138,15 @@ def _write_out(records, args) -> None:
         write_records(records, sys.stdout)
 
 
-def _read_seeds(path):
-    seeds = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            tok = raw.strip()
-            if not tok or tok.startswith("#"):
-                continue
-            if tok.startswith("L:") or tok.startswith("R:"):
-                seeds.append((tok[2:], tok[0]))
-            else:
-                seeds.append(tok)
-    return seeds
-
-
 def _read_ids(path):
+    """One id per line, stripped; blank lines and '#' comments are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+        return [tok for tok in map(str.strip, fh) if tok and not tok.startswith("#")]
+
+
+def _read_seeds(path):
+    """_read_ids, with an 'L:' or 'R:' prefix pinning a seed to a side."""
+    return [(tok[2:], tok[0]) if tok[:2] in ("L:", "R:") else tok for tok in _read_ids(path)]
 
 
 def _cmd_stats(args) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, NegativeEntry
 from .graph import LEFT, RIGHT, BipartiteGraph, is_int
 from .growth import LevelVector, run_pruned_growth
 from .local import DensityResult
@@ -62,11 +62,15 @@ def global_density(g: BipartiteGraph, keep_trace: bool = False) -> DensityResult
 
     Ties prefer the left-start run.  The bound field holds the guarantee
     factor 1 / (8 + 4 * log2 n): the returned density is at least that factor
-    times the top adjacency eigenvalue.
+    times the top adjacency eigenvalue.  Raises the NegativeEntry of a run
+    that overflows, the left-start run's first.
     """
     sched = GlobalSchedule.for_size(g.vertex_count)
     starts = [LevelVector.ones(LEFT, g.left_count), LevelVector.ones(RIGHT, g.right_count)]
     batch = run_pruned_growth(g, starts, sched.epsilons, keep_trace, ["ones:L", "ones:R"])
+    for out in batch.outcomes:
+        if isinstance(out, NegativeEntry):
+            raise out
     out_l, out_r = batch.outcomes
 
     winner, label = out_l, "ones:L"
@@ -83,7 +87,7 @@ def global_density(g: BipartiteGraph, keep_trace: bool = False) -> DensityResult
     if keep_trace:
         traces = tuple(t for t in (out_l.trace, out_r.trace) if t is not None)
     return DensityResult(
-        subgraph=winner.best.subgraph,
+        subgraph=winner.best,
         found_at=winner.best_at,
         start=label,
         bound=bound,

@@ -72,14 +72,16 @@ class BipartiteGraph:
     neighbor list sorted by index.  No accessor favours a side.
 
     Construct through build_bipartite, from_directed, or restrict; the raw
-    constructor expects already merged, validated edge arrays.  Vertices with
+    constructor expects each side's id-to-index dict, in index order, and
+    already merged, validated edge arrays.  It keeps the dicts as given, so
+    one dict may serve both sides.  Vertices with
     no incident edges are legal (restriction can produce them) but the graph
     as a whole always carries at least one edge.
     """
 
     __slots__ = ("_ids", "_index", "_csr", "_total_weight", "_max_degree", "_max_fanout")
 
-    def __init__(self, left_ids, right_ids, l_arr, r_arr, w_arr):
+    def __init__(self, left_index, right_index, l_arr, r_arr, w_arr):
         if len(w_arr) == 0:
             raise EmptyGraph("graph has no edges")
         l_arr = np.asarray(l_arr, dtype=np.int64)
@@ -88,12 +90,12 @@ class BipartiteGraph:
 
         self._ids, self._index, self._csr = {}, {}, {}
         degrees, fanouts = [], []
-        for side, ids, rows, cols in (
-            (LEFT, left_ids, l_arr, r_arr),
-            (RIGHT, right_ids, r_arr, l_arr),
+        for side, index, rows, cols in (
+            (LEFT, left_index, l_arr, r_arr),
+            (RIGHT, right_index, r_arr, l_arr),
         ):
-            ids = self._ids[side] = tuple(ids)
-            self._index[side] = {tok: k for k, tok in enumerate(ids)}
+            self._index[side] = index
+            ids = self._ids[side] = tuple(index)
             order = np.lexsort((cols, rows))
             counts = np.bincount(rows, minlength=len(ids))
             self._csr[side] = (np.concatenate(([0], np.cumsum(counts))), cols[order], w_arr[order])
@@ -368,8 +370,8 @@ def restrict(g: BipartiteGraph, left_set, right_set) -> BipartiteGraph:
     if not w_list:
         raise EmptyGraph("restriction removed every edge")
     return BipartiteGraph(
-        [g.left_id(u) for u in left_sorted],
-        [g.right_id(v) for v in right_sorted],
+        {g.left_id(u): k for k, u in enumerate(left_sorted)},
+        {g.right_id(v): k for k, v in enumerate(right_sorted)},
         l_list,
         r_list,
         w_list,

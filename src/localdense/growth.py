@@ -21,7 +21,7 @@ local and come from bincounts over small ranges, so nothing of graph size is
 allocated.  A lane never sees another: each of its sums runs over its own
 terms in the order a batch of one would use, so every lane's outcome equals
 that of its start run alone, to the bit.  A lane leaves the batch when its
-run stops.
+run stops, or when it overflows: one result per start, errors included.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .graph import LEFT, RIGHT, BipartiteGraph, Subgraph, opposite
 
 __all__ = [
     "LevelVector",
-    "Candidate",
     "StepRecord",
     "GrowthTrace",
     "ProcessOutcome",
@@ -90,24 +89,6 @@ class LevelVector:
         )
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """Best level pair of one step: the subgraph plus its level exponents.
-
-    i is the exponent of the current vector's level, j the exponent of the
-    rounded product's level.  The subgraph is reported with its left set on
-    the graph's left side regardless of which direction the step ran.
-    """
-
-    subgraph: Subgraph
-    i: int
-    j: int
-
-    @property
-    def density(self) -> float:
-        return self.subgraph.density
-
-
 def _round_up_pow2(values: np.ndarray) -> np.ndarray:
     """Exponent i of the smallest power of two 2**i >= z, for each positive z.
 
@@ -145,8 +126,7 @@ def _norms(level_slot: np.ndarray, level_exp: np.ndarray, counts: np.ndarray, sl
     Each slot's top level is factored out of its sum of squares, so a norm
     equals sqrt(fsum of the squared entries) whenever each square is a
     normal float, and stays finite and nonzero where those squares would
-    overflow or underflow.  A norm beyond the float range raises
-    NegativeEntry.
+    overflow or underflow.  A norm beyond the float range is inf.
     """
     norms = np.zeros(slots)
     if not len(level_slot):
@@ -162,7 +142,7 @@ def _norms(level_slot: np.ndarray, level_exp: np.ndarray, counts: np.ndarray, sl
         try:
             norms[s] = math.ldexp(math.sqrt(math.fsum(terms[a:b])), k)
         except OverflowError:
-            raise NegativeEntry(f"vector norm overflows at level 2**{k}") from None
+            norms[s] = math.inf
     return norms
 
 
@@ -263,7 +243,12 @@ class GrowthTrace:
 
 @dataclass
 class ProcessOutcome:
-    best: Candidate | None
+    """One start's run.  best is the densest level pair's subgraph, its left
+    set on the graph's left side, and best_at its (step, i, j) as in
+    DensityResult.found_at; both are None when no step was taken.
+    """
+
+    best: Subgraph | None
     best_at: tuple | None
     steps_executed: int
     edges_touched: int
@@ -275,8 +260,8 @@ class ProcessOutcome:
 class GrowthBatch:
     """Result of one run_pruned_growth call.
 
-    outcomes holds one ProcessOutcome per start, in the order of the starts;
-    edges_touched and steps_executed are their totals.
+    outcomes holds one ProcessOutcome, or NegativeEntry, per start in start
+    order; edges_touched and steps_executed total the ProcessOutcomes.
     """
 
     outcomes: list
@@ -311,15 +296,19 @@ def run_pruned_growth(
     every product entry underflows to zero.  Ties between level pairs prefer
     the smallest (i, j).
 
+    One result per start, errors included: a lane whose product entry or
+    norm overflows leaves the batch, and its outcome is that NegativeEntry.
     Raises DomainError for a start entry that is not a positive float (an
-    exponent outside [-1074, 1023]) or a pruning fraction outside [0, 1]
-    that a lane reaches, and NegativeEntry when a product entry or a norm of
-    any lane overflows; the whole call then returns nothing.
+    exponent outside [-1074, 1023]), and before any lane grows for a
+    pruning fraction epsilons[1:] outside [0, 1].
     """
     starts = list(starts)
     labels = [""] * len(starts) if labels is None else list(labels)
     if len(labels) != len(starts):
         raise DomainError(f"{len(labels)} labels for {len(starts)} starts")
+    for eps in epsilons[1:]:
+        if not 0.0 <= eps <= 1.0:
+            raise DomainError(f"truncation fraction {eps!r} outside [0, 1]")
     outcomes: list = [None] * len(starts)
     for side in (LEFT, RIGHT):
         lanes = [k for k, start in enumerate(starts) if start.side == side]
@@ -330,10 +319,11 @@ def run_pruned_growth(
             )
             for k, out in zip(lanes, grown):
                 outcomes[k] = out
+    runs = [out for out in outcomes if isinstance(out, ProcessOutcome)]
     return GrowthBatch(
         outcomes,
-        sum(out.edges_touched for out in outcomes),
-        sum(out.steps_executed for out in outcomes),
+        sum(out.edges_touched for out in runs),
+        sum(out.steps_executed for out in runs),
     )
 
 
@@ -350,6 +340,7 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace, labels) -> list:
     executed = np.zeros(lanes, dtype=np.int64)
     touched = np.zeros(lanes, dtype=np.int64)
     stopped = np.zeros(lanes, dtype=bool)
+    failed: list = [None] * lanes
     traces = [GrowthTrace(label) for label in labels] if keep_trace else None
 
     active = np.arange(lanes)
@@ -363,15 +354,40 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace, labels) -> list:
     if len(exps) and not (-1074 <= exps.min() and exps.max() <= 1023):
         raise DomainError("a start entry 2**i lies outside the float range")
 
-    for t in range(len(epsilons) - 1):
+    t = 0
+    while t < len(epsilons) - 1 and len(active):
         slots = len(active)
         y_side = opposite(x_side)
+        width = g.side_count(y_side)
         rows, wt, edges, keys, y_of_edge, prod = _product(g, x_side, slot, index, exps, slots)
-        if np.isinf(prod).any():
-            raise NegativeEntry("a product entry overflows to inf")
-        live = prod > 0.0  # entries that underflowed to zero are dropped
-        y_slot, y_index = np.divmod(keys[live], g.side_count(y_side))
+        # entries that underflowed to zero are dropped, and those that
+        # overflowed fail their lane below
+        live = (prod > 0.0) & (prod < np.inf)
+        y_slot, y_index = np.divmod(keys[live], width)
         y_exps = _round_up_pow2(prod[live])
+        y_levels = _levels(y_slot, y_exps, slots)
+        y_level_of, y_level_slot, y_level_exp, y_counts = y_levels
+        pre_norm = _norms(y_level_slot, y_level_exp, y_counts, slots)
+
+        # a lane whose product entry or norm overflows leaves the batch with
+        # its error, and the others take the step again without it
+        over = keys[np.isinf(prod)] // width
+        fail = np.isinf(pre_norm)
+        fail[over] = True
+        if fail.any():
+            for s in np.flatnonzero(fail).tolist():
+                if s in over:
+                    failed[active[s]] = NegativeEntry("a product entry overflows to inf")
+                else:
+                    top = y_level_exp[np.searchsorted(y_level_slot, s, side="right") - 1]
+                    failed[active[s]] = NegativeEntry(f"vector norm overflows at level 2**{top}")
+            ok = ~fail
+            x_ok = ok[slot]
+            slot = (np.cumsum(ok) - 1)[slot[x_ok]]
+            index, exps = index[x_ok], exps[x_ok]
+            norm, active = norm[ok], active[ok]
+            continue
+
         # a lane with no edges, or whose products all underflowed, stops
         # without taking the step
         go = np.bincount(y_slot, minlength=slots) > 0
@@ -383,10 +399,7 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace, labels) -> list:
         touched[stepping] += 2 * edges[go]
 
         x_levels = _levels(slot, exps, slots)
-        y_levels = _levels(y_slot, y_exps, slots)
         x_level_of, _, x_level_exp, x_counts = x_levels
-        y_level_of, y_level_slot, y_level_exp, y_counts = y_levels
-        pre_norm = _norms(y_level_slot, y_level_exp, y_counts, slots)
         p_slot, pi, pj, pair_weight = _pair_weights(
             slot, rows, wt, y_slot, y_of_edge, live, x_levels, y_levels, slots
         )
@@ -426,8 +439,6 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace, labels) -> list:
                 best[lane] = (t, i, j, xs[xa:xb], ys[ya:yb], e, d, x_side)
 
         eps = epsilons[t + 1]
-        if not 0.0 <= eps <= 1.0:
-            raise DomainError(f"truncation fraction {eps!r} outside [0, 1]")
         # a level's entries share one value, so truncation keeps whole levels
         keep = np.ldexp(1.0, y_level_exp) > eps * pre_norm[y_level_slot]
         kept = keep[y_level_of]
@@ -476,18 +487,22 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace, labels) -> list:
         norm = next_norm[cont]
         active = active[cont]
         x_side = y_side
+        t += 1
 
     outcomes = []
-    for lane in range(lanes):
-        cand = at = None
+    for lane, error in enumerate(failed):
+        if error is not None:
+            outcomes.append(error)
+            continue
+        sub = at = None
         if best[lane] is not None:
             t, i, j, xs, ys, e, d, on = best[lane]
             xs, ys = frozenset(xs.tolist()), frozenset(ys.tolist())
             sub = Subgraph(xs, ys, e, d) if on == LEFT else Subgraph(ys, xs, e, d)
-            cand, at = Candidate(sub, i, j), (t, i, j)
+            at = (t, i, j)
         outcomes.append(
             ProcessOutcome(
-                cand, at, int(executed[lane]), int(touched[lane]), bool(stopped[lane]),
+                sub, at, int(executed[lane]), int(touched[lane]), bool(stopped[lane]),
                 traces[lane] if keep_trace else None,
             )
         )

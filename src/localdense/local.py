@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import DomainError, NegativeEntry, NoCandidate, UnknownVertex
+from .errors import DomainError, NoCandidate, UnknownVertex
 from .graph import BipartiteGraph, Subgraph, is_int
 from .growth import LevelVector, run_pruned_growth
 
@@ -133,9 +133,8 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
     Yields one entry per seed, in order: its DensityResult, or the
     UnknownVertex, NoCandidate or NegativeEntry error local_density would
     raise for it.  The seeds grow _LANES at a time as the lanes of one
-    run_pruned_growth call, each with the outcome it would have alone; a
-    call that overflows is grown again one lane at a time, so that only the
-    seeds that overflow alone fail.
+    run_pruned_growth call, each with the outcome, or the overflow, it would
+    have alone.
     """
     bound, bound_eps = _bound_factors(g, sched)
     seeds = iter(seeds)
@@ -155,35 +154,21 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
             return
         starts = [LevelVector.unit(side, idx) for _, side, idx in lanes]
         labels = [f"seed:{side}:{token}" for token, side, _ in lanes]
-        try:
-            outcomes = run_pruned_growth(g, starts, sched.epsilons, keep_trace, labels).outcomes
-        except NegativeEntry:
-            outcomes = []
-            for start, label in zip(starts, labels):
-                try:
-                    (outcome,) = run_pruned_growth(
-                        g, [start], sched.epsilons, keep_trace, [label]
-                    ).outcomes
-                except NegativeEntry as exc:
-                    outcome = exc
-                outcomes.append(outcome)
+        outcomes = run_pruned_growth(g, starts, sched.epsilons, keep_trace, labels).outcomes
         # reversed and popped one by one, so that no outcome is kept past
         # its seed's turn while the next chunk grows
         outcomes.reverse()
         for item in pending:
-            if isinstance(item, Exception):
-                yield item
-                continue
-            token, side, _ = item
-            outcome = outcomes.pop()
-            if isinstance(outcome, NegativeEntry):
+            outcome = item if isinstance(item, Exception) else outcomes.pop()
+            if isinstance(outcome, Exception):
                 yield outcome
                 continue
+            token, side, _ = item
             if outcome.best is None:
                 yield NoCandidate(f"seed {token!r} has no incident edges")
                 continue
             yield DensityResult(
-                subgraph=outcome.best.subgraph,
+                subgraph=outcome.best,
                 found_at=outcome.best_at,
                 start=f"seed:{side}:{token}",
                 bound=bound,
@@ -230,8 +215,9 @@ def seed_scan(
 
     Seeds are external ids, optionally as (id, side) pairs.  They grow in
     order, up to 128 at a time as the lanes of one growth call (see
-    run_pruned_growth), and each result equals that of local_density on its
-    seed alone.  Results that name the same vertex pair are deduplicated
+    run_pruned_growth), and each seed's result or failure equals that of
+    local_density on its seed alone: one growth call per chunk, whatever
+    its seeds do.  Results that name the same vertex pair are deduplicated
     keeping the earliest seed, and the survivors are ordered by density with
     ties broken by seed order.  A seed that fails (unknown, isolated or
     overflowing) is recorded, in seed order, not fatal.  top_n and

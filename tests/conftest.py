@@ -17,7 +17,6 @@ import pytest
 from localdense import (
     LEFT,
     RIGHT,
-    Candidate,
     DomainError,
     NegativeEntry,
     Subgraph,
@@ -140,13 +139,20 @@ def random_bipartite(rng: random.Random, max_left, max_right, weighted=False, mi
 
 
 def reference_norm(exponents):
-    """Norm of entries 2**i, top level factored out as the library does."""
+    """Norm of entries 2**i, top level factored out as the library does.
+
+    Raises NegativeEntry, with the library's message, for a norm beyond the
+    float range.
+    """
     exps = list(exponents)
     if not exps:
         return 0.0
     top = max(exps)
     total = math.fsum(math.ldexp(1.0, 2 * (i - top)) for i in exps)
-    return math.ldexp(math.sqrt(total), top)
+    try:
+        return math.ldexp(math.sqrt(total), top)
+    except OverflowError:
+        raise NegativeEntry(f"vector norm overflows at level 2**{top}") from None
 
 
 def reference_growth(g, side, start, epsilons):
@@ -154,9 +160,11 @@ def reference_growth(g, side, start, epsilons):
 
     start maps vertex index (on `side`) to exponent.  Returns the
     ProcessOutcome fields as a dict whose "trace" is a list of dicts with
-    every StepRecord field, levels given as vertex -> exponent dicts.  The
-    product walks the support in vertex order and the pair weights walk it
-    level by level, each in its own pass over the edges.
+    every StepRecord field, levels given as vertex -> exponent dicts, or
+    raises the NegativeEntry, with the library's message, of a run whose
+    product entry or norm overflows.  The product walks the support in
+    vertex order and the pair weights walk it level by level, each in its
+    own pass over the edges.
     """
     x = dict(start)
     x_norm = reference_norm(x.values())
@@ -178,7 +186,7 @@ def reference_growth(g, side, start, epsilons):
         y = {}
         for v, z in prod.items():
             if math.isinf(z):
-                raise NegativeEntry(f"entry {v!r} overflows")
+                raise NegativeEntry("a product entry overflows to inf")
             if z > 0.0:
                 m, e = math.frexp(z)
                 y[v] = e - 1 if m == 0.5 else e
@@ -207,7 +215,7 @@ def reference_growth(g, side, start, epsilons):
             xs = frozenset(u for u in x if x[u] == i)
             ys = frozenset(v for v in y if y[v] == j)
             pair_sets = (xs, ys) if side == LEFT else (ys, xs)
-            best = Candidate(Subgraph(*pair_sets, pair[i, j], d), i, j)
+            best = Subgraph(*pair_sets, pair[i, j], d)
             best_at = (t, i, j)
 
         threshold = epsilons[t + 1] * pre_norm

@@ -225,6 +225,21 @@ def test_verify_command_passes_on_planted_graph(tmp_path):
     assert all(r["kind"] == "verify" for r in records)
 
 
+def test_planted_files_skip_indented_comments(block_file, tmp_path):
+    plain, commented = [], []
+    for name, ids in (("s", ["l0", "l1"]), ("t", ["r0", "r1", "r2"])):
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(f"{tok}\n" for tok in ids))
+        plain.append(str(path))
+        path = tmp_path / f"{name}_commented.txt"
+        path.write_text("  # block rows\n" + "".join(f" {tok} \n" for tok in ids))
+        commented.append(str(path))
+    want = run_cli("verify", str(block_file), "--planted", *plain)
+    assert want.returncode in (0, 3), want.stderr
+    got = run_cli("verify", str(block_file), "--planted", *commented)
+    assert (got.returncode, got.stdout) == (want.returncode, want.stdout)
+
+
 def test_usage_errors_exit_one(block_file):
     proc = run_cli()
     assert proc.returncode == 1

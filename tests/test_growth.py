@@ -9,21 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localdense import (
-    Candidate,
     DomainError,
     LevelVector,
     NegativeEntry,
     ProcessOutcome,
     StepRecord,
     build_bipartite,
-    density,
     from_directed,
     run_pruned_growth,
 )
 
 from conftest import (
     dense_biadjacency,
-    k_ab,
     random_bipartite,
     reference_growth,
     reference_norm,
@@ -102,14 +99,17 @@ def test_round_up_drops_zeros_and_rejects_bad_entries():
     assert first.pre_norm == math.ldexp(1.0, j)
     assert levels(second.post_levels) == {1: j}
     assert out.edges_touched == 2 + 4 + 2
-    # a finite product rounds to a finite level; the next one overflows
+    # an overflow is the lane's outcome, not an exception of the call: a
+    # finite product rounds to a finite level; the next one overflows
     g = build_bipartite([("a", "x", 1e200)])
-    with pytest.raises(NegativeEntry):
-        grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1))
+    out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1))
+    assert isinstance(out, NegativeEntry)
+    assert str(out) == "a product entry overflows to inf"
     # a level whose power of two is beyond the float range
     g = build_bipartite([("a", "x", 1.5 * 2.0**1023)])
-    with pytest.raises(NegativeEntry):
-        grow(g, LevelVector.unit("L", 0), (0.5, 0.1))
+    out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1))
+    assert isinstance(out, NegativeEntry)
+    assert str(out) == "vector norm overflows at level 2**1024"
     # a start entry that is no positive float
     for i in (1024, -1075):
         start = LevelVector("L", np.array([0]), np.array([i]), 1.0)
@@ -148,9 +148,12 @@ def test_truncate_is_strict(star4):
     assert out.trace.steps[0].next_support == 0
     out = grow(star4, LevelVector.unit("L", 0), (0.5, 0.4999), keep_trace=True)
     assert out.trace.steps[0].next_support == 4
+    # every fraction is checked before the run, also one it would only
+    # reach after eps 1.0 has pruned it to nothing
     for bad in (-0.1, 1.5):
-        with pytest.raises(DomainError):
-            grow(star4, LevelVector.unit("L", 0), (0.5, bad))
+        for epsilons in ((0.5, bad), (0.5, 1.0, bad)):
+            with pytest.raises(DomainError):
+                grow(star4, LevelVector.unit("L", 0), epsilons)
 
 
 @settings(max_examples=200, deadline=None)
@@ -242,9 +245,9 @@ def test_step_referee_against_exact_rounding():
 def test_evaluate_candidates_star(star4):
     out, _ = first_step(star4, LevelVector.unit("L", 0))
     assert out.best.density == 2.0
-    assert (out.best.i, out.best.j) == (0, 0)
-    assert out.best.subgraph.left == frozenset({0})
-    assert out.best.subgraph.right == frozenset({0, 1, 2, 3})
+    assert out.best_at == (0, 0, 0)
+    assert out.best.left == frozenset({0})
+    assert out.best.right == frozenset({0, 1, 2, 3})
 
 
 def test_evaluate_candidates_tie_prefers_smallest_pair():
@@ -254,15 +257,15 @@ def test_evaluate_candidates_tie_prefers_smallest_pair():
     out, rec = first_step(g, vector("L", {0: 0, 1: 1}))
     assert levels(rec.post_levels) == {0: 0, 1: 1}
     assert out.best.density == 1.0
-    assert (out.best.i, out.best.j) == (0, 0)
-    assert out.best.subgraph.left == frozenset({0})
+    assert out.best_at == (0, 0, 0)
+    assert out.best.left == frozenset({0})
 
 
 def test_evaluate_candidates_canonical_orientation():
     g = build_bipartite([("a", "x", 1.0)])
     out, _ = first_step(g, LevelVector.unit("R", 0))
-    assert out.best.subgraph.left == frozenset({0})
-    assert out.best.subgraph.right == frozenset({0})
+    assert out.best.left == frozenset({0})
+    assert out.best.right == frozenset({0})
 
 
 def test_evaluate_candidates_failures():
@@ -346,9 +349,10 @@ def test_run_pruned_growth_deterministic():
 
 
 def referee_graph(rng, weights, directed=False):
-    """A random graph on up to 9 + 9 vertices with unit, weighted or partly
-    subnormal weights.  A directed one puts every vertex on both sides, so a
-    vertex without arcs out (or in) is isolated on the left (or right)."""
+    """A random graph on up to 9 + 9 vertices with unit, weighted, partly
+    subnormal or partly huge weights.  A directed one puts every vertex on
+    both sides, so a vertex without arcs out (or in) is isolated on the left
+    (or right)."""
     if directed:
         n = rng.randint(2, 9)
         edges = [
@@ -363,6 +367,14 @@ def referee_graph(rng, weights, directed=False):
     if weights == "subnormal":
         # products of these weights with small entries underflow to 0.0
         edges = [(a, b, w * 1e-320 if rng.random() < 0.4 else w) for a, b, w in edges]
+    if weights == "huge":
+        # a product through two 1e300 edges overflows to inf, and one
+        # through a 1e300 and a 1e8 edge rounds up to 2**1024, beyond the
+        # float range
+        edges = [
+            (a, b, rng.choice((1e300, 1e8, 1e8, 1e8)) if rng.random() < 0.3 else w)
+            for a, b, w in edges
+        ]
     return (from_directed if directed else build_bipartite)(edges)
 
 
@@ -402,7 +414,7 @@ def test_growth_matches_dict_referee(seed, weights, start, side, epsilons):
 @given(
     st.integers(0, 2**32 - 1),
     st.booleans(),
-    st.sampled_from(["unit", "weighted", "subnormal"]),
+    st.sampled_from(["unit", "weighted", "subnormal", "huge"]),
     st.lists(
         st.tuples(
             st.sampled_from(["unit", "ones", "spread", "isolated", "repeat"]),
@@ -428,15 +440,23 @@ def test_lanes_match_lone_runs_and_dict_referee(seed, directed, weights, kinds, 
     bare = run_pruned_growth(g, starts, epsilons)
     assert len(batch.outcomes) == len(bare.outcomes) == len(lanes)
     for (side, exps, vec), label, out, plain in zip(lanes, labels, batch.outcomes, bare.outcomes):
+        lone = grow(g, vec, epsilons, keep_trace=True)
+        try:
+            want = reference_growth(g, side, exps, epsilons)
+        except NegativeEntry as exc:
+            # the overflowing lane alone fails, as its lone run does
+            for got in (out, plain, lone):
+                assert isinstance(got, NegativeEntry) and str(got) == str(exc)
+            continue
         fields = outcome_fields(out)
-        assert fields == reference_growth(g, side, exps, epsilons)
-        assert fields == outcome_fields(grow(g, vec, epsilons, keep_trace=True))
+        assert fields == want
+        assert fields == outcome_fields(lone)
         assert out.trace.start == label
         assert plain.trace is None
         assert dataclasses.replace(plain, trace=out.trace) == out
-    outcomes = batch.outcomes
-    assert batch.edges_touched == bare.edges_touched == sum(o.edges_touched for o in outcomes)
-    assert batch.steps_executed == bare.steps_executed == sum(o.steps_executed for o in outcomes)
+    runs = [o for o in batch.outcomes if isinstance(o, ProcessOutcome)]
+    assert batch.edges_touched == bare.edges_touched == sum(o.edges_touched for o in runs)
+    assert batch.steps_executed == bare.steps_executed == sum(o.steps_executed for o in runs)
 
 
 def test_subnormal_graphs_match_dict_referee():
@@ -451,10 +471,5 @@ def test_subnormal_graphs_match_dict_referee():
     g = build_bipartite([("b", "y", 1e-310), ("b", "x", 1e-315)])
     out = grow(g, vector("L", {0: -30}), eps, keep_trace=True)
     assert outcome_fields(out) == reference_growth(g, "L", {0: -30}, eps)
-    assert out.best.subgraph.edge_weight == 1e-310
+    assert out.best.edge_weight == 1e-310
 
-
-def test_candidate_density_property():
-    g = k_ab(2, 3)
-    cand = Candidate(density(g, {0, 1}, {0, 1, 2}), 0, 0)
-    assert cand.density == pytest.approx(math.sqrt(6))

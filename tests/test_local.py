@@ -21,6 +21,7 @@ from localdense import (
     local_guarantee_bound,
     seed_scan,
 )
+from localdense import local
 from localdense.local import _LANES
 
 from conftest import k_ab
@@ -286,16 +287,13 @@ def test_seed_scan_chunks_match_lone_runs(keep_trace):
     assert top.failures == want_failures
 
 
-def test_seed_scan_records_an_overflowing_seed():
+def test_seed_scan_records_an_overflowing_seed(monkeypatch):
     # a's growth overflows (1e300 squared) while c's stays small; sharing a
     # growth call must not cost c its result
-    g = build_bipartite([("a", "x", 1e300), ("b", "x", 1e300), ("c", "y", 1.0)])
+    small = build_bipartite([("a", "x", 1e300), ("b", "x", 1e300), ("c", "y", 1.0)])
     with pytest.raises(NegativeEntry):
-        local_density(g, "a", 4)
-    out = seed_scan(g, ["c", "a"], 4)
-    assert (out.results, out.failures) == _scan_one_by_one(g, ["c", "a"], 4, False)
-    assert [r.start for r in out.results] == ["seed:L:c"]
-    assert [(f.seed, f.kind) for f in out.failures] == [("a", "NegativeEntry")]
+        local_density(small, "a", 4)
+    want_small = _scan_one_by_one(small, ["c", "a"], 4, False)
     # overflowing seeds in both chunks of a larger scan cost only themselves
     rng = random.Random(5)
     g = from_directed(
@@ -306,8 +304,18 @@ def test_seed_scan_records_an_overflowing_seed():
     assert len(seeds) > _LANES
     want_results, want_failures = _scan_one_by_one(g, seeds, 8, True)
     assert {f.seed for f in want_failures if f.kind == "NegativeEntry"} == {"big", "huge"}
+    # and no seed is grown again: one growth call per chunk
+    calls = []
+    grow = local.run_pruned_growth
+    monkeypatch.setattr(local, "run_pruned_growth", lambda *a: calls.append(a) or grow(*a))
+    out = seed_scan(small, ["c", "a"], 4)
+    assert (out.results, out.failures) == want_small
+    assert [r.start for r in out.results] == ["seed:L:c"]
+    assert [(f.seed, f.kind) for f in out.failures] == [("a", "NegativeEntry")]
+    assert len(calls) == 1
     out = seed_scan(g, seeds, 8, top_n=len(seeds), keep_trace=True)
     assert (out.results, out.failures) == (want_results, want_failures)
+    assert len(calls) == 1 + -(-len(seeds) // _LANES)
 
 
 def test_seed_scan_parallel_matches_sequential():
