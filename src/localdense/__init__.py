@@ -15,6 +15,11 @@ subgraphs; the densest one comes with provable quality:
 
 Directed graphs are handled by the standard doubling trick: from_directed
 puts every vertex on both sides and turns arcs into crossing edges.
+
+The names exported here are the API.  The engine behind it (the growth
+process run_pruned_growth and its ProcessOutcome, the LocalSchedule and
+GlobalSchedule pruning schedules) is importable from localdense.growth,
+localdense.local and localdense.globalopt.
 """
 
 from .errors import (
@@ -32,31 +37,22 @@ from .errors import (
     UnknownVertex,
 )
 from .generate import generate_planted
-from .globalopt import GlobalSchedule, global_density, global_guarantee_bound
+from .globalopt import global_density, global_guarantee_bound
 from .graph import (
     LEFT,
     RIGHT,
     BipartiteGraph,
-    GraphStats,
     Subgraph,
     build_bipartite,
-    degree_stats,
     density,
     edge_weight_between,
     from_directed,
     ratio_density,
     restrict,
 )
-from .growth import (
-    GrowthTrace,
-    LevelVector,
-    ProcessOutcome,
-    StepRecord,
-    run_pruned_growth,
-)
+from .growth import LevelVector, StepRecord
 from .io import (
     load_edge_list,
-    parse_records,
     result_record,
     save_edge_list,
     trace_records,
@@ -64,7 +60,7 @@ from .io import (
 )
 from .local import (
     DensityResult,
-    LocalSchedule,
+    GrowthTrace,
     ScanOutcome,
     SeedFailure,
     local_density,
@@ -90,20 +86,16 @@ __all__ = [
     "EigenEstimate",
     "EmptyGraph",
     "EmptySide",
-    "GlobalSchedule",
     "GoodSeedReport",
-    "GraphStats",
     "GrowthTrace",
     "LEFT",
     "LevelVector",
     "LocalDenseError",
-    "LocalSchedule",
     "NegativeEntry",
     "NegativeWeight",
     "NoCandidate",
     "ParseError",
     "PreconditionFailed",
-    "ProcessOutcome",
     "RIGHT",
     "ScanOutcome",
     "SeedFailure",
@@ -113,7 +105,6 @@ __all__ = [
     "TooLarge",
     "UnknownVertex",
     "build_bipartite",
-    "degree_stats",
     "density",
     "edge_weight_between",
     "exact_densest",
@@ -125,11 +116,9 @@ __all__ = [
     "load_edge_list",
     "local_density",
     "local_guarantee_bound",
-    "parse_records",
     "ratio_density",
     "restrict",
     "result_record",
-    "run_pruned_growth",
     "save_edge_list",
     "seed_scan",
     "top_eigenvalue",

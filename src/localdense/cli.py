@@ -16,7 +16,6 @@ import time
 from .errors import LocalDenseError, ParseError
 from .generate import generate_planted
 from .globalopt import global_density, global_guarantee_bound
-from .graph import degree_stats
 from .io import (
     load_edge_list,
     result_record,
@@ -99,7 +98,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--target-size", type=int, required=True)
     p.add_argument("--top", type=int, default=10, help="how many results to keep")
-    p.add_argument("--parallel", type=int, help="ignored; seeds run one after another")
 
     p = sub.add_parser("verify", help="self-check suite; fails with exit code 3")
     add_common(p)
@@ -151,16 +149,15 @@ def _read_seeds(path):
 
 def _cmd_stats(args) -> int:
     g = _load(args)
-    stats = degree_stats(g)
     record = {
         "kind": "stats",
-        "vertices": stats.vertex_count,
+        "vertices": g.vertex_count,
         "left": g.left_count,
         "right": g.right_count,
-        "edge_weight": stats.edge_weight,
-        "max_degree": stats.max_degree,
-        "max_fanout": stats.max_fanout,
-        "avg_degree": stats.avg_degree,
+        "edge_weight": g.total_weight,
+        "max_degree": g.max_degree,
+        "max_fanout": g.max_fanout,
+        "avg_degree": 2.0 * g.total_weight / g.vertex_count,
     }
     _write_out([record], args)
     return 0

@@ -10,7 +10,8 @@ class LocalDenseError(Exception):
 
 
 class NegativeWeight(LocalDenseError):
-    """An edge weight was negative or not a finite number."""
+    """An edge weight was negative or not a finite number, or the weights
+    sum past the float range."""
 
 
 class EmptyGraph(LocalDenseError):

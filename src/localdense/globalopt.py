@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import DomainError, NegativeEntry
 from .graph import LEFT, RIGHT, BipartiteGraph, is_int
 from .growth import LevelVector, run_pruned_growth
-from .local import DensityResult
+from .local import DensityResult, GrowthTrace
 
 __all__ = ["GlobalSchedule", "global_density", "global_guarantee_bound"]
 
@@ -67,7 +67,7 @@ def global_density(g: BipartiteGraph, keep_trace: bool = False) -> DensityResult
     """
     sched = GlobalSchedule.for_size(g.vertex_count)
     starts = [LevelVector.ones(LEFT, g.left_count), LevelVector.ones(RIGHT, g.right_count)]
-    batch = run_pruned_growth(g, starts, sched.epsilons, keep_trace, ["ones:L", "ones:R"])
+    batch = run_pruned_growth(g, starts, sched.epsilons, keep_trace)
     for out in batch.outcomes:
         if isinstance(out, NegativeEntry):
             raise out
@@ -85,7 +85,7 @@ def global_density(g: BipartiteGraph, keep_trace: bool = False) -> DensityResult
     bound = global_guarantee_bound(1.0, n) if n >= 2 else None
     traces = None
     if keep_trace:
-        traces = tuple(t for t in (out_l.trace, out_r.trace) if t is not None)
+        traces = (GrowthTrace("ones:L", out_l.trace), GrowthTrace("ones:R", out_r.trace))
     return DensityResult(
         subgraph=winner.best,
         found_at=winner.best_at,

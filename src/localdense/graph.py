@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -55,14 +55,6 @@ class Subgraph:
         return (len(self.left), len(self.right))
 
 
-class GraphStats(NamedTuple):
-    vertex_count: int
-    edge_weight: float
-    max_degree: float
-    max_fanout: int
-    avg_degree: float
-
-
 class BipartiteGraph:
     """Immutable weighted bipartite graph.
 
@@ -76,7 +68,8 @@ class BipartiteGraph:
     already merged, validated edge arrays.  It keeps the dicts as given, so
     one dict may serve both sides.  Vertices with
     no incident edges are legal (restriction can produce them) but the graph
-    as a whole always carries at least one edge.
+    as a whole always carries at least one edge, and its total weight is
+    finite.
     """
 
     __slots__ = ("_ids", "_index", "_csr", "_total_weight", "_max_degree", "_max_fanout")
@@ -87,6 +80,12 @@ class BipartiteGraph:
         l_arr = np.asarray(l_arr, dtype=np.int64)
         r_arr = np.asarray(r_arr, dtype=np.int64)
         w_arr = np.asarray(w_arr, dtype=np.float64)
+        # weights are nonnegative, so a finite total means every merged
+        # weight and every degree is finite too
+        with np.errstate(over="ignore"):
+            total = float(w_arr.sum())
+        if math.isinf(total):
+            raise NegativeWeight("edge weights sum past the float range")
 
         self._ids, self._index, self._csr = {}, {}, {}
         degrees, fanouts = [], []
@@ -101,7 +100,7 @@ class BipartiteGraph:
             self._csr[side] = (np.concatenate(([0], np.cumsum(counts))), cols[order], w_arr[order])
             degrees.append(np.bincount(rows, weights=w_arr, minlength=len(ids)).max(initial=0.0))
             fanouts.append(counts.max(initial=0))
-        self._total_weight = float(w_arr.sum())
+        self._total_weight = total
         self._max_degree = float(max(degrees))
         self._max_fanout = int(max(fanouts))
 
@@ -226,7 +225,8 @@ def build_bipartite(edges) -> BipartiteGraph:
     weights; zero-weight rows are dropped.
 
     Raises:
-        NegativeWeight: if any weight is negative or not finite.
+        NegativeWeight: if any weight is negative or not finite, or the
+            merged weights sum past the float range.
         EmptyGraph: if no positive-weight edge remains.
     """
     # each dict's insertion order is its side's id order
@@ -265,6 +265,7 @@ def from_directed(arcs) -> BipartiteGraph:
     between the left copy of x and the right copy of y.  Self-loops are
     ordinary edges here.  Duplicate arcs merge by weight sum.  The endpoints
     of a zero-weight arc are still vertices, with no edge between them.
+    Raises NegativeWeight and EmptyGraph as build_bipartite does.
     """
     index: dict = {}
     l_list: list[int] = []
@@ -377,9 +378,3 @@ def restrict(g: BipartiteGraph, left_set, right_set) -> BipartiteGraph:
         w_list,
     )
 
-
-def degree_stats(g: BipartiteGraph) -> GraphStats:
-    """Vertex count, total edge weight, max weighted degree, max fanout, average degree."""
-    n = g.vertex_count
-    m = g.total_weight
-    return GraphStats(n, m, g.max_degree, g.max_fanout, 2.0 * m / n)

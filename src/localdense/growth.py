@@ -27,7 +27,7 @@ run stops, or when it overflows: one result per start, errors included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ from .graph import LEFT, RIGHT, BipartiteGraph, Subgraph, opposite
 __all__ = [
     "LevelVector",
     "StepRecord",
-    "GrowthTrace",
     "ProcessOutcome",
     "GrowthBatch",
     "run_pruned_growth",
@@ -236,16 +235,11 @@ class StepRecord:
 
 
 @dataclass
-class GrowthTrace:
-    start: str
-    steps: list = field(default_factory=list)
-
-
-@dataclass
 class ProcessOutcome:
     """One start's run.  best is the densest level pair's subgraph, its left
     set on the graph's left side, and best_at its (step, i, j) as in
-    DensityResult.found_at; both are None when no step was taken.
+    DensityResult.found_at; both are None when no step was taken.  trace
+    lists the run's StepRecords when kept, else None.
     """
 
     best: Subgraph | None
@@ -253,7 +247,7 @@ class ProcessOutcome:
     steps_executed: int
     edges_touched: int
     stopped_early: bool
-    trace: GrowthTrace | None
+    trace: list | None
 
 
 @dataclass
@@ -274,7 +268,6 @@ def run_pruned_growth(
     starts: Sequence[LevelVector],
     epsilons: Sequence[float],
     keep_trace: bool = False,
-    labels: Sequence[str] | None = None,
 ) -> GrowthBatch:
     """Drive the process for len(epsilons) - 1 steps from each start.
 
@@ -283,8 +276,7 @@ def run_pruned_growth(
     entries and level-pair weights sum their terms in the same order, and it
     keeps the same first maximum.  Lanes from one side advance together, one
     array pass per step, and leave the batch when their run stops; the left
-    starts run before the right ones.  labels names each lane's trace
-    (default "").
+    starts run before the right ones.
 
     epsilons[t + 1] prunes the step taken from the t-th vector, keeping the
     entries strictly above that fraction of the rounded product's norm;
@@ -303,9 +295,6 @@ def run_pruned_growth(
     pruning fraction epsilons[1:] outside [0, 1].
     """
     starts = list(starts)
-    labels = [""] * len(starts) if labels is None else list(labels)
-    if len(labels) != len(starts):
-        raise DomainError(f"{len(labels)} labels for {len(starts)} starts")
     for eps in epsilons[1:]:
         if not 0.0 <= eps <= 1.0:
             raise DomainError(f"truncation fraction {eps!r} outside [0, 1]")
@@ -313,10 +302,7 @@ def run_pruned_growth(
     for side in (LEFT, RIGHT):
         lanes = [k for k, start in enumerate(starts) if start.side == side]
         if lanes:
-            grown = _grow_lanes(
-                g, side, [starts[k] for k in lanes], epsilons, keep_trace,
-                [labels[k] for k in lanes],
-            )
+            grown = _grow_lanes(g, side, [starts[k] for k in lanes], epsilons, keep_trace)
             for k, out in zip(lanes, grown):
                 outcomes[k] = out
     runs = [out for out in outcomes if isinstance(out, ProcessOutcome)]
@@ -327,7 +313,7 @@ def run_pruned_growth(
     )
 
 
-def _grow_lanes(g, side, starts, epsilons, keep_trace, labels) -> list:
+def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
     """run_pruned_growth for starts that all lie on `side`.
 
     The working vectors of the lanes still running are held as one
@@ -341,7 +327,7 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace, labels) -> list:
     touched = np.zeros(lanes, dtype=np.int64)
     stopped = np.zeros(lanes, dtype=bool)
     failed: list = [None] * lanes
-    traces = [GrowthTrace(label) for label in labels] if keep_trace else None
+    traces = [[] for _ in starts] if keep_trace else None
 
     active = np.arange(lanes)
     slot = np.repeat(active, [start.support_size for start in starts])
@@ -456,7 +442,7 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace, labels) -> list:
                 xa, xb = x_bounds[s], x_bounds[s + 1]
                 ya, yb = y_bounds[s], y_bounds[s + 1]
                 at = best[lane]
-                traces[lane].steps.append(
+                traces[lane].append(
                     StepRecord(
                         t=t,
                         eps_t=epsilons[t],

@@ -23,7 +23,6 @@ __all__ = [
     "result_record",
     "trace_records",
     "write_records",
-    "parse_records",
 ]
 
 
@@ -160,17 +159,3 @@ def trace_records(result: DensityResult) -> list:
 def write_records(records: Iterable[dict], stream: IO[str]) -> None:
     for rec in records:
         stream.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def parse_records(text: str) -> list:
-    """Parse a result document back into a list of mappings."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"bad record: {exc}") from None
-    return out

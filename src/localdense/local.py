@@ -17,6 +17,7 @@ from .growth import LevelVector, run_pruned_growth
 
 __all__ = [
     "LocalSchedule",
+    "GrowthTrace",
     "DensityResult",
     "ScanOutcome",
     "SeedFailure",
@@ -55,6 +56,14 @@ class LocalSchedule:
 
 
 @dataclass
+class GrowthTrace:
+    """The StepRecords of one growth run, named by its start."""
+
+    start: str
+    steps: list
+
+
+@dataclass
 class DensityResult:
     """Output of a local or whole-graph run.
 
@@ -66,7 +75,8 @@ class DensityResult:
     the top adjacency eigenvalue.  bound_eps is the same factor computed from
     the schedule's initial pruning fraction instead of the closed form; it is
     the tighter of the two when the maximum degree is large.  Either may be
-    None when the graph falls outside the bound's domain.
+    None when the graph falls outside the bound's domain.  traces holds a
+    GrowthTrace per growth run when the run kept them, else None.
     """
 
     subgraph: Subgraph
@@ -153,8 +163,7 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
         if not pending:
             return
         starts = [LevelVector.unit(side, idx) for _, side, idx in lanes]
-        labels = [f"seed:{side}:{token}" for token, side, _ in lanes]
-        outcomes = run_pruned_growth(g, starts, sched.epsilons, keep_trace, labels).outcomes
+        outcomes = run_pruned_growth(g, starts, sched.epsilons, keep_trace).outcomes
         # reversed and popped one by one, so that no outcome is kept past
         # its seed's turn while the next chunk grows
         outcomes.reverse()
@@ -167,16 +176,17 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
             if outcome.best is None:
                 yield NoCandidate(f"seed {token!r} has no incident edges")
                 continue
+            start = f"seed:{side}:{token}"
             yield DensityResult(
                 subgraph=outcome.best,
                 found_at=outcome.best_at,
-                start=f"seed:{side}:{token}",
+                start=start,
                 bound=bound,
                 bound_eps=bound_eps,
                 target_size=sched.target_size,
                 edges_touched=outcome.edges_touched,
                 steps=outcome.steps_executed,
-                traces=(outcome.trace,) if keep_trace else None,
+                traces=(GrowthTrace(start, outcome.trace),) if keep_trace else None,
             )
 
 

@@ -107,6 +107,11 @@ def run_verification(
     if not is_int(seed_count) or seed_count < 0:
         raise DomainError(f"seed count must be a nonnegative integer, got {seed_count!r}")
     out: list[PropertyResult] = []
+
+    def report(name: str, ok, detail: str) -> None:
+        # ok is None for a property whose inputs do not apply
+        out.append(PropertyResult(name, "skip" if ok is None else "pass" if ok else "fail", detail))
+
     runs, traces = _collect_traces(g, target_size, seed_count)
     delta = g.max_degree
 
@@ -119,13 +124,7 @@ def run_verification(
                 checked[name] += 1
                 bad[name] += not ok
     for name, noun in _STEP_CHECKS.items():
-        out.append(
-            PropertyResult(
-                name,
-                "pass" if bad[name] == 0 else "fail",
-                f"{checked[name]} {noun}, {bad[name]} violations",
-            )
-        )
+        report(name, bad[name] == 0, f"{checked[name]} {noun}, {bad[name]} violations")
 
     est = top_eigenvalue(g)
     best_density = max(res.density for _, res in runs)
@@ -133,53 +132,38 @@ def run_verification(
     # spectral-dominance: no observed density may exceed the eigenvalue
     # estimate plus its residual, which bounds the top eigenvalue only when
     # the estimate has converged to it
-    ok = best_density <= est.value + est.residual + 1e-9
-    out.append(
-        PropertyResult(
-            "spectral-dominance",
-            "pass" if ok else "fail",
-            f"best density {best_density:.6g} vs eigenvalue {est.value:.6g} "
-            f"(residual {est.residual:.2g})",
-        )
+    report(
+        "spectral-dominance",
+        best_density <= est.value + est.residual + 1e-9,
+        f"best density {best_density:.6g} vs eigenvalue {est.value:.6g} "
+        f"(residual {est.residual:.2g})",
     )
 
     glob = next(res for kind, res in runs if kind == "global")
     if g.vertex_count >= 2 and est.value > 0:
         floor = global_guarantee_bound(est.value, g.vertex_count)
-        ok = glob.density >= floor
-        out.append(
-            PropertyResult(
-                "global-guarantee",
-                "pass" if ok else "fail",
-                f"global density {glob.density:.6g} vs floor {floor:.6g}",
-            )
+        report(
+            "global-guarantee",
+            glob.density >= floor,
+            f"global density {glob.density:.6g} vs floor {floor:.6g}",
         )
     else:
-        out.append(PropertyResult("global-guarantee", "skip", "graph too small"))
+        report("global-guarantee", None, "graph too small")
 
     try:
         exact = exact_densest(g, side_cap)
-        ok = all(res.density <= exact.density + 1e-9 for _, res in runs)
-        out.append(
-            PropertyResult(
-                "exact-agreement",
-                "pass" if ok else "fail",
-                f"exact optimum {exact.density:.6g} dominates all runs",
-            )
-        )
     except TooLarge:
-        out.append(
-            PropertyResult(
-                "exact-agreement", "skip", f"smaller side above cap {side_cap}"
-            )
+        report("exact-agreement", None, f"smaller side above cap {side_cap}")
+    else:
+        report(
+            "exact-agreement",
+            all(res.density <= exact.density + 1e-9 for _, res in runs),
+            f"exact optimum {exact.density:.6g} dominates all runs",
         )
 
     if planted is None:
-        out.append(PropertyResult("planted-coverage", "skip", "no planted block given"))
-        out.append(PropertyResult("planted-certificates", "skip", "no planted block given"))
-        out.append(
-            PropertyResult("planted-local-guarantee", "skip", "no planted block given")
-        )
+        for name in PROPERTY_NAMES[-3:]:
+            report(name, None, "no planted block given")
         return out
 
     left_ids, right_ids = planted
@@ -189,43 +173,33 @@ def run_verification(
     threshold = (
         density_threshold if density_threshold is not None else base.density / 2.0
     )
-    report = good_seed_set(g, left_set, right_set, threshold)
-
-    ok = report.coverage >= 0.5
-    out.append(
-        PropertyResult(
-            "planted-coverage",
-            "pass" if ok else "fail",
-            f"coverage {report.coverage:.3f} over {len(report.good)} seeds",
-        )
+    cover = good_seed_set(g, left_set, right_set, threshold)
+    report(
+        "planted-coverage",
+        cover.coverage >= 0.5,
+        f"coverage {cover.coverage:.3f} over {len(cover.good)} seeds",
     )
 
     min_weight = 1.0 / math.sqrt(2.0 * len(left_set))
-    bad = 0
-    for v, cert in report.certificates.items():
-        if cert.margin < -1e-9 or cert.vertex_value < min_weight - 1e-12:
-            bad += 1
-    out.append(
-        PropertyResult(
-            "planted-certificates",
-            "pass" if bad == 0 else "fail",
-            f"{len(report.certificates)} certificates, {bad} invalid",
-        )
+    invalid = sum(
+        cert.margin < -1e-9 or cert.vertex_value < min_weight - 1e-12
+        for cert in cover.certificates.values()
+    )
+    report(
+        "planted-certificates",
+        invalid == 0,
+        f"{len(cover.certificates)} certificates, {invalid} invalid",
     )
 
     size = max(len(left_set), len(right_set))
     floor = local_guarantee_bound(threshold, max(delta, 1.0), size)
-    bad = 0
-    for v in sorted(report.good):
-        res = local_density(g, g.left_id(v), size, LEFT)
-        if res.density < floor:
-            bad += 1
-    out.append(
-        PropertyResult(
-            "planted-local-guarantee",
-            "pass" if bad == 0 else "fail",
-            f"{len(report.good)} good seeds vs floor {floor:.6g}, {bad} below",
-        )
+    below = sum(
+        local_density(g, g.left_id(v), size, LEFT).density < floor for v in sorted(cover.good)
+    )
+    report(
+        "planted-local-guarantee",
+        below == 0,
+        f"{len(cover.good)} good seeds vs floor {floor:.6g}, {below} below",
     )
     return out
 

@@ -38,8 +38,10 @@ def test_stats_command(block_file):
     assert rec["kind"] == "stats"
     assert rec["vertices"] == 5
     assert rec["left"] == 2 and rec["right"] == 3
+    assert rec["edge_weight"] == 6.0
     assert rec["max_degree"] == 3.0
-
+    assert rec["max_fanout"] == 3
+    assert rec["avg_degree"] == 2.4
 
 def test_local_command_deterministic_output(block_file):
     runs = [run_cli("local", str(block_file), "--seed", "l0", "--target-size", "3") for _ in range(2)]
@@ -158,21 +160,6 @@ def test_scan_seed_file_with_failures(block_file, tmp_path):
     assert failure["reason"] == "UnknownVertex"
 
 
-def test_scan_parallel_matches_serial(block_file):
-    serial = run_cli("scan", str(block_file), "--seeds", "all", "--target-size", "3")
-    parallel = run_cli(
-        "scan",
-        str(block_file),
-        "--seeds",
-        "all",
-        "--target-size",
-        "3",
-        "--parallel",
-        "4",
-    )
-    assert serial.stdout == parallel.stdout
-
-
 def test_generate_deterministic_bytes(tmp_path):
     paths = []
     for name in ("a.txt", "b.txt"):
@@ -272,15 +259,26 @@ def test_data_errors_exit_two(block_file, tmp_path):
 
 
 def test_overflowing_weights_are_data_errors(tmp_path):
-    # a finite weight whose products overflow ends in a typed error
+    # a finite weight whose products overflow, and finite duplicate rows
+    # whose merged weight would, each end in one typed error line
     huge = tmp_path / "huge.txt"
     huge.write_text("a x 1e200\n")
-    for args in (("local", "--seed", "a", "--target-size", "4"), ("global",)):
-        proc = run_cli(args[0], str(huge), *args[1:])
+    merged = tmp_path / "merged.txt"
+    merged.write_text("a x 1e308\na x 1e308\nb y 1.0\n")
+    for path, args, kind in (
+        (huge, ("local", "--seed", "a", "--target-size", "4"), "NegativeEntry"),
+        (huge, ("global",), "NegativeEntry"),
+        (merged, ("stats",), "NegativeWeight"),
+        (merged, ("stats", "--directed"), "NegativeWeight"),
+        (merged, ("local", "--seed", "a", "--target-size", "2"), "NegativeWeight"),
+    ):
+        proc = run_cli(args[0], str(path), *args[1:])
         assert proc.returncode == 2
+        assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
+        # no numpy warning either
         (line,) = proc.stderr.splitlines()
-        assert json.loads(line)["error"]["kind"] == "NegativeEntry"
+        assert json.loads(line)["error"]["kind"] == kind
 
 
 def test_scan_reports_overflowing_seeds(tmp_path):

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from localdense import (
     DomainError,
-    GlobalSchedule,
     build_bipartite,
     global_density,
     global_guarantee_bound,
 )
+from localdense.globalopt import GlobalSchedule
 
 from conftest import dense_eigenvalue, k_ab, random_bipartite
 

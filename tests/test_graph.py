@@ -14,7 +14,6 @@ from localdense import (
     SideViolation,
     UnknownVertex,
     build_bipartite,
-    degree_stats,
     density,
     edge_weight_between,
     from_directed,
@@ -47,6 +46,8 @@ def test_duplicate_edges_merge_by_sum():
     assert g.total_weight == 3.5
     assert g.fanout("L", 0) == 1
     assert edge_weight_between(g, {0}, {0}) == 3.5
+    g = build_bipartite([("a", "x", 8e307), ("a", "x", 8e307), ("b", "y", 1.0)])
+    assert g.total_weight == g.max_degree == 2 * 8e307
 
 
 def test_zero_weight_edges_dropped():
@@ -64,6 +65,15 @@ def test_negative_weight_rejected():
         build_bipartite([("a", "x", float("nan"))])
     with pytest.raises(NegativeWeight):
         build_bipartite([("a", "x", float("inf"))])
+    # every row is finite, but a duplicate pair or the total sums past the
+    # float range
+    for edges in (
+        [("a", "x", 1e308), ("a", "x", 1e308), ("b", "y", 1.0)],
+        [("a", "x", 1e308), ("b", "y", 1e308)],
+    ):
+        for build in (build_bipartite, from_directed):
+            with pytest.raises(NegativeWeight, match="float range"):
+                build(edges)
 
 
 def test_sides_are_separate_namespaces():
@@ -96,15 +106,6 @@ def test_ratio_density_one_side_may_be_empty():
     assert ratio_density(g, {0}, set()) == 0.0
     with pytest.raises(EmptySide):
         ratio_density(g, set(), set())
-
-
-def test_degree_stats_small_block():
-    stats = degree_stats(k_ab(2, 3))
-    assert stats.vertex_count == 5
-    assert stats.edge_weight == 6.0
-    assert stats.max_degree == 3.0
-    assert stats.max_fanout == 3
-    assert stats.avg_degree == pytest.approx(2.4)
 
 
 def test_from_directed_three_cycle():

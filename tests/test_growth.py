@@ -12,12 +12,11 @@ from localdense import (
     DomainError,
     LevelVector,
     NegativeEntry,
-    ProcessOutcome,
     StepRecord,
     build_bipartite,
     from_directed,
-    run_pruned_growth,
 )
+from localdense.growth import ProcessOutcome, run_pruned_growth
 
 from conftest import (
     dense_biadjacency,
@@ -65,7 +64,7 @@ def outcome_fields(out: ProcessOutcome) -> dict:
             for f in dataclasses.fields(StepRecord)
             for v in (getattr(rec, f.name),)
         }
-        for rec in out.trace.steps
+        for rec in out.trace
     ]
     return fields
 
@@ -76,7 +75,7 @@ def grow(g, start, epsilons, keep_trace=False):
 
 def first_step(g, start, eps=0.01):
     out = grow(g, start, (0.5, eps), keep_trace=True)
-    return out, out.trace.steps[0]
+    return out, out.trace[0]
 
 
 def test_round_up_examples():
@@ -93,7 +92,7 @@ def test_round_up_drops_zeros_and_rejects_bad_entries():
     # one to c survives
     g = build_bipartite([("a", "x", 1e-320), ("c", "x", 1.0)])
     out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1, 0.1), keep_trace=True)
-    first, second = out.trace.steps[:2]
+    first, second = out.trace[:2]
     (j,) = first.post_levels.exps.tolist()
     assert Fraction(math.ldexp(1.0, j)) == smallest_pow2_at_least(1e-320)
     assert first.pre_norm == math.ldexp(1.0, j)
@@ -145,9 +144,9 @@ def test_truncate_is_strict(star4):
     # the product is four entries 1.0 with norm 2; eps 0.5 puts the
     # threshold exactly at 1.0
     out = grow(star4, LevelVector.unit("L", 0), (0.5, 0.5), keep_trace=True)
-    assert out.trace.steps[0].next_support == 0
+    assert out.trace[0].next_support == 0
     out = grow(star4, LevelVector.unit("L", 0), (0.5, 0.4999), keep_trace=True)
-    assert out.trace.steps[0].next_support == 4
+    assert out.trace[0].next_support == 4
     # every fraction is checked before the run, also one it would only
     # reach after eps 1.0 has pruned it to nothing
     for bad in (-0.1, 1.5):
@@ -166,17 +165,17 @@ def test_truncate_support_bound(seed, exps, eps):
     g = random_bipartite(random.Random(seed), 9, 9, weighted=True)
     exps = {u: i for u, i in exps.items() if u < g.left_count} or {0: 0}
     out = grow(g, vector("L", exps), (0.5, eps, 0.5), keep_trace=True)
-    rec = out.trace.steps[0]
+    rec = out.trace[0]
     assert rec.next_support <= 1.0 / eps**2
     if rec.next_support:
         threshold = eps * rec.pre_norm
-        kept = out.trace.steps[1].x_levels
+        kept = out.trace[1].x_levels
         assert all(math.ldexp(1.0, i) > threshold for i in kept.exps.tolist())
 
 
 def test_multiply_star(star4):
     out = grow(star4, LevelVector.unit("L", 0), (0.5, 0.01, 0.01), keep_trace=True)
-    there, back = out.trace.steps
+    there, back = out.trace
     assert levels(there.post_levels) == {0: 0, 1: 0, 2: 0, 3: 0}
     assert levels(back.post_levels) == {0: 2}
     _, rec = first_step(star4, LevelVector.ones("R", 4))
@@ -231,12 +230,12 @@ def test_step_referee_against_exact_rounding():
                 prod[v] = prod.get(v, 0.0) + math.ldexp(1.0, i) * w
         expected = {v: smallest_pow2_at_least(z) for v, z in prod.items() if z > 0}
         expected_norm = math.sqrt(float(sum(p * p for p in expected.values())))
-        rec = out.trace.steps[0]
+        rec = out.trace[0]
         got = {v: Fraction(math.ldexp(1.0, j)) for v, j in levels(rec.post_levels).items()}
         assert got == expected
         assert rec.pre_norm == pytest.approx(expected_norm, rel=1e-12)
         threshold = eps * rec.pre_norm
-        kept = levels(out.trace.steps[1].x_levels) if len(out.trace.steps) > 1 else {}
+        kept = levels(out.trace[1].x_levels) if len(out.trace) > 1 else {}
         assert rec.next_support == len(kept)
         for v, p in expected.items():
             assert (v in kept) == (float(p) > threshold)
@@ -275,10 +274,10 @@ def test_evaluate_candidates_failures():
     out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1), keep_trace=True)
     assert out.stopped_early
     assert out.steps_executed == 1
-    assert len(out.trace.steps) == 1
+    assert len(out.trace) == 1
     assert out.edges_touched == 2
     assert out.best.density == 1e-320
-    j = int(out.trace.steps[0].post_levels.exps[0])
+    j = int(out.trace[0].post_levels.exps[0])
     assert j < -1000 and out.best_at == (0, 0, j)
 
 
@@ -308,7 +307,7 @@ def test_run_pruned_growth_dying_step_still_reports(star4):
     assert out.stopped_early
     assert out.steps_executed == 1
     assert out.best.density == 2.0
-    rec = out.trace.steps[0]
+    rec = out.trace[0]
     assert rec.next_support == 0
     assert rec.next_norm == 0.0
     assert rec.pruned_count == 4
@@ -345,7 +344,7 @@ def test_run_pruned_growth_deterministic():
     assert runs[0].best == runs[1].best
     assert runs[0].best_at == runs[1].best_at
     assert runs[0].edges_touched == runs[1].edges_touched
-    assert runs[0].trace.steps == runs[1].trace.steps
+    assert runs[0].trace == runs[1].trace
 
 
 def referee_graph(rng, weights, directed=False):
@@ -406,7 +405,7 @@ def test_growth_matches_dict_referee(seed, weights, start, side, epsilons):
     exps, vec = referee_start(rng, g, start, side)
     out = grow(g, vec, epsilons, keep_trace=True)
     assert outcome_fields(out) == reference_growth(g, side, exps, epsilons)
-    for rec in out.trace.steps:
+    for rec in out.trace:
         assert rec.next_support * rec.eps_prune**2 <= 1.0
 
 
@@ -435,11 +434,10 @@ def test_lanes_match_lone_runs_and_dict_referee(seed, directed, weights, kinds, 
         else:
             lanes.append((side, *referee_start(rng, g, kind, side)))
     starts = [vec for _, _, vec in lanes]
-    labels = [f"lane{k}" for k in range(len(lanes))]
-    batch = run_pruned_growth(g, starts, epsilons, keep_trace=True, labels=labels)
+    batch = run_pruned_growth(g, starts, epsilons, keep_trace=True)
     bare = run_pruned_growth(g, starts, epsilons)
     assert len(batch.outcomes) == len(bare.outcomes) == len(lanes)
-    for (side, exps, vec), label, out, plain in zip(lanes, labels, batch.outcomes, bare.outcomes):
+    for (side, exps, vec), out, plain in zip(lanes, batch.outcomes, bare.outcomes):
         lone = grow(g, vec, epsilons, keep_trace=True)
         try:
             want = reference_growth(g, side, exps, epsilons)
@@ -451,7 +449,6 @@ def test_lanes_match_lone_runs_and_dict_referee(seed, directed, weights, kinds, 
         fields = outcome_fields(out)
         assert fields == want
         assert fields == outcome_fields(lone)
-        assert out.trace.start == label
         assert plain.trace is None
         assert dataclasses.replace(plain, trace=out.trace) == out
     runs = [o for o in batch.outcomes if isinstance(o, ProcessOutcome)]

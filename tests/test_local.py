@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from localdense import (
     DomainError,
-    LocalSchedule,
     NegativeEntry,
     NoCandidate,
     SeedFailure,
@@ -22,7 +21,7 @@ from localdense import (
     seed_scan,
 )
 from localdense import local
-from localdense.local import _LANES
+from localdense.local import _LANES, LocalSchedule
 
 from conftest import k_ab
 
@@ -322,11 +321,13 @@ def test_seed_scan_parallel_matches_sequential():
     g = k_ab(3, 5)
     seeds = [f"l{i}" for i in range(3)] + [f"r{j}" for j in range(5)] + ["bad"]
     seq = seed_scan(g, seeds, target_size=5, parallel=1)
-    par = seed_scan(g, seeds, target_size=5, parallel=4)
-    assert [(r.start, r.density, r.subgraph) for r in seq.results] == [
-        (r.start, r.density, r.subgraph) for r in par.results
-    ]
-    assert [f.seed for f in seq.failures] == [f.seed for f in par.failures]
+    # the positional form the benchmark's local-scan workload uses: parallel
+    # is the fifth parameter, before keep_trace
+    for par in (seed_scan(g, seeds, target_size=5, parallel=4), seed_scan(g, seeds, 5, 10, 2)):
+        assert [(r.start, r.density, r.subgraph, r.traces) for r in seq.results] == [
+            (r.start, r.density, r.subgraph, r.traces) for r in par.results
+        ]
+        assert [f.seed for f in seq.failures] == [f.seed for f in par.failures]
 
 
 def test_local_density_validates_target(star4):
