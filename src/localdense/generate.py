@@ -77,8 +77,8 @@ def generate_planted(
     edges = [(left_block[p], right_block[q], 1.0) for p, q in positions]
 
     if noise_avoids_planted:
-        left_pool = [u for u in range(n_left) if u not in set(left_block)]
-        right_pool = [v for v in range(n_right) if v not in set(right_block)]
+        left_pool = sorted(set(range(n_left)).difference(left_block))
+        right_pool = sorted(set(range(n_right)).difference(right_block))
         capacity = len(left_pool) * len(right_pool)
     else:
         left_pool = list(range(n_left))

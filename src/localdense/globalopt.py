@@ -43,8 +43,6 @@ class GlobalSchedule:
             horizon += 1
         base = 1.0 / (8.0 * math.sqrt(vertex_count))
         epsilons = tuple(base * 2.0**t for t in range(horizon + 1))
-        if epsilons[-1] > 1.0:
-            raise DomainError("pruning schedule escaped [0, 1]")
         return cls(vertex_count, horizon, epsilons)
 
 

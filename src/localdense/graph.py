@@ -65,11 +65,11 @@ class BipartiteGraph:
 
     Construct through build_bipartite, from_directed, or restrict; the raw
     constructor expects each side's id-to-index dict, in index order, and
-    already merged, validated edge arrays.  It keeps the dicts as given, so
-    one dict may serve both sides.  Vertices with
-    no incident edges are legal (restriction can produce them) but the graph
-    as a whole always carries at least one edge, and its total weight is
-    finite.
+    validated edge arrays.  It merges duplicate pairs by weight sum, and
+    keeps the dicts as given, so one dict may serve both sides.  Vertices
+    with no incident edges are legal (restriction can produce them) but the
+    graph as a whole always carries at least one edge, and its total weight
+    is finite.
     """
 
     __slots__ = ("_ids", "_index", "_csr", "_total_weight", "_max_degree", "_max_fanout")
@@ -77,9 +77,13 @@ class BipartiteGraph:
     def __init__(self, left_index, right_index, l_arr, r_arr, w_arr):
         if len(w_arr) == 0:
             raise EmptyGraph("graph has no edges")
-        l_arr = np.asarray(l_arr, dtype=np.int64)
-        r_arr = np.asarray(r_arr, dtype=np.int64)
-        w_arr = np.asarray(w_arr, dtype=np.float64)
+        # one int64 key per pair; bincount sums duplicates in input order
+        nr = max(len(right_index), 1)
+        keys = np.asarray(l_arr, dtype=np.int64) * nr + np.asarray(r_arr, dtype=np.int64)
+        keys, inverse = np.unique(keys, return_inverse=True)
+        w_arr = np.bincount(inverse, weights=np.asarray(w_arr, dtype=np.float64))
+        l_arr, r_arr = np.divmod(keys, nr)
+        del keys, inverse  # as long as the rows: free them before the per-side loop
         # weights are nonnegative, so a finite total means every merged
         # weight and every degree is finite too
         with np.errstate(over="ignore"):
@@ -204,17 +208,16 @@ class BipartiteGraph:
         )
 
 
-def _merge_indexed_edges(nl, nr, l_list, r_list, w_list):
-    """Merge duplicate (l, r) pairs by weight sum; returns sorted arrays."""
-    l_arr = np.asarray(l_list, dtype=np.int64)
-    r_arr = np.asarray(r_list, dtype=np.int64)
-    w_arr = np.asarray(w_list, dtype=np.float64)
-    keys = l_arr * np.int64(max(nr, 1)) + r_arr
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    merged_w = np.bincount(inverse, weights=w_arr, minlength=len(uniq))
-    merged_l = uniq // max(nr, 1)
-    merged_r = uniq % max(nr, 1)
-    return merged_l, merged_r, merged_w
+def _row_weight(what: str, a, b, w) -> float:
+    """The row's weight as a float; NegativeWeight unless a finite number >= 0."""
+    try:
+        w = float(w)
+        ok = w >= 0.0 and not math.isinf(w)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise NegativeWeight(f"{what} ({a!r}, {b!r}) has invalid weight {w!r}")
+    return w
 
 
 def build_bipartite(edges) -> BipartiteGraph:
@@ -225,8 +228,8 @@ def build_bipartite(edges) -> BipartiteGraph:
     weights; zero-weight rows are dropped.
 
     Raises:
-        NegativeWeight: if any weight is negative or not finite, or the
-            merged weights sum past the float range.
+        NegativeWeight: if any weight is negative or not a finite number,
+            or the merged weights sum past the float range.
         EmptyGraph: if no positive-weight edge remains.
     """
     # each dict's insertion order is its side's id order
@@ -236,9 +239,7 @@ def build_bipartite(edges) -> BipartiteGraph:
     r_list: list[int] = []
     w_list: list[float] = []
     for u, v, w in edges:
-        w = float(w)
-        if not (w >= 0.0) or math.isinf(w):
-            raise NegativeWeight(f"edge ({u!r}, {v!r}) has invalid weight {w!r}")
+        w = _row_weight("edge", u, v, w)
         if w == 0.0:
             continue
         li = left_index.get(u)
@@ -252,10 +253,7 @@ def build_bipartite(edges) -> BipartiteGraph:
         w_list.append(w)
     if not w_list:
         raise EmptyGraph("no positive-weight edges")
-    l_arr, r_arr, w_arr = _merge_indexed_edges(
-        len(left_index), len(right_index), l_list, r_list, w_list
-    )
-    return BipartiteGraph(left_index, right_index, l_arr, r_arr, w_arr)
+    return BipartiteGraph(left_index, right_index, l_list, r_list, w_list)
 
 
 def from_directed(arcs) -> BipartiteGraph:
@@ -272,9 +270,7 @@ def from_directed(arcs) -> BipartiteGraph:
     r_list: list[int] = []
     w_list: list[float] = []
     for x, y, w in arcs:
-        w = float(w)
-        if not (w >= 0.0) or math.isinf(w):
-            raise NegativeWeight(f"arc ({x!r}, {y!r}) has invalid weight {w!r}")
+        w = _row_weight("arc", x, y, w)
         for tok in (x, y):
             if tok not in index:
                 index[tok] = len(index)
@@ -284,8 +280,7 @@ def from_directed(arcs) -> BipartiteGraph:
             w_list.append(w)
     if not w_list:
         raise EmptyGraph("no positive-weight arcs")
-    l_arr, r_arr, w_arr = _merge_indexed_edges(len(index), len(index), l_list, r_list, w_list)
-    return BipartiteGraph(index, index, l_arr, r_arr, w_arr)
+    return BipartiteGraph(index, index, l_list, r_list, w_list)
 
 
 def _validate_side_set(g: BipartiteGraph, side: str, vertices) -> frozenset:
@@ -297,27 +292,40 @@ def _validate_side_set(g: BipartiteGraph, side: str, vertices) -> frozenset:
     return vs
 
 
+def _sorted_array(vertices: frozenset) -> np.ndarray:
+    return np.array(sorted(vertices), dtype=np.int64)
+
+
+def _crossing(g: BipartiteGraph, side: str, members: np.ndarray, others: np.ndarray):
+    """Edges from the sorted index array members on side into the sorted
+    array others, in CSR order, as (row, neighbour, weight) arrays.  Nothing
+    of graph size is allocated.
+    """
+    indptr, nbrs, wts = g.csr_arrays(side)
+    lo = indptr[members]
+    fan = indptr[members + 1] - lo
+    pos = np.arange(fan.sum()) + np.repeat(lo - (np.cumsum(fan) - fan), fan)
+    keep = np.isin(nbrs[pos], others)
+    pos = pos[keep]
+    return np.repeat(members, fan)[keep], nbrs[pos], wts[pos]
+
+
 def edge_weight_between(g: BipartiteGraph, left_set, right_set) -> float:
     """Total weight of edges with one endpoint in each set.
 
-    Iterates adjacency from whichever set has the smaller total fanout.
+    Probes adjacency from whichever set has the smaller total fanout.
     Empty sets are allowed and contribute zero.
     """
     ls = _validate_side_set(g, LEFT, left_set)
     rs = _validate_side_set(g, RIGHT, right_set)
-    if not ls or not rs:
-        return 0.0
-    sets = {LEFT: ls, RIGHT: rs}
+    sets = {LEFT: _sorted_array(ls), RIGHT: _sorted_array(rs)}
+    ptr = {s: g.csr_arrays(s)[0] for s in sets}
     # min keeps the first of equal keys, so a tie probes from the left
-    side = min(sets, key=lambda s: sum(g.fanout(s, u) for u in sets[s]))
-    members = sets[opposite(side)]
-    total = 0.0
-    for u in sorted(sets[side]):
-        nbr, wt = g.neighbors(side, u)
-        for v, w in zip(nbr.tolist(), wt.tolist()):
-            if v in members:
-                total += w
-    return total
+    side = min(sets, key=lambda s: (ptr[s][sets[s] + 1] - ptr[s][sets[s]]).sum())
+    w = _crossing(g, side, sets[side], sets[opposite(side)])[2]
+    # a running total adds in CSR order; np.sum's pairwise order could move
+    # the last bit
+    return float(np.cumsum(w)[-1]) if len(w) else 0.0
 
 
 def density(g: BipartiteGraph, left_set, right_set) -> Subgraph:
@@ -343,8 +351,7 @@ def ratio_density(g: BipartiteGraph, left_set, right_set) -> float:
     rs = _validate_side_set(g, RIGHT, right_set)
     if not ls and not rs:
         raise EmptySide("ratio_density requires at least one vertex")
-    e = edge_weight_between(g, ls, rs) if (ls and rs) else 0.0
-    return e / (len(ls) + len(rs))
+    return edge_weight_between(g, ls, rs) / (len(ls) + len(rs))
 
 
 def restrict(g: BipartiteGraph, left_set, right_set) -> BipartiteGraph:
@@ -356,25 +363,14 @@ def restrict(g: BipartiteGraph, left_set, right_set) -> BipartiteGraph:
     """
     ls = _validate_side_set(g, LEFT, left_set)
     rs = _validate_side_set(g, RIGHT, right_set)
-    left_sorted = sorted(ls)
-    right_sorted = sorted(rs)
-    new_left = {u: k for k, u in enumerate(left_sorted)}
-    new_right = {v: k for k, v in enumerate(right_sorted)}
-    l_list, r_list, w_list = [], [], []
-    for u in left_sorted:
-        nbr, wt = g.neighbors(LEFT, u)
-        for v, w in zip(nbr.tolist(), wt.tolist()):
-            if v in rs:
-                l_list.append(new_left[u])
-                r_list.append(new_right[v])
-                w_list.append(w)
-    if not w_list:
+    left, right = _sorted_array(ls), _sorted_array(rs)
+    rows, nbr, wt = _crossing(g, LEFT, left, right)
+    if not len(wt):
         raise EmptyGraph("restriction removed every edge")
     return BipartiteGraph(
-        {g.left_id(u): k for k, u in enumerate(left_sorted)},
-        {g.right_id(v): k for k, v in enumerate(right_sorted)},
-        l_list,
-        r_list,
-        w_list,
+        dict(zip(map(g.left_id, left.tolist()), range(len(left)))),
+        dict(zip(map(g.right_id, right.tolist()), range(len(right)))),
+        np.searchsorted(left, rows),
+        np.searchsorted(right, nbr),
+        wt,
     )
-

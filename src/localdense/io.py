@@ -72,15 +72,18 @@ def load_edge_list(path, mode: str = "bipartite") -> BipartiteGraph:
 
 
 def save_edge_list(g: BipartiteGraph, path) -> None:
-    """Write the graph back out, one merged edge per line, sorted by index."""
+    """Write the graph back out, one merged edge per line, sorted by index.
+
+    Raises ValueError, before opening the file, if an id would not load back.
+    """
+    left = [str(g.left_id(u)) for u in range(g.left_count)]
+    right = [str(g.right_id(v)) for v in range(g.right_count)]
+    for tok in left + right:
+        if tok.split() != [tok] or tok.startswith("#"):
+            raise ValueError(f"vertex id {tok!r} cannot be written to an edge list")
     with open(path, "w", encoding="utf-8") as fh:
         for u, v, w in g.edges():
-            lu = g.left_id(u)
-            rv = g.right_id(v)
-            lu_tok, rv_tok = str(lu), str(rv)
-            if any(ch.isspace() for ch in lu_tok + rv_tok):
-                raise ValueError(f"vertex id {lu!r} or {rv!r} contains whitespace")
-            fh.write(f"{lu_tok} {rv_tok} {w!r}\n")
+            fh.write(f"{left[u]} {right[v]} {w!r}\n")
 
 
 def _sorted_ids(ids):

@@ -50,8 +50,6 @@ class LocalSchedule:
             horizon += 1
         base = 1.0 / (8.0 * target_size)
         epsilons = tuple(base * 2.0**-t for t in range(horizon + 1))
-        if epsilons[0] > 1.0:
-            raise DomainError("pruning fraction above one")
         return cls(target_size, horizon, epsilons)
 
 

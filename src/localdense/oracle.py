@@ -168,6 +168,26 @@ _RESTARTS = 200
 _TOL = 1e-12
 
 
+def _adjacency(g: BipartiteGraph):
+    """The map x -> A x on the symmetric adjacency [[0, B], [B^T, 0]].
+
+    bincount adds each row's terms in CSR order, ascending neighbour order.
+    """
+    nl, nr = g.left_count, g.right_count
+    lptr, lnbr, lwt = g.csr_arrays(LEFT)
+    rptr, rnbr, rwt = g.csr_arrays(RIGHT)
+    lrow = np.repeat(np.arange(nl), np.diff(lptr))
+    rrow = np.repeat(np.arange(nr), np.diff(rptr))
+
+    def apply(x):
+        return np.concatenate((
+            np.bincount(lrow, weights=lwt * x[nl:].take(lnbr), minlength=nl),
+            np.bincount(rrow, weights=rwt * x.take(rnbr), minlength=nr),
+        ))
+
+    return apply
+
+
 def top_eigenvalue(g: BipartiteGraph) -> EigenEstimate:
     """Thick-restart Lanczos for the top eigenvalue of the bipartite adjacency.
 
@@ -187,22 +207,7 @@ def top_eigenvalue(g: BipartiteGraph) -> EigenEstimate:
     renormalized before the Rayleigh quotient and residual are taken.
     """
     nl, nr = g.left_count, g.right_count
-    lptr, lnbr, lwt = g.csr_arrays(LEFT)
-    rptr, rnbr, rwt = g.csr_arrays(RIGHT)
-    lrow = np.repeat(np.arange(nl), np.diff(lptr))
-    rrow = np.repeat(np.arange(nr), np.diff(rptr))
-    applications = 0
-
-    # bincount adds each row's terms in CSR order, which is ascending
-    # neighbour order on both sides
-    def apply_adj(x):
-        nonlocal applications
-        applications += 1
-        return np.concatenate((
-            np.bincount(lrow, weights=lwt * x[nl:].take(lnbr), minlength=nl),
-            np.bincount(rrow, weights=rwt * x.take(rnbr), minlength=nr),
-        ))
-
+    adjacency, applications = _adjacency(g), 0
     size = min(_KRYLOV, nl + nr)
     basis = np.empty((size, nl + nr))
     images = np.empty_like(basis)  # the adjacency times each basis vector
@@ -218,7 +223,8 @@ def top_eigenvalue(g: BipartiteGraph) -> EigenEstimate:
             if norm <= _TOL * scale:
                 break
             basis[k] = w / norm
-            images[k] = apply_adj(basis[k])
+            images[k] = adjacency(basis[k])
+            applications += 1
             w = images[k].copy()
             k += 1
         theta, ritz = np.linalg.eigh(basis[:k] @ images[:k].T)
@@ -232,7 +238,8 @@ def top_eigenvalue(g: BipartiteGraph) -> EigenEstimate:
         basis[:k], images[:k] = keep @ basis[:size], keep @ images[:size]
     vec = np.abs(vec)
     vec /= np.linalg.norm(vec)
-    prod = apply_adj(vec)
+    prod = adjacency(vec)
+    applications += 1
     value = float(vec @ prod)
     residual = float(np.linalg.norm(prod - value * vec))
     return EigenEstimate(value, vec[:nl], vec[nl:], residual, applications, converged)
@@ -278,19 +285,14 @@ class GoodSeedReport:
     batches: int
 
 
-def _certificate_margin(g: BipartiteGraph, vec_left: dict, vec_right: dict, threshold: float):
-    """Smallest slack of (vector times adjacency - threshold * vector) on the support."""
-    worst = math.inf
-    for side, vec, other in ((LEFT, vec_left, vec_right), (RIGHT, vec_right, vec_left)):
-        for u, pu in vec.items():
-            nbr, wt = g.neighbors(side, u)
-            acc = 0.0
-            for v, w in zip(nbr.tolist(), wt.tolist()):
-                pv = other.get(v)
-                if pv is not None:
-                    acc += pv * w
-            worst = min(worst, acc - threshold * pu)
-    return worst
+def _certificate_margin(adjacency, x: np.ndarray, threshold: float) -> float:
+    """Smallest slack of (A x - threshold * x) on the support of x.
+
+    Entries off the support add only +0.0 terms to each slack's sum, so a
+    vector supported inside a restricted graph gets the same slacks, to the
+    bit, from the restriction's adjacency as from the full graph's.
+    """
+    return float((adjacency(x) - threshold * x)[x > 0.0].min())
 
 
 def good_seed_set(g: BipartiteGraph, left_set, right_set, density_threshold: float) -> GoodSeedReport:
@@ -325,16 +327,15 @@ def good_seed_set(g: BipartiteGraph, left_set, right_set, density_threshold: flo
         if est.value < density_threshold:
             break
         # restrict numbers each side's kept vertices in ascending order
-        vec_left = {u: x for u, x in zip(sorted(remaining), est.left.tolist()) if x > 0.0}
+        left = sorted(remaining)
+        vec_left = {u: x for u, x in zip(left, est.left.tolist()) if x > 0.0}
         vec_right = {v: x for v, x in zip(sorted(base.right), est.right.tolist()) if x > 0.0}
-        qualified = [
-            v for v in sorted(remaining)
-            if vec_left.get(v, 0.0) >= min_weight - 1e-12
-        ]
+        qualified = [v for v in left if vec_left.get(v, 0.0) >= min_weight - 1e-12]
         if not qualified:
             break
         batches += 1
-        margin = _certificate_margin(g, vec_left, vec_right, density_threshold)
+        vec = np.concatenate((est.left, est.right))
+        margin = _certificate_margin(_adjacency(h), vec, density_threshold)
         for v in qualified:
             certificates[v] = Certificate(
                 left=vec_left,

@@ -120,6 +120,75 @@ def reference_exact_densest(g, side_cap=20):
     return density(g, left_set, right_set)
 
 
+def reference_edge_weight(g, left_set, right_set):
+    """Crossing weight by walking neighbour lists one vertex at a time.
+
+    Probes from the set with the smaller total fanout, from the left on a
+    tie, and adds the weights one by one in CSR order; referee for
+    edge_weight_between, whose float must match it bit for bit.
+    """
+    sets = {LEFT: frozenset(left_set), RIGHT: frozenset(right_set)}
+    if not sets[LEFT] or not sets[RIGHT]:
+        return 0.0
+    side = min(sets, key=lambda s: sum(g.fanout(s, u) for u in sets[s]))
+    members = sets[RIGHT if side == LEFT else LEFT]
+    total = 0.0
+    for u in sorted(sets[side]):
+        nbr, wt = g.neighbors(side, u)
+        for v, w in zip(nbr.tolist(), wt.tolist()):
+            if v in members:
+                total += w
+    return total
+
+
+def reference_restrict(g, left_set, right_set):
+    """The restriction's ids, CSR lists and total weight, walked per vertex.
+
+    Each side keeps its chosen vertices in ascending index order and each
+    neighbour list keeps the order it has in g.  The total is the numpy sum
+    of the left side's weights in CSR order, the order the graph sums them
+    in.  Returns None when no edge survives; referee for restrict.
+    """
+    chosen = {LEFT: sorted(left_set), RIGHT: sorted(right_set)}
+    renumber = {side: {u: k for k, u in enumerate(vs)} for side, vs in chosen.items()}
+    ids = {
+        LEFT: [g.left_id(u) for u in chosen[LEFT]],
+        RIGHT: [g.right_id(v) for v in chosen[RIGHT]],
+    }
+    csr = {}
+    for side, other in ((LEFT, RIGHT), (RIGHT, LEFT)):
+        ptr, nbrs, wts = [0], [], []
+        for u in chosen[side]:
+            nbr, wt = g.neighbors(side, u)
+            for v, w in zip(nbr.tolist(), wt.tolist()):
+                if v in renumber[other]:
+                    nbrs.append(renumber[other][v])
+                    wts.append(w)
+            ptr.append(len(nbrs))
+        csr[side] = (ptr, nbrs, wts)
+    if not csr[LEFT][2]:
+        return None
+    return ids, csr, float(np.asarray(csr[LEFT][2]).sum())
+
+
+def reference_certificate_margin(g, vec_left, vec_right, threshold):
+    """Smallest slack of (vector times adjacency - threshold * vector) on the
+    support, each slack summed one neighbour at a time in CSR order; referee
+    for Certificate.margin.
+    """
+    worst = math.inf
+    for side, vec, other in ((LEFT, vec_left, vec_right), (RIGHT, vec_right, vec_left)):
+        for u, pu in vec.items():
+            nbr, wt = g.neighbors(side, u)
+            acc = 0.0
+            for v, w in zip(nbr.tolist(), wt.tolist()):
+                pv = other.get(v)
+                if pv is not None:
+                    acc += pv * w
+            worst = min(worst, acc - threshold * pu)
+    return worst
+
+
 def random_bipartite(rng: random.Random, max_left, max_right, weighted=False, min_edges=1):
     nl = rng.randint(1, max_left)
     nr = rng.randint(1, max_right)

@@ -21,7 +21,7 @@ from localdense import (
     restrict,
 )
 
-from conftest import dense_biadjacency, k_ab
+from conftest import dense_biadjacency, k_ab, reference_edge_weight, reference_restrict
 
 
 def test_complete_block_density_closed_form():
@@ -74,6 +74,14 @@ def test_negative_weight_rejected():
         for build in (build_bipartite, from_directed):
             with pytest.raises(NegativeWeight, match="float range"):
                 build(edges)
+
+
+def test_non_numeric_weight_rejected():
+    # a weight that is not a number, or too large for a float, is bad data
+    for weight in ("abc", None, 10**400):
+        for build in (build_bipartite, from_directed):
+            with pytest.raises(NegativeWeight, match="invalid weight"):
+                build([("a", "x", 1.0), ("b", "y", weight)])
 
 
 def test_sides_are_separate_namespaces():
@@ -286,3 +294,42 @@ def test_restricted_accessors_match_dense_matrix(rows, directed, data):
     assume(expected.any())
     h = restrict(g, left, right)
     _check_accessors(h, [left_ids[u] for u in left], [right_ids[v] for v in right], expected)
+
+
+# arc_rows weights have long binary expansions, and rows + rows[::2]
+# repeats pairs: the array code must give the per-vertex referees' floats
+# bit for bit
+@settings(max_examples=200, deadline=None)
+@given(arc_rows, st.booleans(), st.data())
+def test_edge_weight_matches_per_vertex_referee(rows, directed, data):
+    assume(any(w > 0.0 for _, _, w in rows))
+    g = (from_directed if directed else build_bipartite)(rows + rows[::2])
+    every_left, every_right = range(g.left_count), range(g.right_count)
+    left = data.draw(st.sets(st.sampled_from(every_left)))
+    right = data.draw(st.sets(st.sampled_from(every_right)))
+    # part of one side against all of the other probes from the part; the
+    # two whole sides tie and probe from the left
+    pairs = ((left, right), (left, every_right), (every_left, right), (every_left, every_right))
+    for pair in pairs:
+        assert edge_weight_between(g, *pair) == reference_edge_weight(g, *pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arc_rows, st.booleans(), st.data())
+def test_restrict_matches_per_vertex_referee(rows, directed, data):
+    assume(any(w > 0.0 for _, _, w in rows))
+    g = (from_directed if directed else build_bipartite)(rows + rows[::2])
+    left = data.draw(st.sets(st.integers(0, g.left_count - 1)))
+    right = data.draw(st.sets(st.integers(0, g.right_count - 1)))
+    expected = reference_restrict(g, left, right)
+    if expected is None:
+        with pytest.raises(EmptyGraph):
+            restrict(g, left, right)
+        return
+    ids, csr, total = expected
+    h = restrict(g, left, right)
+    assert [h.left_id(k) for k in range(h.left_count)] == ids[LEFT]
+    assert [h.right_id(k) for k in range(h.right_count)] == ids[RIGHT]
+    for side in (LEFT, RIGHT):
+        assert tuple(a.tolist() for a in h.csr_arrays(side)) == csr[side]
+    assert h.total_weight == total

@@ -82,6 +82,20 @@ def test_save_rejects_ids_with_whitespace(tmp_path):
         save_edge_list(bad, tmp_path / "bad.txt")
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [("", "x"), ("#a", "x"), ("a", "#x"), ("a b", "x"), ("a", "x\ty")],
+)
+def test_save_rejects_unreadable_ids_before_writing(tmp_path, left, right):
+    # an empty id shifts the columns, a '#' id reads back as a comment, and
+    # whitespace splits the id: each would load as a different graph
+    bad = build_bipartite([("a0", "x0", 1.0), (left, right, 2.0)])
+    path = tmp_path / "bad.txt"
+    with pytest.raises(ValueError):
+        save_edge_list(bad, path)
+    assert not path.exists()
+
+
 def test_result_record_recomputes(star4):
     res = local_density(star4, "c", target_size=4)
     rec = result_record(star4, res, "local")

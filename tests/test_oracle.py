@@ -34,6 +34,8 @@ from conftest import (
     k_ab,
     naive_densest,
     random_bipartite,
+    reference_certificate_margin,
+    reference_edge_weight,
     reference_exact_densest,
 )
 
@@ -445,6 +447,49 @@ def test_certificates_verify_independently():
             assert cert.left[v] >= min_weight - 1e-12
             checked += 1
     assert checked > 0
+
+
+def weighted_planted(seed):
+    """A planted pair in weighted noise: long binary expansions, repeated rows.
+
+    Returns the graph and the pair's left and right index sets.
+    """
+    rng = random.Random(seed)
+    shape, left, right = generate_planted(
+        n_left=30,
+        n_right=40,
+        noise_edges=rng.randint(20, 120),
+        planted_a=rng.randint(3, 6),
+        planted_b=rng.randint(3, 8),
+        rng_seed=seed,
+    )
+    rows = [
+        (
+            shape.left_id(u),
+            shape.right_id(v),
+            rng.uniform(1.0, 2.0) if u in left and v in right else rng.uniform(0.05, 1.0),
+        )
+        for u, v, _ in shape.edges()
+    ]
+    g = build_bipartite(rows + rng.sample(rows, len(rows) // 4))
+    return (
+        g,
+        g.left_indices(shape.left_id(u) for u in left),
+        g.right_indices(shape.right_id(v) for v in right),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_certificate_margins_match_per_vertex_referee(seed):
+    g, left, right = weighted_planted(seed)
+    theta = density(g, left, right).density / 2.0
+    report = good_seed_set(g, left, right, density_threshold=theta)
+    assert report.good
+    for cert in report.certificates.values():
+        assert cert.margin == reference_certificate_margin(g, cert.left, cert.right, theta)
+    assert report.edge_weight_good == reference_edge_weight(g, report.good, right)
+    assert report.edge_weight_total == reference_edge_weight(g, left, right)
 
 
 def test_good_seeds_are_productive_local_starts():
