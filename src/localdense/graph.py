@@ -5,10 +5,15 @@ tokens) are mapped to dense integer indices per side at construction time;
 everything downstream works with index sets.  Adjacency is stored CSR-style
 in numpy arrays, once per side in a table keyed by the side, with neighbor
 lists sorted by index so that iteration order is reproducible.
+
+Inside the library a vertex set has one form, a sorted, unique int64 index
+array: a function that takes sets validates each one into it once, and
+results carry frozensets of Python ints built from the arrays.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable
@@ -16,6 +21,7 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from .errors import (
+    DomainError,
     EmptyGraph,
     EmptySide,
     NegativeWeight,
@@ -155,10 +161,13 @@ class BipartiteGraph:
         """Resolve an external id to (side, index).
 
         With side=None the left side is searched first; a token present on
-        both sides resolves to its left copy.
+        both sides resolves to its left copy.  Raises DomainError for a side
+        other than LEFT, RIGHT or None.
         """
+        if side not in (LEFT, RIGHT, None):
+            raise DomainError(f"side must be {LEFT!r}, {RIGHT!r} or None, got {side!r}")
         for s in (LEFT, RIGHT) if side is None else (side,):
-            idx = self._index.get(s, {}).get(token)
+            idx = self._index[s].get(token)
             if idx is not None:
                 return (s, idx)
         raise UnknownVertex(f"vertex {token!r} not found" + (f" on side {side}" if side else ""))
@@ -283,17 +292,28 @@ def from_directed(arcs) -> BipartiteGraph:
     return BipartiteGraph(index, index, l_list, r_list, w_list)
 
 
-def _validate_side_set(g: BipartiteGraph, side: str, vertices) -> frozenset:
+def _index_array(g: BipartiteGraph, side: str, vertices) -> np.ndarray:
+    """The members of frozenset(vertices) as a sorted int64 index array.
+
+    Members must be Python or numpy integers, not bools, in [0, side count).
+    Array code checks their types and range; a set it turns down is checked
+    member by member, and the first offender names the SideViolation.
+    """
     vs = frozenset(vertices)
     count = g.side_count(side)
+    # a bool is an int, and an np.timedelta64 an np.integer that np.fromiter
+    # may refuse: both take the member check below
+    ints, bad = (int, np.integer), (bool, np.timedelta64)
+    if all(issubclass(t, ints) and not issubclass(t, bad) for t in set(map(type, vs))):
+        with contextlib.suppress(OverflowError):  # past int64, so out of range
+            arr = np.sort(np.fromiter(vs, dtype=np.int64, count=len(vs)))
+            if not len(arr) or (arr[0] >= 0 and arr[-1] < count):
+                return arr
     for v in vs:
         if not is_int(v) or not 0 <= v < count:
             raise SideViolation(f"index {v!r} is not a valid side-{side} vertex")
-    return vs
-
-
-def _sorted_array(vertices: frozenset) -> np.ndarray:
-    return np.array(sorted(vertices), dtype=np.int64)
+    # in-range np.timedelta64 members: numpy converts or refuses them as before
+    return np.array(sorted(vs), dtype=np.int64)
 
 
 def _crossing(g: BipartiteGraph, side: str, members: np.ndarray, others: np.ndarray):
@@ -310,15 +330,8 @@ def _crossing(g: BipartiteGraph, side: str, members: np.ndarray, others: np.ndar
     return np.repeat(members, fan)[keep], nbrs[pos], wts[pos]
 
 
-def edge_weight_between(g: BipartiteGraph, left_set, right_set) -> float:
-    """Total weight of edges with one endpoint in each set.
-
-    Probes adjacency from whichever set has the smaller total fanout.
-    Empty sets are allowed and contribute zero.
-    """
-    ls = _validate_side_set(g, LEFT, left_set)
-    rs = _validate_side_set(g, RIGHT, right_set)
-    sets = {LEFT: _sorted_array(ls), RIGHT: _sorted_array(rs)}
+def _weight_between(g: BipartiteGraph, left: np.ndarray, right: np.ndarray) -> float:
+    sets = {LEFT: left, RIGHT: right}
     ptr = {s: g.csr_arrays(s)[0] for s in sets}
     # min keeps the first of equal keys, so a tie probes from the left
     side = min(sets, key=lambda s: (ptr[s][sets[s] + 1] - ptr[s][sets[s]]).sum())
@@ -328,18 +341,29 @@ def edge_weight_between(g: BipartiteGraph, left_set, right_set) -> float:
     return float(np.cumsum(w)[-1]) if len(w) else 0.0
 
 
+def edge_weight_between(g: BipartiteGraph, left_set, right_set) -> float:
+    """Total weight of edges with one endpoint in each set.
+
+    Probes adjacency from whichever set has the smaller total fanout.
+    Empty sets are allowed and contribute zero.
+    """
+    return _weight_between(g, _index_array(g, LEFT, left_set), _index_array(g, RIGHT, right_set))
+
+
+def _density(g: BipartiteGraph, left: np.ndarray, right: np.ndarray) -> Subgraph:
+    if not len(left) or not len(right):
+        raise EmptySide("density requires both sets nonempty")
+    e = _weight_between(g, left, right)
+    d = e / math.sqrt(len(left) * len(right))
+    return Subgraph(frozenset(left.tolist()), frozenset(right.tolist()), e, d)
+
+
 def density(g: BipartiteGraph, left_set, right_set) -> Subgraph:
     """Crossing weight over the geometric mean of the set sizes.
 
     Raises EmptySide if either set is empty.
     """
-    ls = _validate_side_set(g, LEFT, left_set)
-    rs = _validate_side_set(g, RIGHT, right_set)
-    if not ls or not rs:
-        raise EmptySide("density requires both sets nonempty")
-    e = edge_weight_between(g, ls, rs)
-    d = e / math.sqrt(len(ls) * len(rs))
-    return Subgraph(ls, rs, e, d)
+    return _density(g, _index_array(g, LEFT, left_set), _index_array(g, RIGHT, right_set))
 
 
 def ratio_density(g: BipartiteGraph, left_set, right_set) -> float:
@@ -347,23 +371,13 @@ def ratio_density(g: BipartiteGraph, left_set, right_set) -> float:
 
     One side may be empty; raises EmptySide only when both are.
     """
-    ls = _validate_side_set(g, LEFT, left_set)
-    rs = _validate_side_set(g, RIGHT, right_set)
-    if not ls and not rs:
+    left, right = _index_array(g, LEFT, left_set), _index_array(g, RIGHT, right_set)
+    if not len(left) and not len(right):
         raise EmptySide("ratio_density requires at least one vertex")
-    return edge_weight_between(g, ls, rs) / (len(ls) + len(rs))
+    return _weight_between(g, left, right) / (len(left) + len(right))
 
 
-def restrict(g: BipartiteGraph, left_set, right_set) -> BipartiteGraph:
-    """Induced subgraph on the chosen sets, keeping only crossing edges.
-
-    Every chosen vertex survives under its original id, including vertices
-    left with no edges; each side's kept vertices are numbered in ascending
-    order of their indices in g.  Raises EmptyGraph if no edge survives.
-    """
-    ls = _validate_side_set(g, LEFT, left_set)
-    rs = _validate_side_set(g, RIGHT, right_set)
-    left, right = _sorted_array(ls), _sorted_array(rs)
+def _restrict(g: BipartiteGraph, left: np.ndarray, right: np.ndarray) -> BipartiteGraph:
     rows, nbr, wt = _crossing(g, LEFT, left, right)
     if not len(wt):
         raise EmptyGraph("restriction removed every edge")
@@ -374,3 +388,13 @@ def restrict(g: BipartiteGraph, left_set, right_set) -> BipartiteGraph:
         np.searchsorted(right, nbr),
         wt,
     )
+
+
+def restrict(g: BipartiteGraph, left_set, right_set) -> BipartiteGraph:
+    """Induced subgraph on the chosen sets, keeping only crossing edges.
+
+    Every chosen vertex survives under its original id, including vertices
+    left with no edges; each side's kept vertices are numbered in ascending
+    order of their indices in g.  Raises EmptyGraph if no edge survives.
+    """
+    return _restrict(g, _index_array(g, LEFT, left_set), _index_array(g, RIGHT, right_set))

@@ -201,8 +201,8 @@ def local_density(
     copy when the token exists on both sides.  target_size caps the sizes of
     the subgraphs the guarantee speaks about.
 
-    Raises UnknownVertex for a missing seed and NoCandidate for an isolated
-    one.
+    Raises UnknownVertex for a missing seed, NoCandidate for an isolated one
+    and DomainError for a side other than "L", "R" or None.
     """
     sched = LocalSchedule.for_target(target_size)
     (run,) = _grow_seeds(g, [(seed, side)], sched, keep_trace)

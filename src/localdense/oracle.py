@@ -21,10 +21,12 @@ from .graph import (
     RIGHT,
     BipartiteGraph,
     Subgraph,
+    _density,
+    _index_array,
+    _restrict,
+    _weight_between,
     density,
-    edge_weight_between,
     is_int,
-    restrict,
 )
 
 __all__ = [
@@ -307,36 +309,36 @@ def good_seed_set(g: BipartiteGraph, left_set, right_set, density_threshold: flo
     """
     if not density_threshold > 0:
         raise DomainError("density threshold must be positive")
-    base = density(g, left_set, right_set)
+    left, right = _index_array(g, LEFT, left_set), _index_array(g, RIGHT, right_set)
+    base = _density(g, left, right)
     if base.density < 2.0 * density_threshold:
         raise PreconditionFailed(
             f"pair density {base.density:g} is below twice the threshold {density_threshold:g}"
         )
-    min_weight = 1.0 / math.sqrt(2.0 * len(base.left))
-    remaining = set(base.left)
-    good: list[int] = []
+    min_weight = 1.0 / math.sqrt(2.0 * len(left))
+    remaining = left
     certificates: dict = {}
     batches = 0
 
-    while remaining:
+    while len(remaining):
         try:
-            h = restrict(g, remaining, base.right)
+            h = _restrict(g, remaining, right)
         except EmptyGraph:
             break
         est = top_eigenvalue(h)
         if est.value < density_threshold:
             break
-        # restrict numbers each side's kept vertices in ascending order
-        left = sorted(remaining)
-        vec_left = {u: x for u, x in zip(left, est.left.tolist()) if x > 0.0}
-        vec_right = {v: x for v, x in zip(sorted(base.right), est.right.tolist()) if x > 0.0}
-        qualified = [v for v in left if vec_left.get(v, 0.0) >= min_weight - 1e-12]
-        if not qualified:
+        # restrict numbers each side's kept vertices in ascending order, so
+        # est.left lines up with remaining and est.right with right
+        picked = est.left >= min_weight - 1e-12
+        if not picked.any():
             break
         batches += 1
+        vec_left = {u: x for u, x in zip(remaining.tolist(), est.left.tolist()) if x > 0.0}
+        vec_right = {v: x for v, x in zip(right.tolist(), est.right.tolist()) if x > 0.0}
         vec = np.concatenate((est.left, est.right))
         margin = _certificate_margin(_adjacency(h), vec, density_threshold)
-        for v in qualified:
+        for v in remaining[picked].tolist():
             certificates[v] = Certificate(
                 left=vec_left,
                 right=vec_right,
@@ -345,13 +347,12 @@ def good_seed_set(g: BipartiteGraph, left_set, right_set, density_threshold: flo
                 eigenvalue=est.value,
                 residual=est.residual,
             )
-            good.append(v)
-            remaining.discard(v)
+        remaining = remaining[~picked]
 
-    e_good = edge_weight_between(g, frozenset(good), base.right) if good else 0.0
+    e_good = _weight_between(g, np.setdiff1d(left, remaining, assume_unique=True), right)
     coverage = e_good / base.edge_weight if base.edge_weight > 0 else 0.0
     return GoodSeedReport(
-        good=frozenset(good),
+        good=frozenset(certificates),
         certificates=certificates,
         coverage=coverage,
         edge_weight_good=e_good,

@@ -1,3 +1,4 @@
+import enum
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from localdense import (
     LEFT,
     RIGHT,
+    BipartiteGraph,
     EmptyGraph,
     EmptySide,
     NegativeWeight,
@@ -114,6 +116,88 @@ def test_ratio_density_one_side_may_be_empty():
     assert ratio_density(g, {0}, set()) == 0.0
     with pytest.raises(EmptySide):
         ratio_density(g, set(), set())
+
+
+# left 3, right 4: every pair but (l1, r0), weighted by position
+def _graded_graph():
+    return build_bipartite(
+        (f"l{i}", f"r{j}", 1.0 + i + 2 * j) for i in range(3) for j in range(4) if (i, j) != (1, 0)
+    )
+
+
+_SET_FUNCTIONS = (density, ratio_density, edge_weight_between, restrict)
+
+
+def _comparable(out):
+    """restrict's graph as its ids, CSR lists and total; other results as they are."""
+    if not isinstance(out, BipartiteGraph):
+        return out
+    ids = (
+        [out.left_id(k) for k in range(out.left_count)],
+        [out.right_id(k) for k in range(out.right_count)],
+    )
+    csr = [[a.tolist() for a in out.csr_arrays(side)] for side in (LEFT, RIGHT)]
+    return ids, csr, out.total_weight
+
+
+class _Index(enum.IntEnum):
+    ZERO = 0
+    TWO = 2
+
+
+# (left, right, side, offender): the message names the first offender in
+# frozenset order, with its repr (numpy scalars print differently across
+# numpy versions)
+_REJECTED = [
+    ([True], [0], LEFT, True),
+    ([np.True_], [0], LEFT, np.True_),
+    ([1.0], [0], LEFT, 1.0),
+    ([None], [0], LEFT, None),
+    (["1"], [0], LEFT, "1"),
+    ([-1], [0], LEFT, -1),
+    ([3], [0], LEFT, 3),
+    ([0], [4], RIGHT, 4),
+    ([2**70], [0], LEFT, 2**70),
+    ([np.uint64(2**64 - 1)], [0], LEFT, np.uint64(2**64 - 1)),
+    ([np.int8(-3)], [0], LEFT, np.int8(-3)),
+    ({0, 2**63}, [0], LEFT, 2**63),
+    ([5, -1, 2**70, 1.0, 0], [0], LEFT, 2**70),
+    ([2, True, 7.5], [0], LEFT, True),
+    ([True, 1], [0], LEFT, True),
+    ([0], [1, np.int64(-2)], RIGHT, np.int64(-2)),
+    ([np.timedelta64(5, "s")], [0], LEFT, np.timedelta64(5, "s")),
+]
+
+
+@pytest.mark.parametrize("left, right, side, offender", _REJECTED)
+def test_invalid_vertex_sets_raise_the_same_error(left, right, side, offender):
+    g = _graded_graph()
+    for fn in _SET_FUNCTIONS:
+        with pytest.raises(SideViolation) as info:
+            fn(g, left, right)
+        message = f"index {offender!r} is not a valid side-{side} vertex"
+        assert str(info.value) == message, fn.__name__
+
+
+# (left, right, the same sets as plain ints)
+_ACCEPTED = [
+    ([_Index.ZERO, _Index.TWO], [_Index.TWO], [0, 2], [2]),
+    (np.array([2, 0], dtype=np.uint8), np.array([3, 1], dtype=np.int32), [0, 2], [1, 3]),
+    (np.array([0, 1, 2], dtype=np.int64), np.arange(4), [0, 1, 2], [0, 1, 2, 3]),
+    ([2, 0, 2, 0], [1, 1, 3], [0, 2], [1, 3]),
+    # one-shot iterators, drawn afresh for every call
+    (lambda: iter([2, 1]), lambda: (v for v in (0, 3)), [1, 2], [0, 3]),
+    # frozenset([1, True]) is {1}: True collapses into the valid 1
+    ([1, True], [1], [1], [1]),
+]
+
+
+@pytest.mark.parametrize("left, right, plain_left, plain_right", _ACCEPTED)
+def test_integer_like_vertex_sets_match_plain_ints(left, right, plain_left, plain_right):
+    g = _graded_graph()
+    for fn in _SET_FUNCTIONS:
+        got = fn(g, *(s() if callable(s) else s for s in (left, right)))
+        assert _comparable(got) == _comparable(fn(g, plain_left, plain_right)), fn.__name__
 
 
 def test_from_directed_three_cycle():
@@ -310,7 +394,8 @@ def test_edge_weight_matches_per_vertex_referee(rows, directed, data):
     # part of one side against all of the other probes from the part; the
     # two whole sides tie and probe from the left
     pairs = ((left, right), (left, every_right), (every_left, right), (every_left, every_right))
-    for pair in pairs:
+    as_arrays = (np.array(sorted(left), dtype=np.int64), np.array(sorted(right), dtype=np.int64))
+    for pair in (*pairs, as_arrays):
         assert edge_weight_between(g, *pair) == reference_edge_weight(g, *pair)
 
 
@@ -321,15 +406,17 @@ def test_restrict_matches_per_vertex_referee(rows, directed, data):
     g = (from_directed if directed else build_bipartite)(rows + rows[::2])
     left = data.draw(st.sets(st.integers(0, g.left_count - 1)))
     right = data.draw(st.sets(st.integers(0, g.right_count - 1)))
+    as_arrays = (np.array(sorted(left), dtype=np.int64), np.array(sorted(right), dtype=np.int64))
     expected = reference_restrict(g, left, right)
     if expected is None:
-        with pytest.raises(EmptyGraph):
-            restrict(g, left, right)
+        for pair in ((left, right), as_arrays):
+            with pytest.raises(EmptyGraph):
+                restrict(g, *pair)
         return
     ids, csr, total = expected
-    h = restrict(g, left, right)
-    assert [h.left_id(k) for k in range(h.left_count)] == ids[LEFT]
-    assert [h.right_id(k) for k in range(h.right_count)] == ids[RIGHT]
-    for side in (LEFT, RIGHT):
-        assert tuple(a.tolist() for a in h.csr_arrays(side)) == csr[side]
-    assert h.total_weight == total
+    for h in (restrict(g, left, right), restrict(g, *as_arrays)):
+        assert [h.left_id(k) for k in range(h.left_count)] == ids[LEFT]
+        assert [h.right_id(k) for k in range(h.right_count)] == ids[RIGHT]
+        for side in (LEFT, RIGHT):
+            assert tuple(a.tolist() for a in h.csr_arrays(side)) == csr[side]
+        assert h.total_weight == total

@@ -99,6 +99,11 @@ def test_unknown_seed_raises(star4):
         local_density(star4, "w", target_size=4, side="L")
 
 
+def test_unknown_side_is_a_domain_error(star4):
+    with pytest.raises(DomainError, match="'left'"):
+        local_density(star4, star4.left_id(0), target_size=4, side="left")
+
+
 def test_isolated_seed_raises():
     g = from_directed([("a", "b", 1.0)])
     # "b" resolves to its left copy first, which has no outgoing edges

@@ -383,6 +383,18 @@ def test_good_seeds_on_complete_block():
     assert cert.vertex_value >= 1 / math.sqrt(6) - 1e-12
 
 
+def test_result_sets_hold_python_ints():
+    g = k_ab(3, 3)
+    sub = density(g, np.array([0, 1]), np.array([0], dtype=np.uint8))
+    report = good_seed_set(g, np.arange(3), np.arange(3), density_threshold=1.5)
+    cert = report.certificates[0]
+    for members in (sub.left, sub.right, report.good, report.certificates, cert.left, cert.right):
+        assert {type(v) for v in members} == {int}
+        json.dumps(sorted(members))
+    assert sub == density(g, {0, 1}, {0})
+    assert report.good == frozenset({0, 1, 2})
+
+
 def test_good_seeds_validation():
     g = k_ab(2, 2)
     with pytest.raises(DomainError):
