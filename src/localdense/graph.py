@@ -2,18 +2,14 @@
 
 A graph has a left side and a right side.  External vertex ids (any hashable
 tokens) are mapped to dense integer indices per side at construction time;
-everything downstream works with index sets.  Adjacency is stored CSR-style
+everything downstream works with index sets, each validated once per call
+into one form, a sorted, unique int64 array.  Adjacency is stored CSR-style
 in numpy arrays, once per side in a table keyed by the side, with neighbor
 lists sorted by index so that iteration order is reproducible.
-
-Inside the library a vertex set has one form, a sorted, unique int64 index
-array: a function that takes sets validates each one into it once, and
-results carry frozensets of Python ints built from the arrays.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable
@@ -47,8 +43,8 @@ def is_int(value) -> bool:
 class Subgraph:
     """A vertex pair (left, right) together with its crossing weight and density.
 
-    density is edge_weight / sqrt(|left| * |right|); both sets are index sets
-    of the graph the subgraph was measured on.
+    density is edge_weight / sqrt(|left| * |right|); both sets hold Python
+    int indices into the graph the subgraph was measured on.
     """
 
     left: frozenset
@@ -161,8 +157,7 @@ class BipartiteGraph:
         """Resolve an external id to (side, index).
 
         With side=None the left side is searched first; a token present on
-        both sides resolves to its left copy.  Raises DomainError for a side
-        other than LEFT, RIGHT or None.
+        both sides resolves to its left copy; any other side raises DomainError.
         """
         if side not in (LEFT, RIGHT, None):
             raise DomainError(f"side must be {LEFT!r}, {RIGHT!r} or None, got {side!r}")
@@ -293,27 +288,13 @@ def from_directed(arcs) -> BipartiteGraph:
 
 
 def _index_array(g: BipartiteGraph, side: str, vertices) -> np.ndarray:
-    """The members of frozenset(vertices) as a sorted int64 index array.
-
-    Members must be Python or numpy integers, not bools, in [0, side count).
-    Array code checks their types and range; a set it turns down is checked
-    member by member, and the first offender names the SideViolation.
-    """
+    """frozenset(vertices) as a sorted int64 array; its first bad member raises SideViolation."""
     vs = frozenset(vertices)
     count = g.side_count(side)
-    # a bool is an int, and an np.timedelta64 an np.integer that np.fromiter
-    # may refuse: both take the member check below
-    ints, bad = (int, np.integer), (bool, np.timedelta64)
-    if all(issubclass(t, ints) and not issubclass(t, bad) for t in set(map(type, vs))):
-        with contextlib.suppress(OverflowError):  # past int64, so out of range
-            arr = np.sort(np.fromiter(vs, dtype=np.int64, count=len(vs)))
-            if not len(arr) or (arr[0] >= 0 and arr[-1] < count):
-                return arr
     for v in vs:
         if not is_int(v) or not 0 <= v < count:
             raise SideViolation(f"index {v!r} is not a valid side-{side} vertex")
-    # in-range np.timedelta64 members: numpy converts or refuses them as before
-    return np.array(sorted(vs), dtype=np.int64)
+    return np.sort(np.fromiter(vs, dtype=np.int64, count=len(vs)))
 
 
 def _crossing(g: BipartiteGraph, side: str, members: np.ndarray, others: np.ndarray):
@@ -350,20 +331,17 @@ def edge_weight_between(g: BipartiteGraph, left_set, right_set) -> float:
     return _weight_between(g, _index_array(g, LEFT, left_set), _index_array(g, RIGHT, right_set))
 
 
-def _density(g: BipartiteGraph, left: np.ndarray, right: np.ndarray) -> Subgraph:
-    if not len(left) or not len(right):
-        raise EmptySide("density requires both sets nonempty")
-    e = _weight_between(g, left, right)
-    d = e / math.sqrt(len(left) * len(right))
-    return Subgraph(frozenset(left.tolist()), frozenset(right.tolist()), e, d)
-
-
 def density(g: BipartiteGraph, left_set, right_set) -> Subgraph:
     """Crossing weight over the geometric mean of the set sizes.
 
     Raises EmptySide if either set is empty.
     """
-    return _density(g, _index_array(g, LEFT, left_set), _index_array(g, RIGHT, right_set))
+    left, right = _index_array(g, LEFT, left_set), _index_array(g, RIGHT, right_set)
+    if not len(left) or not len(right):
+        raise EmptySide("density requires both sets nonempty")
+    e = _weight_between(g, left, right)
+    d = e / math.sqrt(len(left) * len(right))
+    return Subgraph(frozenset(left.tolist()), frozenset(right.tolist()), e, d)
 
 
 def ratio_density(g: BipartiteGraph, left_set, right_set) -> float:
@@ -377,7 +355,14 @@ def ratio_density(g: BipartiteGraph, left_set, right_set) -> float:
     return _weight_between(g, left, right) / (len(left) + len(right))
 
 
-def _restrict(g: BipartiteGraph, left: np.ndarray, right: np.ndarray) -> BipartiteGraph:
+def restrict(g: BipartiteGraph, left_set, right_set) -> BipartiteGraph:
+    """Induced subgraph on the chosen sets, keeping only crossing edges.
+
+    Every chosen vertex survives under its original id, including vertices
+    left with no edges; each side's kept vertices are numbered in ascending
+    order of their indices in g.  Raises EmptyGraph if no edge survives.
+    """
+    left, right = _index_array(g, LEFT, left_set), _index_array(g, RIGHT, right_set)
     rows, nbr, wt = _crossing(g, LEFT, left, right)
     if not len(wt):
         raise EmptyGraph("restriction removed every edge")
@@ -388,13 +373,3 @@ def _restrict(g: BipartiteGraph, left: np.ndarray, right: np.ndarray) -> Biparti
         np.searchsorted(right, nbr),
         wt,
     )
-
-
-def restrict(g: BipartiteGraph, left_set, right_set) -> BipartiteGraph:
-    """Induced subgraph on the chosen sets, keeping only crossing edges.
-
-    Every chosen vertex survives under its original id, including vertices
-    left with no edges; each side's kept vertices are numbered in ascending
-    order of their indices in g.  Raises EmptyGraph if no edge survives.
-    """
-    return _restrict(g, _index_array(g, LEFT, left_set), _index_array(g, RIGHT, right_set))

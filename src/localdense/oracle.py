@@ -21,12 +21,10 @@ from .graph import (
     RIGHT,
     BipartiteGraph,
     Subgraph,
-    _density,
-    _index_array,
-    _restrict,
-    _weight_between,
     density,
+    edge_weight_between,
     is_int,
+    restrict,
 )
 
 __all__ = [
@@ -127,8 +125,7 @@ def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
 
     members = [u for u in range(small) if best_mask >> u & 1]
     incident = mat[members].sum(axis=0)
-    order = np.lexsort((np.arange(other), -incident))
-    partner = sorted(order[: best_k + 1].tolist())
+    partner = np.lexsort((np.arange(other), -incident))[: best_k + 1]
     return density(g, *((partner, members) if flip else (members, partner)))
 
 
@@ -309,20 +306,19 @@ def good_seed_set(g: BipartiteGraph, left_set, right_set, density_threshold: flo
     """
     if not density_threshold > 0:
         raise DomainError("density threshold must be positive")
-    left, right = _index_array(g, LEFT, left_set), _index_array(g, RIGHT, right_set)
-    base = _density(g, left, right)
+    base = density(g, left_set, right_set)
     if base.density < 2.0 * density_threshold:
         raise PreconditionFailed(
             f"pair density {base.density:g} is below twice the threshold {density_threshold:g}"
         )
-    min_weight = 1.0 / math.sqrt(2.0 * len(left))
-    remaining = left
+    min_weight = 1.0 / math.sqrt(2.0 * len(base.left))
+    remaining, right = (np.array(sorted(s), dtype=np.int64) for s in (base.left, base.right))
     certificates: dict = {}
     batches = 0
 
     while len(remaining):
         try:
-            h = _restrict(g, remaining, right)
+            h = restrict(g, remaining, right)
         except EmptyGraph:
             break
         est = top_eigenvalue(h)
@@ -349,10 +345,11 @@ def good_seed_set(g: BipartiteGraph, left_set, right_set, density_threshold: flo
             )
         remaining = remaining[~picked]
 
-    e_good = _weight_between(g, np.setdiff1d(left, remaining, assume_unique=True), right)
+    good = frozenset(certificates)
+    e_good = edge_weight_between(g, good, right) if good else 0.0
     coverage = e_good / base.edge_weight if base.edge_weight > 0 else 0.0
     return GoodSeedReport(
-        good=frozenset(certificates),
+        good=good,
         certificates=certificates,
         coverage=coverage,
         edge_weight_good=e_good,
