@@ -75,7 +75,8 @@ class LevelVector:
     @property
     def level_count(self) -> int:
         """Number of distinct exponents, i.e. of nonempty level sets."""
-        return len(np.unique(self.exps))
+        # np.unique would import numpy.ma on numpy 2 (about 1.2 MB)
+        return len(set(self.exps.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, LevelVector):

@@ -46,27 +46,76 @@ __all__ = [
 # enough subsets to spread its fixed cost
 _BLOCK_ENTRIES = 1 << 14
 
+# The pruning margin is 1 + _ROUNDING * (partner count + smaller side squared
+# + 2), 16 unit roundoffs per count.  A scored density and its subset's bound
+# together stray from their exact values by at most three per count.
+_ROUNDING = 2.0**-49
+
+
+def _norm_bounds(mat: np.ndarray, top: float) -> np.ndarray:
+    """||r|| / sqrt(|S|) for every subset S of mat's rows, by bitmask.
+
+    r is the sum of the rows in S.  ||r||^2 is 1_S^T G 1_S for the rows'
+    Gram matrix G, here of the rows divided by top, the largest weight, so
+    that no square overflows.  Each mask's value comes from the mask without
+    its highest row j, q(S + j) = q(S) + 2 sum_{i in S} G_ij + G_jj, and the
+    sums over S are built by the same doubling, in the slots q(S + j) takes.
+    """
+    small = len(mat)
+    scaled = mat / top
+    gram = scaled @ scaled.T
+    q = np.zeros(1 << small)
+    counts = np.zeros(1 << small, dtype=np.uint8)
+    for j in range(small):
+        dst = q[1 << j : 2 << j]
+        for i in range(j):
+            np.add(dst[: 1 << i], gram[i, j], out=dst[1 << i : 2 << i])
+        dst *= 2.0
+        dst += q[: 1 << j]
+        dst += gram[j, j]
+        np.add(counts[: 1 << j], 1, out=counts[1 << j : 2 << j])
+    counts[0] = 1
+    q /= counts
+    np.sqrt(q, out=q)
+    q *= top
+    return q
+
 
 def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
     """Maximize density over all vertex-set pairs by enumerating one side.
 
-    Every subset of the smaller side is tried; for a fixed subset the best
-    partner of each size is formed greedily from the vertices with the
+    Every subset of the smaller side is a candidate; for a fixed subset the
+    best partner of each size is formed greedily from the vertices with the
     largest incident weight into the subset, which is optimal because the
     denominator depends only on the partner's size.  Ties are broken toward
     the subset enumerated first (in increasing bitmask order) and then the
     smaller partner.
 
-    Subsets are scored a block at a time.  A table holds the incident-weight
-    rows of every subset of the lowest few vertices; each block adds the
-    rows of one combination of the remaining vertices to a copy of it.  Rows
-    are added in ascending vertex order, so every incident vector is
-    bit-for-bit the sum mat[members].sum(axis=0) would give, and the block
-    then sorts, accumulates and scores all its subsets in a few array calls.
-    The block height is chosen from the partner side's width so that each
-    buffer holds about 2**14 floats (at least two rows).  Memory is the dense
-    smaller-side-by-partner matrix, a denominator table of the same size and
-    a handful of block buffers, whatever the number of subsets.
+    Most subsets are ruled out unscored.  By Cauchy-Schwarz, k partners take
+    at most sqrt(k) ||r|| of a subset's incident row r, so its density is at
+    most ||r|| / sqrt(|S|); the bounds of all subsets come from the Gram
+    matrix of the smaller side's rows, with no incident row formed.  The
+    subset of largest bound is scored first, and its density becomes the
+    threshold.  A subset is skipped only when its bound times a margin is
+    strictly below the threshold.  The margin covers every rounding in the
+    bound and in the density the subset would score, so a skipped subset
+    scores strictly less than the threshold subset: it can neither win nor
+    tie.  The margin is relative, so when some weight is too small or too
+    spread, or the weights' total too large, for every square, density and
+    prefix sum to be a normal float, every subset is scored.
+
+    The threshold subset is scored on its own, then the kept subsets a block
+    at a time, in increasing mask order.  A table holds the incident rows of
+    every subset of the lowest few vertices; a block takes its subsets' rows
+    from it and adds the rows of one combination of the remaining vertices.
+    Rows are added in ascending vertex order, so every incident vector is
+    bit-for-bit the sum mat[members].sum(axis=0) would give, and a block then
+    sorts, accumulates and scores its rows in a few array calls.  The block
+    height is chosen from the partner side's width so that each buffer holds
+    about 2**14 floats (at least two rows).  Memory is the dense
+    smaller-side-by-partner matrix, a denominator table of the same size, a
+    handful of block buffers, and one float per subset for the bounds (8 MB
+    at a side of 20).
 
     Raises DomainError when side_cap is not an integer of at least one, and
     TooLarge when the smaller side exceeds side_cap.
@@ -93,23 +142,22 @@ def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
     scale = np.sqrt(np.arange(small + 1.0)[:, None] * np.arange(1.0, other + 1))
 
     # table[m] is the incident row of low-bit mask m, summed in ascending
-    # vertex order; with two rows or more the first block still has a subset
-    # once the empty one is skipped
+    # vertex order
     low = min(small, max(1, (_BLOCK_ENTRIES // other).bit_length() - 1))
     table = np.zeros((1 << low, other))
     for j in range(low):
         table[1 << j : 2 << j] = table[: 1 << j] + mat[j]
     low_counts = np.array([m.bit_count() for m in range(1 << low)])
 
-    block = np.empty_like(table)
-    best_d, best_mask, best_k = -math.inf, 0, 0
-    for high in range(1 << (small - low)):
-        np.copyto(block, table)
+    # the first maximum (position, partner count - 1, density) over masks
+    # that share one high part
+    def score(masks):
+        high = int(masks[0]) >> low
+        part = masks - (high << low)
+        rows = table[part]
         high_rows = [low + j for j in range(small - low) if high >> j & 1]
         for u in high_rows:
-            block += mat[u]
-        first = 0 if high else 1  # skip the empty subset
-        rows = block[first:]
+            rows += mat[u]
         # sorting the negated rows puts the largest weights first; tied
         # weights give the same prefix sums whichever of them comes first
         rows *= -1
@@ -117,11 +165,30 @@ def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
         # negated densities: the flat argmin is the first subset, then the
         # smallest partner
         neg = np.cumsum(rows, axis=1)
-        neg /= scale[low_counts[first:] + len(high_rows)]
+        neg /= scale[low_counts[part] + len(high_rows)]
         r, k = divmod(int(neg.argmin()), other)
-        d = -float(neg[r, k])
+        return r, k, -float(neg[r, k])
+
+    # the margin is relative: it holds while every scaled square, density
+    # and prefix sum is a normal float
+    top, least = float(wt.max()), g.min_weight
+    if least >= 2.0**-500 * top and least >= 2.0**-900 and float(wt.sum()) < 2.0**1020:
+        bound = _norm_bounds(mat, top)
+        threshold = score(bound.argmax(keepdims=True))[2]
+        bound *= 1.0 + _ROUNDING * (other + small * small + 2)
+        # the empty subset's bound is 0, below any graph's threshold
+        masks = np.flatnonzero(bound >= threshold)
+        del bound
+    else:
+        masks = np.arange(1, 1 << small)
+
+    starts = np.searchsorted(masks, np.arange((1 << (small - low)) + 1) << low)
+    best_d, best_mask, best_k = -math.inf, 0, 0
+    for high in np.flatnonzero(np.diff(starts)).tolist():
+        kept = masks[starts[high] : starts[high + 1]]
+        r, k, d = score(kept)
         if d > best_d:
-            best_d, best_mask, best_k = d, (high << low) + first + r, k
+            best_d, best_mask, best_k = d, int(kept[r]), k
 
     members = [u for u in range(small) if best_mask >> u & 1]
     incident = mat[members].sum(axis=0)

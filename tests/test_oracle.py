@@ -95,6 +95,45 @@ def test_exact_tie_between_block_and_union_prefers_lower_mask():
         assert sub.right == frozenset({0, 1})
 
 
+@pytest.mark.parametrize("weight", [1.0, 0.1, 0.7])
+def test_exact_scores_every_subset_when_all_tie(weight):
+    # fourteen disjoint equal stars of four leaves: every union of m stars
+    # scores 4 m w / sqrt(m * 4 m) = 2 w, and its bound is the same value, so
+    # no subset may be pruned.  At weight 1 every value is exact and mask 1
+    # wins; at 0.1 and 0.7 rounding alone orders the bounds and densities
+    g = build_bipartite(
+        (f"c{i:02}", f"l{i:02}.{j}", weight) for i in range(14) for j in range(4)
+    )
+    sub = exact_densest(g)
+    ref = reference_exact_densest(g)
+    assert (sub.left, sub.right) == (ref.left, ref.right)
+    if weight == 1.0:
+        assert sub.left == frozenset({0})
+    assert sub.density.hex() == ref.density.hex()
+    assert sub.edge_weight.hex() == ref.edge_weight.hex()
+
+
+@pytest.mark.parametrize("rounding", [oracle._ROUNDING, 0.0])
+@pytest.mark.parametrize("star_first", [True, False])
+def test_exact_threshold_ties_keep_first_mask(monkeypatch, rounding, star_first):
+    # the star {a} (four edges of weight 1) and {b} (edges of weight 2 and
+    # 0.25) both score exactly 2.0, but b's bound is larger, so b sets the
+    # threshold.  When a comes first its bound equals the threshold exactly:
+    # it must be kept and win the tie.  When a comes later it ties the
+    # threshold subset and must not replace it.  Every value here is exact,
+    # so with no rounding slack the strict comparison alone keeps the tie.
+    monkeypatch.setattr(oracle, "_ROUNDING", rounding)
+    a = [("a", f"x{j}", 1.0) for j in range(4)]
+    b = [("b", "y0", 2.0), ("b", "y1", 0.25)]
+    g = build_bipartite(a + b if star_first else b + a)
+    sub = exact_densest(g)
+    ref = reference_exact_densest(g)
+    assert sub.density == 2.0
+    assert {g.left_id(u) for u in sub.left} == {"a" if star_first else "b"}
+    assert (sub.left, sub.right) == (ref.left, ref.right)
+    assert sub.density.hex() == ref.density.hex()
+
+
 def test_exact_finds_optimum_without_low_vertices():
     # at this width a block covers the subsets of the five lowest vertices,
     # so mask 96 = {5, 6} is the first subset of its block
@@ -149,6 +188,9 @@ def exact_case(rng, small, width, weights, small_on_left):
             # sums that tie in exact arithmetic, where rounding decides
             return rng.choice((0.1, 0.2, 0.3, 0.7))
         w = rng.uniform(0.1, 3.0)
+        if weights == "huge":
+            # squares overflow unless the bounds scale them down first
+            return w * 1e300
         return w * 1e-320 if weights == "subnormal" and rng.random() < 0.5 else w
 
     wt = {(u, rng.randrange(width)): weight() for u in range(small)}
@@ -182,7 +224,7 @@ def exact_case(rng, small, width, weights, small_on_left):
         st.tuples(st.integers(1, 12), st.integers(1, 64)),
         st.tuples(st.integers(1, 7), st.integers(1000, 4100)),
     ),
-    st.sampled_from(["unit", "integer", "decimal", "float", "subnormal"]),
+    st.sampled_from(["unit", "integer", "decimal", "float", "subnormal", "huge"]),
     st.booleans(),
 )
 def test_exact_matches_per_mask_referee(seed, shape, weights, small_on_left):
@@ -196,17 +238,29 @@ def test_exact_matches_per_mask_referee(seed, shape, weights, small_on_left):
     assert ours.density.hex() == ref.density.hex()
 
 
-def test_exact_search_memory_stays_per_block():
-    # the full table of 2**14 incident rows would take 131 MB here
-    g, _, _ = generate_planted(14, 1000, 4000, 12, 40, 0.5, rng_seed=1)
+def exact_peak_memory(g):
     exact_densest(g)
     tracemalloc.start()
     try:
         exact_densest(g)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20, peak
+
+
+def test_exact_search_memory_stays_per_block():
+    # the full table of 2**14 incident rows would take 131 MB here
+    g, _, _ = generate_planted(14, 1000, 4000, 12, 40, 0.5, rng_seed=1)
+    peak = exact_peak_memory(g)
+    assert peak <= 2**20, peak
+
+
+def test_exact_search_memory_at_the_side_cap():
+    # one float per subset for the bounds, 8 MB at a side of 20: at most
+    # two arrays of that size may be held at once
+    g, _, _ = generate_planted(20, 40, 120, 6, 8, 0.5, rng_seed=7)
+    peak = exact_peak_memory(g)
+    assert peak <= 16 * 2**20, peak
 
 
 def test_exact_agrees_with_full_enumeration():
@@ -344,22 +398,32 @@ def test_eigenvalue_unconverged_when_rounds_run_out(monkeypatch):
 _SCIPY_PROBE = """
 import json, sys
 import localdense
+from localdense.verify import run_verification
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 loaded = {"import": scipy_modules()}
-g, _, _ = localdense.generate_planted(6, 9, 20, 3, 3, rng_seed=1)
+g, left, right = localdense.generate_planted(6, 9, 20, 3, 3, rng_seed=1)
 localdense.top_eigenvalue(g)
 localdense.exact_densest(g)
 loaded["oracles"] = scipy_modules()
+# numpy 1.x loads numpy.ma with numpy itself: count what verify adds
+before = set(sys.modules)
+planted = ([g.left_id(u) for u in sorted(left)], [g.right_id(v) for v in sorted(right)])
+run_verification(g, planted=planted)
+loaded["verify"] = sorted(
+    m for m in set(sys.modules) - before
+    if m.split(".")[0] == "scipy" or m.startswith("numpy.ma")
+)
 print(json.dumps(loaded))
 """
 
 
 def test_package_loads_no_scipy():
     # numpy is the only runtime dependency: importing the package and running
-    # both matrix oracles must not load scipy, even where it is installed
+    # both matrix oracles must not load scipy, even where it is installed, and
+    # a verify run must not load numpy.ma either (1.2 MB of memory)
     src = os.path.dirname(os.path.dirname(localdense.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -368,7 +432,7 @@ def test_package_loads_no_scipy():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"import": [], "oracles": []}
+    assert json.loads(proc.stdout) == {"import": [], "oracles": [], "verify": []}
 
 
 def test_good_seeds_on_complete_block():
