@@ -93,6 +93,8 @@ class BipartiteGraph:
         if math.isinf(total):
             raise NegativeWeight("edge weights sum past the float range")
 
+        # np.unique leaves the pairs in (left, right) order, so a stable sort
+        # of a side's own column gives (vertex, neighbor) order
         self._ids, self._index, self._csr = {}, {}, {}
         degrees, fanouts = [], []
         for side, index, rows, cols in (
@@ -101,7 +103,7 @@ class BipartiteGraph:
         ):
             self._index[side] = index
             ids = self._ids[side] = tuple(index)
-            order = np.lexsort((cols, rows))
+            order = np.argsort(rows, kind="stable")
             counts = np.bincount(rows, minlength=len(ids))
             self._csr[side] = (np.concatenate(([0], np.cumsum(counts))), cols[order], w_arr[order])
             degrees.append(np.bincount(rows, weights=w_arr, minlength=len(ids)).max(initial=0.0))

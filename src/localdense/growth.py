@@ -22,6 +22,8 @@ allocated.  A lane never sees another: each of its sums runs over its own
 terms in the order a batch of one would use, so every lane's outcome equals
 that of its start run alone, to the bit.  A lane leaves the batch when its
 run stops, or when it overflows: one result per start, errors included.
+The norms of truncated vectors are computed only for traces, whose vectors
+are views into their step's batch arrays.
 """
 
 from __future__ import annotations
@@ -287,7 +289,10 @@ def run_pruned_growth(
     that prunes to zero still contributes its level pairs.  A run stops
     early, without taking the step, when the vector has no incident edges or
     every product entry underflows to zero.  Ties between level pairs prefer
-    the smallest (i, j).
+    the smallest (i, j).  With keep_trace each outcome lists a StepRecord
+    per step; only then are the truncated vectors' norms computed, and a
+    record's vectors are views that pin its step's batch arrays, those of
+    every lane that took the step.
 
     One result per start, errors included: a lane whose product entry or
     norm overflows leaves the batch, and its outcome is that NegativeEntry.
@@ -319,7 +324,7 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
 
     The working vectors of the lanes still running are held as one
     (slot, index, exps) triple of arrays sorted by (slot, index), where slot
-    k is lane active[k]; each lane's norm is norm[slot].
+    k is lane active[k]; a trace keeps each lane's last norm in x_norms.
     """
     lanes = len(starts)
     best: list = [None] * lanes  # (t, i, j, x set, y set, weight, density, x side)
@@ -329,12 +334,12 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
     stopped = np.zeros(lanes, dtype=bool)
     failed: list = [None] * lanes
     traces = [[] for _ in starts] if keep_trace else None
+    x_norms = [float(start.norm) for start in starts] if keep_trace else None
 
     active = np.arange(lanes)
     slot = np.repeat(active, [start.support_size for start in starts])
     index = np.concatenate([start.index for start in starts]).astype(np.int64)
     exps = np.concatenate([start.exps for start in starts]).astype(np.int64)
-    norm = np.array([start.norm for start in starts], dtype=np.float64)
     x_side = side
     # every level id below comes from a bincount over the exponent span,
     # which the float range keeps under 2100
@@ -371,8 +376,7 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
             ok = ~fail
             x_ok = ok[slot]
             slot = (np.cumsum(ok) - 1)[slot[x_ok]]
-            index, exps = index[x_ok], exps[x_ok]
-            norm, active = norm[ok], active[ok]
+            index, exps, active = index[x_ok], exps[x_ok], active[ok]
             continue
 
         # a lane with no edges, or whose products all underflowed, stops
@@ -429,10 +433,10 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
         # a level's entries share one value, so truncation keeps whole levels
         keep = np.ldexp(1.0, y_level_exp) > eps * pre_norm[y_level_slot]
         kept = keep[y_level_of]
-        next_norm = _norms(y_level_slot[keep], y_level_exp[keep], y_counts[keep], slots)
         next_support = np.bincount(y_slot[kept], minlength=slots)
 
         if keep_trace:
+            next_norm = _norms(y_level_slot[keep], y_level_exp[keep], y_counts[keep], slots)
             pruned_mass = _norms(y_level_slot[~keep], y_level_exp[~keep], y_counts[~keep], slots)
             max_density = np.zeros(slots)
             max_density[go] = dens[win]
@@ -443,15 +447,16 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
                 xa, xb = x_bounds[s], x_bounds[s + 1]
                 ya, yb = y_bounds[s], y_bounds[s + 1]
                 at = best[lane]
+                x_norm, x_norms[lane] = x_norms[lane], float(next_norm[s])
                 traces[lane].append(
                     StepRecord(
                         t=t,
                         eps_t=epsilons[t],
                         eps_prune=eps,
                         x_side=x_side,
-                        x_norm=float(norm[s]),
+                        x_norm=x_norm,
                         x_support=int(xb - xa),
-                        x_levels=LevelVector(x_side, index[xa:xb], exps[xa:xb], float(norm[s])),
+                        x_levels=LevelVector(x_side, index[xa:xb], exps[xa:xb], x_norm),
                         pre_norm=float(pre_norm[s]),
                         post_levels=LevelVector(
                             y_side, y_index[ya:yb], y_exps[ya:yb], float(pre_norm[s])
@@ -460,7 +465,7 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
                         pruned_mass=float(pruned_mass[s]),
                         pruned_count=int(yb - ya) - int(next_support[s]),
                         next_support=int(next_support[s]),
-                        next_norm=float(next_norm[s]),
+                        next_norm=x_norms[lane],
                         best_so_far=(at[0], at[1], at[2], at[6]),
                     )
                 )
@@ -470,9 +475,7 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
         if not cont.any():
             break
         slot = (np.cumsum(cont) - 1)[y_slot[kept]]
-        index, exps = y_index[kept], y_exps[kept]
-        norm = next_norm[cont]
-        active = active[cont]
+        index, exps, active = y_index[kept], y_exps[kept], active[cont]
         x_side = y_side
         t += 1
 

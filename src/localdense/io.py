@@ -12,7 +12,7 @@ import json
 import math
 from typing import IO, Iterable
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .graph import BipartiteGraph, Subgraph, build_bipartite, from_directed, ratio_density
 from .local import DensityResult
 
@@ -33,10 +33,9 @@ def parse_edge_lines(lines: Iterable[str]):
     non-numeric or non-finite weights, and negative weights.
     """
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) == 2:
             u, v = parts
             w = 1.0
@@ -62,10 +61,11 @@ def load_edge_list(path, mode: str = "bipartite") -> BipartiteGraph:
 
     mode "bipartite" keeps the two id columns as separate namespaces; mode
     "directed" treats rows as arcs of a directed graph and builds its
-    bipartite form (every vertex appears on both sides).
+    bipartite form (every vertex appears on both sides).  Raises DomainError
+    for any other mode.
     """
     if mode not in ("bipartite", "directed"):
-        raise ParseError(0, f"unknown mode {mode!r}")
+        raise DomainError(f"mode must be 'bipartite' or 'directed', got {mode!r}")
     build = from_directed if mode == "directed" else build_bipartite
     with open(path, "r", encoding="utf-8") as fh:
         return build(parse_edge_lines(fh))

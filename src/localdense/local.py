@@ -217,7 +217,6 @@ def seed_scan(
     target_size: int,
     top_n: int = 10,
     parallel: int = 1,
-    keep_trace: bool = False,
 ) -> ScanOutcome:
     """Run local_density over many seeds and keep the densest distinct results.
 
@@ -229,9 +228,10 @@ def seed_scan(
     keeping the earliest seed, and the survivors are ordered by density with
     ties broken by seed order.  A seed that fails (unknown, isolated or
     overflowing) is recorded, in seed order, not fatal.  top_n and
-    target_size are checked before any seed grows.  parallel is accepted for
-    compatibility and ignored: threads gave no speedup on this pure-Python
-    and small-array work.
+    target_size are checked before any seed grows.  No traces are kept;
+    local_density keeps one seed's.  parallel is ignored, and kept only
+    because the benchmark's local-scan workload passes it positionally:
+    threads gave no speedup on this pure-Python and small-array work.
     """
     if not is_int(top_n) or top_n < 1:
         raise DomainError(f"top_n must be a positive integer, got {top_n!r}")
@@ -245,7 +245,7 @@ def seed_scan(
     failures: list = []
     seen: set = set()
     ordered: list = []
-    runs = _grow_seeds(g, map(pair, seeds), sched, keep_trace)
+    runs = _grow_seeds(g, map(pair, seeds), sched, keep_trace=False)
     for order, (seed, run) in enumerate(zip(seeds, runs)):
         if isinstance(run, Exception):
             failures.append(SeedFailure(seed, type(run).__name__, str(run)))

@@ -130,12 +130,10 @@ def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
         raise TooLarge(
             f"smaller side has {small} vertices, above the cap of {side_cap}"
         )
-    ptr, nbr, wt = g.csr_arrays(LEFT)
-    mat = np.zeros((g.left_count, g.right_count))
-    mat[np.repeat(np.arange(g.left_count), np.diff(ptr)), nbr] = wt
-    if flip:
-        mat = np.ascontiguousarray(mat.T)
-    other = mat.shape[1]
+    ptr, nbr, wt = g.csr_arrays(RIGHT if flip else LEFT)
+    other = g.vertex_count - small
+    mat = np.zeros((small, other))
+    mat[np.repeat(np.arange(small), np.diff(ptr)), nbr] = wt
     # scale[c, k] is the denominator for c subset and k + 1 partner vertices,
     # sqrt(c * (k + 1)) as density() takes it, so that pairs of equal density
     # tie exactly and the first one wins
@@ -172,7 +170,7 @@ def exact_densest(g: BipartiteGraph, side_cap: int = 20) -> Subgraph:
     # the margin is relative: it holds while every scaled square, density
     # and prefix sum is a normal float
     top, least = float(wt.max()), g.min_weight
-    if least >= 2.0**-500 * top and least >= 2.0**-900 and float(wt.sum()) < 2.0**1020:
+    if least >= 2.0**-500 * top and least >= 2.0**-900 and g.total_weight < 2.0**1020:
         bound = _norm_bounds(mat, top)
         threshold = score(bound.argmax(keepdims=True))[2]
         bound *= 1.0 + _ROUNDING * (other + small * small + 2)

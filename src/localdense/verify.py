@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NoCandidate, TooLarge, UnknownVertex
-from .graph import LEFT, BipartiteGraph, density, is_int
+from .errors import NoCandidate, TooLarge
+from .graph import LEFT, BipartiteGraph, density
 from .globalopt import global_density, global_guarantee_bound
 from .local import local_density, local_guarantee_bound
 from .oracle import exact_densest, good_seed_set, top_eigenvalue
@@ -37,17 +37,17 @@ class PropertyResult:
     detail: str
 
 
-def _collect_traces(g: BipartiteGraph, target_size: int, seed_count: int):
-    """Densities and traces of the whole-graph run plus a handful of local runs.
+def _collect_traces(g: BipartiteGraph, target_size: int):
+    """Densities and traces of the whole-graph run and eight local runs.
 
     The densities come as (kind, density) pairs, apart from the traces, so
     that the traces can be freed once they are checked.
     """
     results = [("global", global_density(g, keep_trace=True))]
-    for idx in range(min(seed_count, g.left_count)):
+    for idx in range(min(8, g.left_count)):
         try:
             res = local_density(g, g.left_id(idx), target_size, LEFT, keep_trace=True)
-        except (NoCandidate, UnknownVertex):
+        except NoCandidate:
             continue
         results.append(("local", res))
     traces = []
@@ -96,25 +96,20 @@ def run_verification(
     planted: tuple | None = None,
     side_cap: int = 20,
     target_size: int = 8,
-    seed_count: int = 8,
 ) -> list:
     """Evaluate every property against the graph; returns one result each.
 
     planted, when given, is a pair of id lists naming a known dense block;
     density_threshold defaults to half that block's density.  Local runs
-    start from the first seed_count left vertices.
-
-    Raises DomainError when seed_count is not a nonnegative integer.
+    start from the first eight left vertices.
     """
-    if not is_int(seed_count) or seed_count < 0:
-        raise DomainError(f"seed count must be a nonnegative integer, got {seed_count!r}")
     out: list[PropertyResult] = []
 
     def report(name: str, ok, detail: str) -> None:
         # ok is None for a property whose inputs do not apply
         out.append(PropertyResult(name, "skip" if ok is None else "pass" if ok else "fail", detail))
 
-    runs, traces = _collect_traces(g, target_size, seed_count)
+    runs, traces = _collect_traces(g, target_size)
     delta = g.max_degree
 
     checked = dict.fromkeys(_STEP_CHECKS, 0)

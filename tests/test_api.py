@@ -79,7 +79,7 @@ def test_engine_names_import_from_their_modules(module):
 
 
 def test_deleted_names_are_gone():
-    from localdense import graph, growth, io
+    from localdense import graph, growth, io, verify
 
     for mod, name in (
         (graph, "degree_stats"),
@@ -91,3 +91,7 @@ def test_deleted_names_are_gone():
     # a trace is named by the run that keeps it, not by the growth engine
     params = inspect.signature(growth.run_pruned_growth).parameters
     assert list(params) == ["g", "starts", "epsilons", "keep_trace"]
+    # options no caller set: traces come from local_density, and verify
+    # grows from the first eight left vertices
+    assert "keep_trace" not in inspect.signature(localdense.seed_scan).parameters
+    assert "seed_count" not in inspect.signature(verify.run_verification).parameters

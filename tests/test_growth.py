@@ -16,10 +16,12 @@ from localdense import (
     build_bipartite,
     from_directed,
 )
+from localdense import growth
 from localdense.growth import ProcessOutcome, run_pruned_growth
 
 from conftest import (
     dense_biadjacency,
+    k_ab,
     random_bipartite,
     reference_growth,
     reference_norm,
@@ -298,6 +300,18 @@ def test_run_pruned_growth_counts_work(star4):
     assert out.best_at == (0, 0, 0)
     assert not out.stopped_early
     assert out.trace is None
+
+
+@pytest.mark.parametrize("keep_trace, per_step", [(False, 1), (True, 3)])
+def test_norms_are_computed_for_traces_only(monkeypatch, keep_trace, per_step):
+    # truncation needs the rounded product's norm; the next vector's norm
+    # and the pruned mass are read by traces alone
+    calls = []
+    norms = growth._norms
+    monkeypatch.setattr(growth, "_norms", lambda *a: calls.append(a) or norms(*a))
+    out = grow(k_ab(3, 4), LevelVector.unit("L", 0), (0.5, 0.01, 0.01, 0.01, 0.01), keep_trace)
+    assert out.steps_executed == 4 and not out.stopped_early
+    assert len(calls) == 4 * per_step
 
 
 def test_run_pruned_growth_dying_step_still_reports(star4):

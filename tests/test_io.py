@@ -72,7 +72,7 @@ def test_load_directed_mode(tmp_path):
     src.write_text("a b\nb c\nc a\n")
     g = load_edge_list(src, mode="directed")
     assert g.vertex_count == 6
-    with pytest.raises(ParseError):
+    with pytest.raises(DomainError, match="mystery"):
         load_edge_list(src, mode="mystery")
 
 

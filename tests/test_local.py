@@ -249,13 +249,13 @@ def test_seed_scan_validates_before_growing(star4):
             seed_scan(star4, [], target_size=bad)
 
 
-def _scan_one_by_one(g, seeds, target_size, keep_trace):
+def _scan_one_by_one(g, seeds, target_size):
     """seed_scan's contract as a loop of local_density calls, all results kept."""
     failures, seen, ordered = [], set(), []
     for order, seed in enumerate(seeds):
         token, side = seed if isinstance(seed, tuple) else (seed, None)
         try:
-            res = local_density(g, token, target_size, side, keep_trace)
+            res = local_density(g, token, target_size, side)
         except (UnknownVertex, NoCandidate, NegativeEntry) as exc:
             failures.append(SeedFailure(seed, type(exc).__name__, str(exc)))
             continue
@@ -266,8 +266,7 @@ def _scan_one_by_one(g, seeds, target_size, keep_trace):
     return [res for _, res in ordered], failures
 
 
-@pytest.mark.parametrize("keep_trace", [False, True])
-def test_seed_scan_chunks_match_lone_runs(keep_trace):
+def test_seed_scan_chunks_match_lone_runs():
     # every vertex is on both sides; those without arcs out (in) are
     # isolated on the left (right)
     rng = random.Random(11)
@@ -280,13 +279,13 @@ def test_seed_scan_chunks_match_lone_runs(keep_trace):
     for k in range(2 * _LANES + 3):
         token = f"missing{k}" if k % 9 == 5 else tokens[k * 7 % len(tokens)]
         seeds.append((token, "LR"[k % 2]) if k % 3 == 1 else token)
-    want_results, want_failures = _scan_one_by_one(g, seeds, 8, keep_trace)
+    want_results, want_failures = _scan_one_by_one(g, seeds, 8)
     assert {f.kind for f in want_failures} == {"UnknownVertex", "NoCandidate"}
     assert len(want_results) > 2 * _LANES // 3
-    out = seed_scan(g, seeds, 8, top_n=len(seeds), keep_trace=keep_trace)
+    out = seed_scan(g, seeds, 8, top_n=len(seeds))
     assert out.results == want_results
     assert out.failures == want_failures
-    top = seed_scan(g, seeds, 8, top_n=5, keep_trace=keep_trace)
+    top = seed_scan(g, seeds, 8, top_n=5)
     assert top.results == want_results[:5]
     assert top.failures == want_failures
 
@@ -297,7 +296,7 @@ def test_seed_scan_records_an_overflowing_seed(monkeypatch):
     small = build_bipartite([("a", "x", 1e300), ("b", "x", 1e300), ("c", "y", 1.0)])
     with pytest.raises(NegativeEntry):
         local_density(small, "a", 4)
-    want_small = _scan_one_by_one(small, ["c", "a"], 4, False)
+    want_small = _scan_one_by_one(small, ["c", "a"], 4)
     # overflowing seeds in both chunks of a larger scan cost only themselves
     rng = random.Random(5)
     g = from_directed(
@@ -306,7 +305,7 @@ def test_seed_scan_records_an_overflowing_seed(monkeypatch):
     )
     seeds = [g.left_id(u) for u in range(g.left_count)] * 3
     assert len(seeds) > _LANES
-    want_results, want_failures = _scan_one_by_one(g, seeds, 8, True)
+    want_results, want_failures = _scan_one_by_one(g, seeds, 8)
     assert {f.seed for f in want_failures if f.kind == "NegativeEntry"} == {"big", "huge"}
     # and no seed is grown again: one growth call per chunk
     calls = []
@@ -317,7 +316,7 @@ def test_seed_scan_records_an_overflowing_seed(monkeypatch):
     assert [r.start for r in out.results] == ["seed:L:c"]
     assert [(f.seed, f.kind) for f in out.failures] == [("a", "NegativeEntry")]
     assert len(calls) == 1
-    out = seed_scan(g, seeds, 8, top_n=len(seeds), keep_trace=True)
+    out = seed_scan(g, seeds, 8, top_n=len(seeds))
     assert (out.results, out.failures) == (want_results, want_failures)
     assert len(calls) == 1 + -(-len(seeds) // _LANES)
 
@@ -327,7 +326,7 @@ def test_seed_scan_parallel_matches_sequential():
     seeds = [f"l{i}" for i in range(3)] + [f"r{j}" for j in range(5)] + ["bad"]
     seq = seed_scan(g, seeds, target_size=5, parallel=1)
     # the positional form the benchmark's local-scan workload uses: parallel
-    # is the fifth parameter, before keep_trace
+    # is the fifth parameter
     for par in (seed_scan(g, seeds, target_size=5, parallel=4), seed_scan(g, seeds, 5, 10, 2)):
         assert [(r.start, r.density, r.subgraph, r.traces) for r in seq.results] == [
             (r.start, r.density, r.subgraph, r.traces) for r in par.results

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from localdense import DomainError, LevelVector, build_bipartite, generate_planted
+from localdense import LevelVector, build_bipartite, generate_planted
 from localdense import verify
 from localdense.verify import PROPERTY_NAMES, exit_code, run_verification
 
@@ -41,16 +41,6 @@ def test_planted_checks_run_with_block():
     assert exit_code(run_verification(g, planted=planted, target_size=4)) == 0
 
 
-def test_seed_count_must_be_a_nonnegative_integer():
-    g = k_ab(14, 3)
-    for bad in (2.5, "3", True, -1):
-        with pytest.raises(DomainError):
-            run_verification(g, seed_count=bad)
-    assert run_verification(g, target_size=4, seed_count=np.int64(2)) == run_verification(
-        g, target_size=4, seed_count=2
-    )
-
-
 def test_exact_agreement_skips_above_cap():
     g = build_bipartite([(f"l{i}", f"r{i}", 1.0) for i in range(8)])
     results = by_name(run_verification(g, side_cap=4))
@@ -72,7 +62,7 @@ def test_verification_passes_on_random_graphs():
     rng = random.Random(55)
     for _ in range(5):
         g = random_bipartite(rng, 12, 12, weighted=rng.random() < 0.5, min_edges=6)
-        results = run_verification(g, target_size=4, seed_count=3)
+        results = run_verification(g, target_size=4)
         failed = [r for r in results if r.status == "fail"]
         assert not failed, [(r.name, r.detail) for r in failed]
 
@@ -103,13 +93,13 @@ def growth_cap(rec, delta):
 def test_step_checks_catch_a_broken_step(monkeypatch, name, broken, bad):
     # one step of a real trace is edited; only its property may change
     g = k_ab(3, 4)
-    runs, traces = verify._collect_traces(g, 4, 2)
-    clean = by_name(run_verification(g, target_size=4, seed_count=2))
+    runs, traces = verify._collect_traces(g, 4)
+    clean = by_name(run_verification(g, target_size=4))
     rec = traces[0].steps[0]
     step = dataclasses.replace(rec, **broken(rec, g.max_degree))
     tampered = [dataclasses.replace(traces[0], steps=[step, *traces[0].steps[1:]]), *traces[1:]]
     monkeypatch.setattr(verify, "_collect_traces", lambda *args: (runs, tampered))
-    results = by_name(run_verification(g, target_size=4, seed_count=2))
+    results = by_name(run_verification(g, target_size=4))
     for other in ("support-bound", "level-count", "growth-cap", "prune-mass"):
         if other != name:
             assert results[other].detail == clean[other].detail
