@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     except LocalDenseError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return DATA_EXIT
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _emit_error("io", str(exc))
         return DATA_EXIT
 

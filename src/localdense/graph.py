@@ -299,15 +299,21 @@ def _index_array(g: BipartiteGraph, side: str, vertices) -> np.ndarray:
     return np.sort(np.fromiter(vs, dtype=np.int64, count=len(vs)))
 
 
+def csr_slices(indptr: np.ndarray, members: np.ndarray):
+    """Each member's fan-out in a CSR table, and the positions of their
+    neighbour entries, member by member in the order given."""
+    lo = indptr[members]
+    fan = indptr[members + 1] - lo
+    return fan, np.arange(fan.sum()) + np.repeat(lo - (np.cumsum(fan) - fan), fan)
+
+
 def _crossing(g: BipartiteGraph, side: str, members: np.ndarray, others: np.ndarray):
     """Edges from the sorted index array members on side into the sorted
     array others, in CSR order, as (row, neighbour, weight) arrays.  Nothing
     of graph size is allocated.
     """
     indptr, nbrs, wts = g.csr_arrays(side)
-    lo = indptr[members]
-    fan = indptr[members + 1] - lo
-    pos = np.arange(fan.sum()) + np.repeat(lo - (np.cumsum(fan) - fan), fan)
+    fan, pos = csr_slices(indptr, members)
     keep = np.isin(nbrs[pos], others)
     pos = pos[keep]
     return np.repeat(members, fan)[keep], nbrs[pos], wts[pos]

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NegativeEntry
-from .graph import LEFT, RIGHT, BipartiteGraph, Subgraph, opposite
+from .graph import LEFT, RIGHT, BipartiteGraph, Subgraph, csr_slices, opposite
 
 __all__ = [
     "LevelVector",
@@ -159,10 +159,8 @@ def _product(g, side, slot, index, exps, slots):
     source-vertex order.
     """
     indptr, nbrs, wts = g.csr_arrays(side)
-    lo = indptr[index]
-    fan = indptr[index + 1] - lo
+    fan, pos = csr_slices(indptr, index)
     rows = np.repeat(np.arange(len(fan)), fan)
-    pos = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(fan) - fan), fan)
     wt = wts[pos]
     key = slot[rows] * g.side_count(opposite(side)) + nbrs[pos]
     del pos  # np.unique takes about five more arrays of this length
@@ -215,26 +213,25 @@ class StepRecord:
 
     eps_t is the schedule value indexed with the source vector (used by the
     growth and level-count checks); eps_prune is the next schedule value,
-    applied by the truncation that produced the following vector.  x_levels
-    is the source vector and post_levels the rounded product before
-    truncation.
+    applied by the truncation that produced the following vector.  The step's
+    three vectors carry every size, norm and side: x_levels is the source
+    vector, post_levels the rounded product and next_levels what truncation
+    kept of it, which is the next step's x_levels.
     """
 
     t: int
     eps_t: float
     eps_prune: float
-    x_side: str
-    x_norm: float
-    x_support: int
     x_levels: LevelVector
-    pre_norm: float
     post_levels: LevelVector
+    next_levels: LevelVector
     max_pair_density: float
     pruned_mass: float
-    pruned_count: int
-    next_support: int
-    next_norm: float
     best_so_far: tuple
+
+    @property
+    def pruned_count(self) -> int:
+        return self.post_levels.support_size - self.next_levels.support_size
 
 
 @dataclass
@@ -291,8 +288,8 @@ def run_pruned_growth(
     every product entry underflows to zero.  Ties between level pairs prefer
     the smallest (i, j).  With keep_trace each outcome lists a StepRecord
     per step; only then are the truncated vectors' norms computed, and a
-    record's vectors are views that pin its step's batch arrays, those of
-    every lane that took the step.
+    record's vectors, but for the start itself, are views that pin its
+    step's batch arrays, those of every lane that took the step.
 
     One result per start, errors included: a lane whose product entry or
     norm overflows leaves the batch, and its outcome is that NegativeEntry.
@@ -324,7 +321,7 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
 
     The working vectors of the lanes still running are held as one
     (slot, index, exps) triple of arrays sorted by (slot, index), where slot
-    k is lane active[k]; a trace keeps each lane's last norm in x_norms.
+    k is lane active[k].
     """
     lanes = len(starts)
     best: list = [None] * lanes  # (t, i, j, x set, y set, weight, density, x side)
@@ -334,7 +331,6 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
     stopped = np.zeros(lanes, dtype=bool)
     failed: list = [None] * lanes
     traces = [[] for _ in starts] if keep_trace else None
-    x_norms = [float(start.norm) for start in starts] if keep_trace else None
 
     active = np.arange(lanes)
     slot = np.repeat(active, [start.support_size for start in starts])
@@ -433,49 +429,43 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
         # a level's entries share one value, so truncation keeps whole levels
         keep = np.ldexp(1.0, y_level_exp) > eps * pre_norm[y_level_slot]
         kept = keep[y_level_of]
-        next_support = np.bincount(y_slot[kept], minlength=slots)
+        next_slot, next_index, next_exps = y_slot[kept], y_index[kept], y_exps[kept]
 
         if keep_trace:
             next_norm = _norms(y_level_slot[keep], y_level_exp[keep], y_counts[keep], slots)
             pruned_mass = _norms(y_level_slot[~keep], y_level_exp[~keep], y_counts[~keep], slots)
-            max_density = np.zeros(slots)
-            max_density[go] = dens[win]
-            x_bounds = np.searchsorted(slot, np.arange(slots + 1))
             y_bounds = np.searchsorted(y_slot, np.arange(slots + 1))
-            for s in np.flatnonzero(go).tolist():
+            next_bounds = np.searchsorted(next_slot, np.arange(slots + 1))
+            for s, d in zip(np.flatnonzero(go).tolist(), dens[win].tolist()):
                 lane = int(active[s])
-                xa, xb = x_bounds[s], x_bounds[s + 1]
                 ya, yb = y_bounds[s], y_bounds[s + 1]
+                na, nb = next_bounds[s], next_bounds[s + 1]
                 at = best[lane]
-                x_norm, x_norms[lane] = x_norms[lane], float(next_norm[s])
                 traces[lane].append(
                     StepRecord(
                         t=t,
                         eps_t=epsilons[t],
                         eps_prune=eps,
-                        x_side=x_side,
-                        x_norm=x_norm,
-                        x_support=int(xb - xa),
-                        x_levels=LevelVector(x_side, index[xa:xb], exps[xa:xb], x_norm),
-                        pre_norm=float(pre_norm[s]),
+                        # a lane still running took every earlier step
+                        x_levels=traces[lane][-1].next_levels if traces[lane] else starts[lane],
                         post_levels=LevelVector(
                             y_side, y_index[ya:yb], y_exps[ya:yb], float(pre_norm[s])
                         ),
-                        max_pair_density=float(max_density[s]),
+                        next_levels=LevelVector(
+                            y_side, next_index[na:nb], next_exps[na:nb], float(next_norm[s])
+                        ),
+                        max_pair_density=d,
                         pruned_mass=float(pruned_mass[s]),
-                        pruned_count=int(yb - ya) - int(next_support[s]),
-                        next_support=int(next_support[s]),
-                        next_norm=x_norms[lane],
                         best_so_far=(at[0], at[1], at[2], at[6]),
                     )
                 )
 
-        cont = next_support > 0
+        cont = np.bincount(next_slot, minlength=slots) > 0
         stopped[active[go & ~cont]] = True
         if not cont.any():
             break
-        slot = (np.cumsum(cont) - 1)[y_slot[kept]]
-        index, exps, active = y_index[kept], y_exps[kept], active[cont]
+        slot = (np.cumsum(cont) - 1)[next_slot]
+        index, exps, active = next_index, next_exps, active[cont]
         x_side = y_side
         t += 1
 

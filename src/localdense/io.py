@@ -144,16 +144,16 @@ def trace_records(result: DensityResult) -> list:
                     "t": rec.t,
                     "eps_t": rec.eps_t,
                     "eps_prune": rec.eps_prune,
-                    "side": rec.x_side,
-                    "x_norm": rec.x_norm,
-                    "x_support": rec.x_support,
-                    "pre_norm": rec.pre_norm,
+                    "side": rec.x_levels.side,
+                    "x_norm": rec.x_levels.norm,
+                    "x_support": rec.x_levels.support_size,
+                    "pre_norm": rec.post_levels.norm,
                     "levels": rec.post_levels.level_count,
                     "max_pair_density": rec.max_pair_density,
                     "pruned_mass": rec.pruned_mass,
                     "pruned_count": rec.pruned_count,
-                    "next_support": rec.next_support,
-                    "next_norm": rec.next_norm,
+                    "next_support": rec.next_levels.support_size,
+                    "next_norm": rec.next_levels.norm,
                 }
             )
     return rows

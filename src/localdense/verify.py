@@ -69,8 +69,8 @@ def _step_checks(rec, delta: float, wfloor: float):
     """Yield (property, ok) for every per-step bound one trace step is held to."""
     # support-bound: a vector truncated at fraction eps has at most 1/eps^2
     # surviving entries
-    yield "support-bound", rec.x_support <= 1.0 / rec.eps_t**2
-    yield "support-bound", rec.next_support <= 1.0 / rec.eps_prune**2
+    yield "support-bound", rec.x_levels.support_size <= 1.0 / rec.eps_t**2
+    yield "support-bound", rec.next_levels.support_size <= 1.0 / rec.eps_prune**2
     # level-count: the rounded product occupies few distinct powers of two;
     # edge weights below one widen the spread, so the cap folds them in
     cap = math.ceil(math.log2(2.0 * delta / (rec.eps_t * wfloor))) + 1
@@ -79,14 +79,14 @@ def _step_checks(rec, delta: float, wfloor: float):
     # norm stays within 2 * d * norm * log2(2 * delta / eps); d is the step's
     # measured densest pair, and a zero vector passes vacuously
     yield "growth-cap", (
-        rec.x_norm == 0.0
-        or rec.pre_norm == 0.0
-        or rec.pre_norm
-        <= 2.0 * rec.max_pair_density * rec.x_norm * math.log2(2.0 * delta / rec.eps_t)
+        rec.x_levels.norm == 0.0
+        or rec.post_levels.norm == 0.0
+        or rec.post_levels.norm
+        <= 2.0 * rec.max_pair_density * rec.x_levels.norm * math.log2(2.0 * delta / rec.eps_t)
     )
     # prune-mass: what truncation removed is small relative to what existed
     if rec.pruned_count:
-        cap = rec.eps_prune * rec.pre_norm * math.sqrt(rec.pruned_count)
+        cap = rec.eps_prune * rec.post_levels.norm * math.sqrt(rec.pruned_count)
         yield "prune-mass", rec.pruned_mass <= cap * (1.0 + 1e-12)
 
 

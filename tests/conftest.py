@@ -224,19 +224,24 @@ def reference_norm(exponents):
         raise NegativeEntry(f"vector norm overflows at level 2**{top}") from None
 
 
+def reference_vector(side, entries):
+    """A vector as (side, vertex -> exponent dict, norm): the form in which
+    the growth tests compare a LevelVector."""
+    return side, dict(sorted(entries.items())), reference_norm(entries.values())
+
+
 def reference_growth(g, side, start, epsilons):
     """The growth process as plain dict loops; referee for run_pruned_growth.
 
     start maps vertex index (on `side`) to exponent.  Returns the
     ProcessOutcome fields as a dict whose "trace" is a list of dicts with
-    every StepRecord field, levels given as vertex -> exponent dicts, or
+    every StepRecord field, vectors given as reference_vector triples, or
     raises the NegativeEntry, with the library's message, of a run whose
     product entry or norm overflows.  The product walks the support in
     vertex order and the pair weights walk it level by level, each in its
     own pass over the edges.
     """
     x = dict(start)
-    x_norm = reference_norm(x.values())
     best = best_at = None
     edges_touched = executed = 0
     stopped = False
@@ -264,7 +269,8 @@ def reference_growth(g, side, start, epsilons):
             break
         executed += 1
         edges_touched += 2 * incident
-        pre_norm = reference_norm(y.values())
+        y_side = RIGHT if side == LEFT else LEFT
+        post = reference_vector(y_side, y)
 
         pair = {}
         for u in sorted(x, key=lambda u: (x[u], u)):
@@ -287,34 +293,26 @@ def reference_growth(g, side, start, epsilons):
             best = Subgraph(*pair_sets, pair[i, j], d)
             best_at = (t, i, j)
 
-        threshold = epsilons[t + 1] * pre_norm
+        threshold = epsilons[t + 1] * post[2]  # the rounded product's norm
         nxt = {v: j for v, j in y.items() if math.ldexp(1.0, j) > threshold}
         removed = [j for v, j in y.items() if v not in nxt]
-        next_norm = reference_norm(nxt.values())
         steps.append(
             {
                 "t": t,
                 "eps_t": epsilons[t],
                 "eps_prune": epsilons[t + 1],
-                "x_side": side,
-                "x_norm": x_norm,
-                "x_support": len(x),
-                "x_levels": dict(sorted(x.items())),
-                "pre_norm": pre_norm,
-                "post_levels": dict(sorted(y.items())),
+                "x_levels": reference_vector(side, x),
+                "post_levels": post,
+                "next_levels": reference_vector(y_side, nxt),
                 "max_pair_density": d,
                 "pruned_mass": reference_norm(removed),
-                "pruned_count": len(removed),
-                "next_support": len(nxt),
-                "next_norm": next_norm,
                 "best_so_far": best_at + (best.density,),
             }
         )
         if not nxt:
             stopped = True
             break
-        x, x_norm = nxt, next_norm
-        side = RIGHT if side == LEFT else LEFT
+        x, side = nxt, y_side
     return {
         "best": best,
         "best_at": best_at,

@@ -258,6 +258,21 @@ def test_data_errors_exit_two(block_file, tmp_path):
     assert "line 1" in err3["message"]
 
 
+@pytest.mark.parametrize("command", ["stats", "scan", "verify"])
+def test_files_that_are_not_utf8_exit_two(block_file, tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a x 1\n\xff\xfe y 2\n")
+    args = {
+        "stats": ("stats", str(bad)),
+        "scan": ("scan", str(block_file), "--seeds", str(bad), "--target-size", "2"),
+        "verify": ("verify", str(block_file), "--planted", str(bad), str(bad)),
+    }[command]
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["kind"] == "io"
+
+
 def test_overflowing_weights_are_data_errors(tmp_path):
     # a finite weight whose products overflow, and finite duplicate rows
     # whose merged weight would, each end in one typed error line

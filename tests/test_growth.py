@@ -58,11 +58,12 @@ def vector(side, exponents: dict) -> LevelVector:
 
 
 def outcome_fields(out: ProcessOutcome) -> dict:
-    """ProcessOutcome as the referee reports it: levels as dicts."""
+    """ProcessOutcome as the referee reports it: vectors as (side, levels
+    dict, norm) triples."""
     fields = {f.name: getattr(out, f.name) for f in dataclasses.fields(ProcessOutcome)}
     fields["trace"] = [
         {
-            f.name: levels(v) if isinstance(v, LevelVector) else v
+            f.name: (v.side, levels(v), v.norm) if isinstance(v, LevelVector) else v
             for f in dataclasses.fields(StepRecord)
             for v in (getattr(rec, f.name),)
         }
@@ -97,7 +98,7 @@ def test_round_up_drops_zeros_and_rejects_bad_entries():
     first, second = out.trace[:2]
     (j,) = first.post_levels.exps.tolist()
     assert Fraction(math.ldexp(1.0, j)) == smallest_pow2_at_least(1e-320)
-    assert first.pre_norm == math.ldexp(1.0, j)
+    assert first.post_levels.norm == math.ldexp(1.0, j)
     assert levels(second.post_levels) == {1: j}
     assert out.edges_touched == 2 + 4 + 2
     # an overflow is the lane's outcome, not an exception of the call: a
@@ -146,9 +147,9 @@ def test_truncate_is_strict(star4):
     # the product is four entries 1.0 with norm 2; eps 0.5 puts the
     # threshold exactly at 1.0
     out = grow(star4, LevelVector.unit("L", 0), (0.5, 0.5), keep_trace=True)
-    assert out.trace[0].next_support == 0
+    assert out.trace[0].next_levels.support_size == 0
     out = grow(star4, LevelVector.unit("L", 0), (0.5, 0.4999), keep_trace=True)
-    assert out.trace[0].next_support == 4
+    assert out.trace[0].next_levels.support_size == 4
     # every fraction is checked before the run, also one it would only
     # reach after eps 1.0 has pruned it to nothing
     for bad in (-0.1, 1.5):
@@ -168,11 +169,10 @@ def test_truncate_support_bound(seed, exps, eps):
     exps = {u: i for u, i in exps.items() if u < g.left_count} or {0: 0}
     out = grow(g, vector("L", exps), (0.5, eps, 0.5), keep_trace=True)
     rec = out.trace[0]
-    assert rec.next_support <= 1.0 / eps**2
-    if rec.next_support:
-        threshold = eps * rec.pre_norm
-        kept = out.trace[1].x_levels
-        assert all(math.ldexp(1.0, i) > threshold for i in kept.exps.tolist())
+    kept = rec.next_levels
+    assert kept.support_size <= 1.0 / eps**2
+    threshold = eps * rec.post_levels.norm
+    assert all(math.ldexp(1.0, i) > threshold for i in kept.exps.tolist())
 
 
 def test_multiply_star(star4):
@@ -203,19 +203,19 @@ def test_multiply_matches_dense_matvec(seed, exps):
 
 def test_step_on_star(star4):
     _, rec = first_step(star4, LevelVector.unit("L", 0))
-    assert rec.pre_norm == 2.0
+    assert rec.post_levels.norm == 2.0
     assert levels(rec.post_levels) == {0: 0, 1: 0, 2: 0, 3: 0}
-    assert rec.next_support == 4
-    assert rec.next_norm == 2.0
+    assert rec.next_levels.support_size == 4
+    assert rec.next_levels.norm == 2.0
 
 
 def test_step_raises_when_everything_prunes(star4):
     # the dying step still reports the rounded product it pruned away
     out, rec = first_step(star4, LevelVector.unit("L", 0), eps=1.0)
     assert out.stopped_early
-    assert rec.pre_norm == 2.0
+    assert rec.post_levels.norm == 2.0
     assert rec.post_levels.support_size == 4
-    assert rec.next_support == 0
+    assert rec.next_levels.support_size == 0
 
 
 def test_step_referee_against_exact_rounding():
@@ -235,10 +235,9 @@ def test_step_referee_against_exact_rounding():
         rec = out.trace[0]
         got = {v: Fraction(math.ldexp(1.0, j)) for v, j in levels(rec.post_levels).items()}
         assert got == expected
-        assert rec.pre_norm == pytest.approx(expected_norm, rel=1e-12)
-        threshold = eps * rec.pre_norm
-        kept = levels(out.trace[1].x_levels) if len(out.trace) > 1 else {}
-        assert rec.next_support == len(kept)
+        assert rec.post_levels.norm == pytest.approx(expected_norm, rel=1e-12)
+        threshold = eps * rec.post_levels.norm
+        kept = levels(rec.next_levels)
         for v, p in expected.items():
             assert (v in kept) == (float(p) > threshold)
 
@@ -322,8 +321,8 @@ def test_run_pruned_growth_dying_step_still_reports(star4):
     assert out.steps_executed == 1
     assert out.best.density == 2.0
     rec = out.trace[0]
-    assert rec.next_support == 0
-    assert rec.next_norm == 0.0
+    assert rec.next_levels.support_size == 0
+    assert rec.next_levels.norm == 0.0
     assert rec.pruned_count == 4
     assert rec.pruned_mass == pytest.approx(2.0)
     assert rec.post_levels.support_size == 4
@@ -420,7 +419,7 @@ def test_growth_matches_dict_referee(seed, weights, start, side, epsilons):
     out = grow(g, vec, epsilons, keep_trace=True)
     assert outcome_fields(out) == reference_growth(g, side, exps, epsilons)
     for rec in out.trace:
-        assert rec.next_support * rec.eps_prune**2 <= 1.0
+        assert rec.next_levels.support_size * rec.eps_prune**2 <= 1.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -468,6 +467,39 @@ def test_lanes_match_lone_runs_and_dict_referee(seed, directed, weights, kinds, 
     runs = [o for o in batch.outcomes if isinstance(o, ProcessOutcome)]
     assert batch.edges_touched == bare.edges_touched == sum(o.edges_touched for o in runs)
     assert batch.steps_executed == bare.steps_executed == sum(o.steps_executed for o in runs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from(["unit", "weighted", "subnormal", "huge"]),
+    st.lists(
+        st.tuples(st.sampled_from(["unit", "ones", "spread"]), st.sampled_from(["L", "R"])),
+        min_size=1,
+        max_size=6,
+    ),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7),
+)
+def test_trace_chains(seed, directed, weights, kinds, epsilons):
+    # each step starts from the vector the step before kept, and the pruned
+    # count is the number of rounded entries truncation dropped
+    rng = random.Random(seed)
+    g = referee_graph(rng, weights, directed)
+    starts = [referee_start(rng, g, kind, side)[1] for kind, side in kinds]
+    batch = run_pruned_growth(g, starts, epsilons, keep_trace=True).outcomes
+    lone = [grow(g, start, epsilons, keep_trace=True) for start in starts]
+    for start, out in zip(starts * 2, batch + lone):
+        if isinstance(out, NegativeEntry):
+            continue
+        if out.trace:
+            assert out.trace[0].x_levels == start
+        for rec, after in zip(out.trace, out.trace[1:]):
+            assert rec.next_levels == after.x_levels
+        for rec in out.trace:
+            cut = rec.eps_prune * rec.post_levels.norm
+            dropped = sum(math.ldexp(1.0, e) <= cut for e in rec.post_levels.exps.tolist())
+            assert rec.pruned_count == dropped
 
 
 def test_subnormal_graphs_match_dict_referee():

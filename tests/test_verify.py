@@ -68,26 +68,102 @@ def test_verification_passes_on_random_graphs():
 
 
 def growth_cap(rec, delta):
-    return 2.0 * rec.max_pair_density * rec.x_norm * math.log2(2.0 * delta / rec.eps_t)
+    return 2.0 * rec.max_pair_density * rec.x_levels.norm * math.log2(2.0 * delta / rec.eps_t)
+
+
+def padded(vec, exps):
+    """vec with one more entry at each exponent in exps, on vertices past its
+    support; its norm is kept, so only its counts change."""
+    extra = np.arange(len(exps)) + vec.index.max(initial=-1) + 1
+    return dataclasses.replace(
+        vec,
+        index=np.append(vec.index, extra),
+        exps=np.append(vec.exps, np.array(exps, dtype=np.int64)),
+    )
+
+
+def padded_product(rec, exps):
+    """The rounded product and the kept vector padded alike, so that the
+    pruned count holds."""
+    return {
+        "post_levels": padded(rec.post_levels, exps),
+        "next_levels": padded(rec.next_levels, exps),
+    }
+
+
+def support_cap(eps):
+    return math.floor(eps**-2)
+
+
+def level_cap(rec, delta):
+    # k_ab has unit weights, so the cap's weight floor is 1
+    return math.ceil(math.log2(2.0 * delta / rec.eps_t)) + 1
 
 
 @pytest.mark.parametrize(
     "name, broken, bad",
     [
-        ("support-bound", lambda rec, delta: {"x_support": 10**9}, 1),
-        ("support-bound", lambda rec, delta: {"next_support": 10**9}, 1),
         (
-            "level-count",
+            "support-bound",
             lambda rec, delta: {
-                "post_levels": LevelVector("L", np.arange(200), -np.arange(200), 1.0)
+                "x_levels": padded(rec.x_levels, [0] * (support_cap(rec.eps_t) + 1))
             },
             1,
         ),
-        ("growth-cap", lambda rec, delta: {"pre_norm": growth_cap(rec, delta) * 1.01}, 1),
-        ("growth-cap", lambda rec, delta: {"pre_norm": growth_cap(rec, delta)}, 0),
-        ("growth-cap", lambda rec, delta: {"x_norm": 0.0, "pre_norm": 1e300}, 0),
-        ("prune-mass", lambda rec, delta: {"pruned_count": 1, "pruned_mass": 1e300}, 1),
-        ("prune-mass", lambda rec, delta: {"pruned_count": 0, "pruned_mass": 1e300}, 0),
+        (
+            "support-bound",
+            lambda rec, delta: padded_product(
+                rec, [rec.post_levels.exps[0]] * (support_cap(rec.eps_prune) + 1)
+            ),
+            1,
+        ),
+        (
+            "level-count",
+            lambda rec, delta: padded_product(
+                rec, rec.post_levels.exps.min() - 1 - np.arange(level_cap(rec, delta) + 1)
+            ),
+            1,
+        ),
+        (
+            "growth-cap",
+            lambda rec, delta: {
+                "post_levels": dataclasses.replace(
+                    rec.post_levels, norm=growth_cap(rec, delta) * 1.01
+                )
+            },
+            1,
+        ),
+        (
+            "growth-cap",
+            lambda rec, delta: {
+                "post_levels": dataclasses.replace(rec.post_levels, norm=growth_cap(rec, delta))
+            },
+            0,
+        ),
+        (
+            "growth-cap",
+            lambda rec, delta: {
+                "x_levels": dataclasses.replace(rec.x_levels, norm=0.0),
+                "post_levels": dataclasses.replace(rec.post_levels, norm=1e300),
+            },
+            0,
+        ),
+        (
+            "prune-mass",
+            lambda rec, delta: {
+                "post_levels": padded(rec.post_levels, rec.post_levels.exps[:1]),
+                "pruned_mass": 1e300,
+            },
+            1,
+        ),
+        (
+            "prune-mass",
+            lambda rec, delta: {
+                "next_levels": padded(rec.next_levels, [0] * rec.pruned_count),
+                "pruned_mass": 1e300,
+            },
+            0,
+        ),
     ],
 )
 def test_step_checks_catch_a_broken_step(monkeypatch, name, broken, bad):
