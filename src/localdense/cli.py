@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from .errors import LocalDenseError, ParseError
 from .generate import generate_planted
@@ -123,9 +124,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _naming(path):
+    """Name the file in a decoding error's message, as OSError's does."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        exc.reason = f"{exc.reason}: {path!r}"
+        raise
+
+
 def _load(args):
     mode = "directed" if getattr(args, "directed", False) else "bipartite"
-    return load_edge_list(args.graph, mode)
+    with _naming(args.graph):
+        return load_edge_list(args.graph, mode)
 
 
 def _write_out(records, args) -> None:
@@ -138,7 +150,7 @@ def _write_out(records, args) -> None:
 
 def _read_ids(path):
     """One id per line, stripped; blank lines and '#' comments are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _naming(path), open(path, "r", encoding="utf-8") as fh:
         return [tok for tok in map(str.strip, fh) if tok and not tok.startswith("#")]
 
 

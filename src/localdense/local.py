@@ -142,7 +142,8 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
     UnknownVertex, NoCandidate or NegativeEntry error local_density would
     raise for it.  The seeds grow _LANES at a time as the lanes of one
     run_pruned_growth call, each with the outcome, or the overflow, it would
-    have alone.
+    have alone.  Its callers are local_density (one seed), seed_scan and
+    verify.run_verification (the traced local runs and the good-seed runs).
     """
     bound, bound_eps = _bound_factors(g, sched)
     seeds = iter(seeds)

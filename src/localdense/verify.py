@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import NoCandidate, TooLarge
 from .graph import LEFT, BipartiteGraph, density
 from .globalopt import global_density, global_guarantee_bound
-from .local import local_density, local_guarantee_bound
+from .local import LocalSchedule, _grow_seeds, local_guarantee_bound
 from .oracle import exact_densest, good_seed_set, top_eigenvalue
 
 PROPERTY_NAMES = (
@@ -37,6 +37,13 @@ class PropertyResult:
     detail: str
 
 
+def _grow_left(g: BipartiteGraph, vertices, target_size: int, keep_trace: bool = False):
+    """local_density's result or error for each left vertex index, in order;
+    the seeds grow as the lanes of one growth call."""
+    seeds = [(g.left_id(v), LEFT) for v in vertices]
+    return _grow_seeds(g, seeds, LocalSchedule.for_target(target_size), keep_trace)
+
+
 def _collect_traces(g: BipartiteGraph, target_size: int):
     """Densities and traces of the whole-graph run and eight local runs.
 
@@ -44,11 +51,11 @@ def _collect_traces(g: BipartiteGraph, target_size: int):
     that the traces can be freed once they are checked.
     """
     results = [("global", global_density(g, keep_trace=True))]
-    for idx in range(min(8, g.left_count)):
-        try:
-            res = local_density(g, g.left_id(idx), target_size, LEFT, keep_trace=True)
-        except NoCandidate:
+    for res in _grow_left(g, range(min(8, g.left_count)), target_size, keep_trace=True):
+        if isinstance(res, NoCandidate):
             continue
+        if isinstance(res, Exception):
+            raise res
         results.append(("local", res))
     traces = []
     for _, res in results:
@@ -100,8 +107,11 @@ def run_verification(
     """Evaluate every property against the graph; returns one result each.
 
     planted, when given, is a pair of id lists naming a known dense block;
-    density_threshold defaults to half that block's density.  Local runs
-    start from the first eight left vertices.
+    density_threshold defaults to half that block's density.  Eight traced
+    local runs start from the first eight left vertices, and with a planted
+    block one run starts from each good seed.  Each of the two schedules
+    grows its seeds as the lanes of one growth call (up to 128 lanes per
+    call), with the results and errors of lone local_density runs.
     """
     out: list[PropertyResult] = []
 
@@ -193,9 +203,11 @@ def run_verification(
 
     size = max(len(left_set), len(right_set))
     floor = local_guarantee_bound(threshold, max(delta, 1.0), size)
-    below = sum(
-        local_density(g, g.left_id(v), size, LEFT).density < floor for v in sorted(cover.good)
-    )
+    below = 0
+    for res in _grow_left(g, sorted(cover.good), size):
+        if isinstance(res, Exception):
+            raise res
+        below += res.density < floor
     report(
         "planted-local-guarantee",
         below == 0,

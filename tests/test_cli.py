@@ -260,17 +260,23 @@ def test_data_errors_exit_two(block_file, tmp_path):
 
 @pytest.mark.parametrize("command", ["stats", "scan", "verify"])
 def test_files_that_are_not_utf8_exit_two(block_file, tmp_path, command):
+    # the message names the bad file, and not verify's good planted file
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"a x 1\n\xff\xfe y 2\n")
+    good = tmp_path / "good.txt"
+    good.write_text("l0\n")
     args = {
         "stats": ("stats", str(bad)),
         "scan": ("scan", str(block_file), "--seeds", str(bad), "--target-size", "2"),
-        "verify": ("verify", str(block_file), "--planted", str(bad), str(bad)),
+        "verify": ("verify", str(block_file), "--planted", str(good), str(bad)),
     }[command]
     proc = run_cli(*args)
     assert proc.returncode == 2
     (line,) = proc.stderr.splitlines()
-    assert json.loads(line)["error"]["kind"] == "io"
+    error = json.loads(line)["error"]
+    assert error["kind"] == "io"
+    assert repr(str(bad)) in error["message"]
+    assert str(good) not in error["message"]
 
 
 def test_overflowing_weights_are_data_errors(tmp_path):

@@ -4,9 +4,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from localdense import LevelVector, build_bipartite, generate_planted
-from localdense import verify
+from localdense import (
+    LEFT,
+    LevelVector,
+    LocalDenseError,
+    NegativeEntry,
+    NoCandidate,
+    build_bipartite,
+    generate_planted,
+    local_density,
+    restrict,
+)
+from localdense import globalopt, local, verify
 from localdense.verify import PROPERTY_NAMES, exit_code, run_verification
 
 from conftest import k_ab, random_bipartite
@@ -29,16 +41,105 @@ def test_planted_checks_skip_without_block():
         assert results[name].status == "skip"
 
 
-def test_planted_checks_run_with_block():
+def planted_block():
+    """A 25-by-25 graph with a planted 4-by-4 block, and the block's ids."""
     g, left, right = generate_planted(25, 25, 40, 4, 4, rng_seed=6)
-    planted = (
-        [g.left_id(u) for u in sorted(left)],
-        [g.right_id(v) for v in sorted(right)],
-    )
+    return g, block_ids(g, left, right)
+
+
+def block_ids(g, left, right):
+    return [g.left_id(u) for u in sorted(left)], [g.right_id(v) for v in sorted(right)]
+
+
+def test_planted_checks_run_with_block():
+    g, planted = planted_block()
     results = by_name(run_verification(g, planted=planted, target_size=4))
     for name in ("planted-coverage", "planted-certificates", "planted-local-guarantee"):
         assert results[name].status == "pass", results[name].detail
     assert exit_code(run_verification(g, planted=planted, target_size=4)) == 0
+
+
+def lone_left_runs(g, vertices, target_size, keep_trace=False):
+    """verify's local runs made one seed at a time: a lone local_density
+    call per left vertex, with its error, if any, in its place."""
+    for v in vertices:
+        try:
+            yield local_density(g, g.left_id(v), target_size, LEFT, keep_trace)
+        except LocalDenseError as exc:
+            yield exc
+
+
+@st.composite
+def planted_graphs(draw):
+    """A generate_planted graph and its block's ids; some right vertices
+    outside the block may be cut away, which can leave left vertices with
+    no edges."""
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    n_left, n_right = draw(st.integers(a, 12)), draw(st.integers(b, 30))
+    block_edges = draw(st.integers(max(a, b), a * b))
+    noise = draw(st.integers(0, min(60, n_left * n_right - a * b)))
+    g, left, right = generate_planted(
+        n_left, n_right, noise, a, b, block_edges / (a * b), draw(st.integers(0, 10**6))
+    )
+    planted = block_ids(g, left, right)
+    others = sorted(set(range(g.right_count)) - right)
+    cut = draw(st.sets(st.sampled_from(others))) if others else set()
+    g = restrict(g, range(g.left_count), set(range(g.right_count)) - cut)
+    return g, planted
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=planted_graphs(), target_size=st.integers(1, 8))
+def test_batched_local_runs_match_lone_runs(case, target_size):
+    g, planted = case
+
+    def verification():
+        return (
+            verify._collect_traces(g, target_size),
+            run_verification(g, planted=planted, target_size=target_size),
+        )
+
+    batched = verification()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_grow_left", lone_left_runs)
+        assert verification() == batched
+
+
+def test_a_planted_verification_makes_three_growth_calls(monkeypatch):
+    # the whole-graph run, the eight traced local runs and the good-seed
+    # runs each grow as one call; the lanes are counted per call
+    g, planted = planted_block()
+    lanes = []
+    for module in (globalopt, local):
+
+        def counted(g, starts, *args, grow=module.run_pruned_growth):
+            lanes.append(len(starts))
+            return grow(g, starts, *args)
+
+        monkeypatch.setattr(module, "run_pruned_growth", counted)
+    results = by_name(run_verification(g, planted=planted, target_size=4))
+    good = int(results["planted-local-guarantee"].detail.split()[0])
+    assert good > 1
+    assert lanes == [2, 8, good]
+
+
+@pytest.mark.parametrize("traced", [True, False])
+def test_local_loops_raise_the_first_failing_seeds_error(monkeypatch, traced):
+    # the traced loop skips a seed with no edges and raises the next error;
+    # the good-seed loop raises the first error of all
+    g, planted = planted_block()
+    grow_left = verify._grow_left
+
+    def failing(g, vertices, target_size, keep_trace=False):
+        runs = list(grow_left(g, vertices, target_size, keep_trace))
+        if keep_trace == traced:
+            runs[1:1] = [NoCandidate("no edges"), NegativeEntry("first"), NegativeEntry("second")]
+        return runs
+
+    monkeypatch.setattr(verify, "_grow_left", failing)
+    error, message = (NegativeEntry, "first") if traced else (NoCandidate, "no edges")
+    with pytest.raises(error, match=f"^{message}$"):
+        run_verification(g, planted=planted, target_size=4)
 
 
 def test_exact_agreement_skips_above_cap():
