@@ -227,7 +227,6 @@ class StepRecord:
     next_levels: LevelVector
     max_pair_density: float
     pruned_mass: float
-    best_so_far: tuple
 
     @property
     def pruned_count(self) -> int:
@@ -246,7 +245,6 @@ class ProcessOutcome:
     best_at: tuple | None
     steps_executed: int
     edges_touched: int
-    stopped_early: bool
     trace: list | None
 
 
@@ -328,7 +326,6 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
     best_d = np.full(lanes, -np.inf)
     executed = np.zeros(lanes, dtype=np.int64)
     touched = np.zeros(lanes, dtype=np.int64)
-    stopped = np.zeros(lanes, dtype=bool)
     failed: list = [None] * lanes
     traces = [[] for _ in starts] if keep_trace else None
 
@@ -378,7 +375,6 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
         # a lane with no edges, or whose products all underflowed, stops
         # without taking the step
         go = np.bincount(y_slot, minlength=slots) > 0
-        stopped[active[~go]] = True
         if not go.any():
             break
         stepping = active[go]
@@ -440,7 +436,6 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
                 lane = int(active[s])
                 ya, yb = y_bounds[s], y_bounds[s + 1]
                 na, nb = next_bounds[s], next_bounds[s + 1]
-                at = best[lane]
                 traces[lane].append(
                     StepRecord(
                         t=t,
@@ -456,12 +451,10 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
                         ),
                         max_pair_density=d,
                         pruned_mass=float(pruned_mass[s]),
-                        best_so_far=(at[0], at[1], at[2], at[6]),
                     )
                 )
 
         cont = np.bincount(next_slot, minlength=slots) > 0
-        stopped[active[go & ~cont]] = True
         if not cont.any():
             break
         slot = (np.cumsum(cont) - 1)[next_slot]
@@ -480,10 +473,6 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
             xs, ys = frozenset(xs.tolist()), frozenset(ys.tolist())
             sub = Subgraph(xs, ys, e, d) if on == LEFT else Subgraph(ys, xs, e, d)
             at = (t, i, j)
-        outcomes.append(
-            ProcessOutcome(
-                sub, at, int(executed[lane]), int(touched[lane]), bool(stopped[lane]),
-                traces[lane] if keep_trace else None,
-            )
-        )
+        trace = traces[lane] if keep_trace else None
+        outcomes.append(ProcessOutcome(sub, at, int(executed[lane]), int(touched[lane]), trace))
     return outcomes

@@ -70,9 +70,11 @@ class DensityResult:
     guarantee factor: for a local run the output density is at least bound
     times half the density of any subgraph of the target size containing the
     seed in a good position; for a whole-graph run it is at least bound times
-    the top adjacency eigenvalue.  bound_eps is the same factor computed from
-    the schedule's initial pruning fraction instead of the closed form; it is
-    the tighter of the two when the maximum degree is large.  Either may be
+    the top adjacency eigenvalue.  bound_eps is a local run's factor computed
+    from the schedule's initial pruning fraction 1/(8k), k the target size,
+    instead of the closed form.  As 2 * delta / (1/(8k)) = 16 * delta * k, it
+    equals bound up to rounding whenever the maximum degree delta is at least
+    one; it is defined on its own only for 1/(16k) < delta < 1.  Either may be
     None when the graph falls outside the bound's domain.  traces holds a
     GrowthTrace per growth run when the run kept them, else None.
     """

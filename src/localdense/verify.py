@@ -78,18 +78,20 @@ def _step_checks(rec, delta: float, wfloor: float):
     # surviving entries
     yield "support-bound", rec.x_levels.support_size <= 1.0 / rec.eps_t**2
     yield "support-bound", rec.next_levels.support_size <= 1.0 / rec.eps_prune**2
-    # level-count: the rounded product occupies few distinct powers of two;
-    # edge weights below one widen the spread, so the cap folds them in
-    cap = math.ceil(math.log2(2.0 * delta / (rec.eps_t * wfloor))) + 1
-    yield "level-count", rec.post_levels.level_count <= cap
+    # both caps count the powers of two a rounded product spans,
+    # log2(2 * delta / (eps * wfloor)) with wfloor = min(w_min, 1): edge
+    # weights below one widen the spread, and the floor keeps the log
+    # positive however the weights are scaled
+    span = math.log2(2.0 * delta / (rec.eps_t * wfloor))
+    # level-count: the rounded product occupies few distinct powers of two
+    yield "level-count", rec.post_levels.level_count <= math.ceil(span) + 1
     # growth-cap: when no level pair is denser than d, the rounded product's
-    # norm stays within 2 * d * norm * log2(2 * delta / eps); d is the step's
-    # measured densest pair, and a zero vector passes vacuously
+    # norm stays within 2 * d * norm * span; d is the step's measured
+    # densest pair, and a zero vector passes vacuously
     yield "growth-cap", (
         rec.x_levels.norm == 0.0
         or rec.post_levels.norm == 0.0
-        or rec.post_levels.norm
-        <= 2.0 * rec.max_pair_density * rec.x_levels.norm * math.log2(2.0 * delta / rec.eps_t)
+        or rec.post_levels.norm <= 2.0 * rec.max_pair_density * rec.x_levels.norm * span
     )
     # prune-mass: what truncation removed is small relative to what existed
     if rec.pruned_count:
@@ -167,7 +169,7 @@ def run_verification(
     else:
         report(
             "exact-agreement",
-            all(d <= exact.density + 1e-9 for _, d in runs),
+            all(d <= exact.density + 1e-9 * max(1.0, exact.density) for _, d in runs),
             f"exact optimum {exact.density:.6g} dominates all runs",
         )
 

@@ -244,12 +244,10 @@ def reference_growth(g, side, start, epsilons):
     x = dict(start)
     best = best_at = None
     edges_touched = executed = 0
-    stopped = False
     steps = []
     for t in range(len(epsilons) - 1):
         incident = sum(g.fanout(side, u) for u in x)
         if incident == 0:
-            stopped = True
             break
         prod = {}
         for u in sorted(x):
@@ -265,7 +263,6 @@ def reference_growth(g, side, start, epsilons):
                 m, e = math.frexp(z)
                 y[v] = e - 1 if m == 0.5 else e
         if not y:
-            stopped = True
             break
         executed += 1
         edges_touched += 2 * incident
@@ -306,11 +303,9 @@ def reference_growth(g, side, start, epsilons):
                 "next_levels": reference_vector(y_side, nxt),
                 "max_pair_density": d,
                 "pruned_mass": reference_norm(removed),
-                "best_so_far": best_at + (best.density,),
             }
         )
         if not nxt:
-            stopped = True
             break
         x, side = nxt, y_side
     return {
@@ -318,7 +313,6 @@ def reference_growth(g, side, start, epsilons):
         "best_at": best_at,
         "steps_executed": executed,
         "edges_touched": edges_touched,
-        "stopped_early": stopped,
         "trace": steps,
     }
 

@@ -7,6 +7,7 @@ and shared by the criteria that reuse their traces.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -330,15 +331,23 @@ def test_c09_work_independent_of_graph_size():
         touches[scale] = first.edges_touched
         runs[scale] = (g, seed)
     # the sizes take turns within each round, each round led by the next
-    # size, so a slow stretch of the host falls on all of them alike
+    # size, so a slow stretch of the host falls on all of them alike; the
+    # rounds run on one CPU, so that no size is timed across migrations
     timings = dict.fromkeys(scales, math.inf)
-    for rnd in range(3):
-        for scale in scales[rnd:] + scales[:rnd]:
-            g, seed = runs[scale]
-            t1 = time.perf_counter()
-            for _ in range(200):
-                local_density(g, seed, target_size=4, side="L")
-            timings[scale] = min(timings[scale], time.perf_counter() - t1)
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+    if allowed:
+        os.sched_setaffinity(0, {min(allowed)})
+    try:
+        for rnd in range(3):
+            for scale in scales[rnd:] + scales[:rnd]:
+                g, seed = runs[scale]
+                t1 = time.perf_counter()
+                for _ in range(200):
+                    local_density(g, seed, target_size=4, side="L")
+                timings[scale] = min(timings[scale], time.perf_counter() - t1)
+    finally:
+        if allowed:
+            os.sched_setaffinity(0, allowed)
     del runs, g
     elapsed = time.perf_counter() - t_all
     spread = max(timings.values()) / min(timings.values())

@@ -212,7 +212,6 @@ def test_step_on_star(star4):
 def test_step_raises_when_everything_prunes(star4):
     # the dying step still reports the rounded product it pruned away
     out, rec = first_step(star4, LevelVector.unit("L", 0), eps=1.0)
-    assert out.stopped_early
     assert rec.post_levels.norm == 2.0
     assert rec.post_levels.support_size == 4
     assert rec.next_levels.support_size == 0
@@ -273,7 +272,6 @@ def test_evaluate_candidates_failures():
     # the second step underflows to 0.0, so the run stops before taking it
     g = build_bipartite([("a", "x", 1e-320)])
     out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1), keep_trace=True)
-    assert out.stopped_early
     assert out.steps_executed == 1
     assert len(out.trace) == 1
     assert out.edges_touched == 2
@@ -297,7 +295,6 @@ def test_run_pruned_growth_counts_work(star4):
     assert out.edges_touched == 8
     assert out.best.density == 2.0
     assert out.best_at == (0, 0, 0)
-    assert not out.stopped_early
     assert out.trace is None
 
 
@@ -309,7 +306,7 @@ def test_norms_are_computed_for_traces_only(monkeypatch, keep_trace, per_step):
     norms = growth._norms
     monkeypatch.setattr(growth, "_norms", lambda *a: calls.append(a) or norms(*a))
     out = grow(k_ab(3, 4), LevelVector.unit("L", 0), (0.5, 0.01, 0.01, 0.01, 0.01), keep_trace)
-    assert out.steps_executed == 4 and not out.stopped_early
+    assert out.steps_executed == 4
     assert len(calls) == 4 * per_step
 
 
@@ -317,7 +314,6 @@ def test_run_pruned_growth_dying_step_still_reports(star4):
     out = grow(
         star4, LevelVector.unit("L", 0), (0.5, 0.6), keep_trace=True
     )
-    assert out.stopped_early
     assert out.steps_executed == 1
     assert out.best.density == 2.0
     rec = out.trace[0]
@@ -334,14 +330,12 @@ def test_run_pruned_growth_single_edge_round_trip():
     assert out.steps_executed == 2
     assert out.edges_touched == 4
     assert out.best.density == 1.0
-    assert not out.stopped_early
 
 
 def test_run_pruned_growth_isolated_start_stops_immediately():
     g = from_directed([("a", "b", 1.0)])
     # the left copy of "b" exists but has no outgoing edges
     out = grow(g, LevelVector.unit("L", 1), (0.25, 0.01))
-    assert out.stopped_early
     assert out.steps_executed == 0
     assert out.best is None
 

@@ -159,6 +159,50 @@ def test_verification_handles_small_weights():
     assert exit_code(results) == 0
 
 
+def scaled(g, factor):
+    """g with every edge weight multiplied by factor."""
+    return build_bipartite([(g.left_id(u), g.right_id(v), w * factor) for u, v, w in g.edges()])
+
+
+def statuses(results):
+    return [(r.name, r.status) for r in results]
+
+
+def test_light_weights_keep_every_status():
+    # a power-of-two scale scales every product, norm and density exactly,
+    # so every check reads as on the original: on this 20-by-1000 graph at
+    # 2**-20, 2 * delta falls below eps_t, where a growth cap without the
+    # weight floor turns negative
+    g, left, right = generate_planted(20, 1000, 6000, 12, 40, 0.5, rng_seed=7)
+    planted = block_ids(g, left, right)
+    results = run_verification(g, planted=planted)
+    light = run_verification(scaled(g, 2.0**-20), planted=planted)
+    assert statuses(light) == statuses(results)
+    assert [r.detail for r in light[:4]] == [r.detail for r in results[:4]]
+    assert exit_code(light) == 0
+
+
+def test_heavy_weights_keep_every_status():
+    # scaled by 3.3e12, the whole-graph run here finds the exact optimum and
+    # sums its weight in another order, one ulp above the oracle's; an
+    # absolute tolerance of 1e-9 is below one ulp at these densities
+    edges = [
+        ("l1", "r0", 2.1),
+        ("l1", "r1", 1.1),
+        ("l0", "r0", 0.5),
+        ("l0", "r1", 0.24174144501795042),
+        ("l0", "r2", 2.312374095355447),
+        ("l2", "r0", 0.257206231199249),
+        ("l2", "r1", 1.7670761418791232),
+        ("l2", "r2", 0.6),
+        ("l2", "r3", 0.1),
+    ]
+    g = build_bipartite(edges)
+    results = run_verification(g)
+    assert statuses(run_verification(scaled(g, 3.3e12))) == statuses(results)
+    assert exit_code(results) == 0
+
+
 def test_verification_passes_on_random_graphs():
     rng = random.Random(55)
     for _ in range(5):
