@@ -16,14 +16,17 @@ run_pruned_growth grows many start vectors at once, one lane per start, and
 returns a GrowthBatch.  The lanes that start on one side advance together:
 their vectors are held as one set of (lane, index, exponent) arrays sorted by
 (lane, index), and each step is one array pass over all of them.  Product
-entries are keyed by (lane, neighbor), and level and level-pair ids are lane
-local and come from bincounts over small ranges, so nothing of graph size is
-allocated.  A lane never sees another: each of its sums runs over its own
-terms in the order a batch of one would use, so every lane's outcome equals
-that of its start run alone, to the bit.  A lane leaves the batch when its
-run stops, or when it overflows: one result per start, errors included.
-The norms of truncated vectors are computed only for traces, whose vectors
-are views into their step's batch arrays.
+entries are keyed by (lane, neighbor) and numbered by a sort, or by an
+occupancy array over every (lane, neighbor) key when that array holds at
+most four entries per gathered edge; level and level-pair ids are lane local
+and come from bincounts over small ranges.  So a step allocates in
+proportion to the edges it gathers, never to the graph's size.  A lane never
+sees another: each of its sums runs over its own terms in the order a batch
+of one would use, so every lane's outcome equals that of its start run
+alone, to the bit.  A lane leaves the batch when its run stops, or when it
+overflows: one result per start, errors included.  The norms of truncated
+vectors are computed only for traces, whose vectors are views into their
+step's batch arrays.
 """
 
 from __future__ import annotations
@@ -148,23 +151,37 @@ def _norms(level_slot: np.ndarray, level_exp: np.ndarray, counts: np.ndarray, sl
     return norms
 
 
+# the largest key space per gathered edge that _product numbers without a sort
+_OCCUPANCY_FACTOR = 4
+
+
 def _product(g, side, slot, index, exps, slots):
     """The edges of one step for every lane at once, and their product.
 
     Gathers the edges incident to the supports in (slot, vertex, neighbor)
     order.  Returns each edge's source entry and weight, each slot's edge
     count, the sorted slot * width + neighbor key of each product entry,
-    each edge's product entry and the product values.  bincount adds in
-    array order, so each product entry sums its terms in ascending
-    source-vertex order.
+    each edge's product entry and the product values.  Keys are numbered by
+    an occupancy array over the key space when that holds at most
+    _OCCUPANCY_FACTOR keys per gathered edge (all-ones starts), else by
+    np.unique's sort (a few seeds on a large graph); both give the same
+    sorted keys and numbering.  bincount adds in array order, so each
+    product entry sums its terms in ascending source-vertex order.
     """
     indptr, nbrs, wts = g.csr_arrays(side)
     fan, pos = csr_slices(indptr, index)
     rows = np.repeat(np.arange(len(fan)), fan)
     wt = wts[pos]
-    key = slot[rows] * g.side_count(opposite(side)) + nbrs[pos]
-    del pos  # np.unique takes about five more arrays of this length
-    keys, y_of_edge = np.unique(key, return_inverse=True)
+    width = g.side_count(opposite(side))
+    key = slot[rows] * width + nbrs[pos]
+    del pos  # either numbering takes a few more arrays of this length
+    if slots * width <= _OCCUPANCY_FACTOR * len(key):
+        present = np.zeros(slots * width, dtype=bool)
+        present[key] = True
+        keys = np.flatnonzero(present)
+        y_of_edge = (np.cumsum(present) - 1)[key]
+    else:
+        keys, y_of_edge = np.unique(key, return_inverse=True)
     del key
     with np.errstate(over="ignore"):
         terms = np.ldexp(1.0, exps)[rows] * wt

@@ -143,10 +143,11 @@ def run_verification(
 
     # spectral-dominance: no observed density may exceed the eigenvalue
     # estimate plus its residual, which bounds the top eigenvalue only when
-    # the estimate has converged to it
+    # the estimate has converged to it; the rounding tolerance is relative,
+    # so a graph with every weight scaled reads as the original
     report(
         "spectral-dominance",
-        best_density <= est.value + est.residual + 1e-9,
+        best_density <= est.value + est.residual + 1e-9 * max(1.0, est.value),
         f"best density {best_density:.6g} vs eigenvalue {est.value:.6g} "
         f"(residual {est.residual:.2g})",
     )
@@ -193,8 +194,11 @@ def run_verification(
     )
 
     min_weight = 1.0 / math.sqrt(2.0 * len(left_set))
+    # a margin is the least slack of A x - threshold * x for a unit x, which
+    # scales with the weights as the threshold does; so does its tolerance
     invalid = sum(
-        cert.margin < -1e-9 or cert.vertex_value < min_weight - 1e-12
+        cert.margin < -1e-9 * max(1.0, threshold)
+        or cert.vertex_value < min_weight - 1e-12
         for cert in cover.certificates.values()
     )
     report(

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -440,18 +441,34 @@ def test_lanes_match_lone_runs_and_dict_referee(seed, directed, weights, kinds, 
             lanes.append(rng.choice(lanes))
         else:
             lanes.append((side, *referee_start(rng, g, kind, side)))
-    starts = [vec for _, _, vec in lanes]
+    wants = []
+    for side, exps, _ in lanes:
+        try:
+            wants.append(reference_growth(g, side, exps, epsilons))
+        except NegativeEntry as exc:
+            wants.append(exc)
+    # each case runs with every step's product entries numbered by a sort,
+    # then by an occupancy array; both must give the referee's outcomes
+    seen = []
+    for factor in (0, 10**9):
+        with mock.patch.object(growth, "_OCCUPANCY_FACTOR", factor):
+            seen.append(check_lanes(g, [vec for _, _, vec in lanes], wants, epsilons))
+    assert seen[0] == seen[1]
+
+
+def check_lanes(g, starts, wants, epsilons):
+    """Grow the starts as one batch, traced and not, and each alone; check
+    every outcome against the referee's and return the traced ones'
+    fields, or their error texts."""
     batch = run_pruned_growth(g, starts, epsilons, keep_trace=True)
     bare = run_pruned_growth(g, starts, epsilons)
-    assert len(batch.outcomes) == len(bare.outcomes) == len(lanes)
-    for (side, exps, vec), out, plain in zip(lanes, batch.outcomes, bare.outcomes):
+    assert len(batch.outcomes) == len(bare.outcomes) == len(starts)
+    for vec, want, out, plain in zip(starts, wants, batch.outcomes, bare.outcomes):
         lone = grow(g, vec, epsilons, keep_trace=True)
-        try:
-            want = reference_growth(g, side, exps, epsilons)
-        except NegativeEntry as exc:
+        if isinstance(want, NegativeEntry):
             # the overflowing lane alone fails, as its lone run does
             for got in (out, plain, lone):
-                assert isinstance(got, NegativeEntry) and str(got) == str(exc)
+                assert isinstance(got, NegativeEntry) and str(got) == str(want)
             continue
         fields = outcome_fields(out)
         assert fields == want
@@ -461,6 +478,7 @@ def test_lanes_match_lone_runs_and_dict_referee(seed, directed, weights, kinds, 
     runs = [o for o in batch.outcomes if isinstance(o, ProcessOutcome)]
     assert batch.edges_touched == bare.edges_touched == sum(o.edges_touched for o in runs)
     assert batch.steps_executed == bare.steps_executed == sum(o.steps_executed for o in runs)
+    return [outcome_fields(o) if isinstance(o, ProcessOutcome) else str(o) for o in batch.outcomes]
 
 
 @settings(max_examples=150, deadline=None)

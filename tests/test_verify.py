@@ -201,6 +201,19 @@ def test_heavy_weights_keep_every_status():
     results = run_verification(g)
     assert statuses(run_verification(scaled(g, 3.3e12))) == statuses(results)
     assert exit_code(results) == 0
+    # at 2**45 the density of k_ab(3, 4) exceeds the Lanczos estimate plus
+    # its residual by under one ulp, and the planted certificates' margins
+    # reach -0.016: both past an absolute tolerance, both rounding at scale
+    g = k_ab(3, 4)
+    results = run_verification(g)
+    assert statuses(run_verification(scaled(g, 2.0**45))) == statuses(results)
+    assert exit_code(results) == 0
+    g, left, right = generate_planted(20, 1000, 6000, 12, 40, 0.5, rng_seed=7)
+    planted = block_ids(g, left, right)
+    results = run_verification(g, planted=planted)
+    heavy = run_verification(scaled(g, 2.0**45), planted=planted)
+    assert statuses(heavy) == statuses(results)
+    assert exit_code(results) == 0
 
 
 def test_verification_passes_on_random_graphs():
