@@ -65,13 +65,13 @@ class BipartiteGraph:
     triple (indptr, neighbor indices on the other side, weights), with each
     neighbor list sorted by index.  No accessor favours a side.
 
-    Construct through build_bipartite, from_directed, or restrict; the raw
-    constructor expects each side's id-to-index dict, in index order, and
-    validated edge arrays.  It merges duplicate pairs by weight sum, and
-    keeps the dicts as given, so one dict may serve both sides.  Vertices
-    with no incident edges are legal (restriction can produce them) but the
-    graph as a whole always carries at least one edge, and its total weight
-    is finite.
+    Construct through build_bipartite, from_directed, restrict or
+    generate_planted; the raw constructor expects each side's id-to-index
+    dict, in index order, and validated edge arrays.  It merges duplicate
+    pairs by weight sum, and keeps the dicts as given, so one dict may serve
+    both sides.  Vertices with no incident edges are legal (restriction can
+    produce them) but the graph as a whole always carries at least one edge,
+    and its total weight is finite.
     """
 
     __slots__ = ("_ids", "_index", "_csr", "_total_weight", "_max_degree", "_max_fanout")

@@ -3,6 +3,18 @@
 The run touches only edges incident to the working vector's support, so its
 cost depends on the seed's neighborhood and the requested subgraph size, not
 on the size of the whole graph.
+
+The bounds the pruning schedule gives stand next to the paper's abstract,
+which promises O(Delta * k**2) time and output vertices for target size k
+and maximum degree Delta.  Step t grows from a vector truncated at fraction
+eps_t (or the seed alone), so its support holds at most 1 / eps_t**2
+vertices, and the step gathers at most x_support * max_fanout edges.
+edges_touched counts each gathered edge twice, so it is at most
+2 * max_fanout * sum_t min(1 / eps_t**2, side size).  Under LocalSchedule,
+sum_t 1 / eps_t**2 = 64 * k**2 * (4**h - 1) / 3, and 2k <= 4**h < 8k makes
+that Theta(k**3), a factor k above the abstract.  The output is one level of
+a step's vector and one level of its rounded product, so at most
+1 / eps_t**2 + max_fanout / eps_t**2 vertices.
 """
 
 from __future__ import annotations
@@ -33,7 +45,12 @@ class LocalSchedule:
     up to target_size per side.
 
     The horizon is the smallest integer h with 4**h >= 2 * target_size, and
-    the pruning fraction halves each step starting from 1 / (8 * target_size).
+    the pruning fraction halves each step starting from 1 / (8 * target_size):
+    eps_t = 2**-t / (8k) for k = target_size and t = 0 .. h.  A run takes h
+    steps, and step t's vector holds at most 1 / eps_t**2 vertices, so the
+    schedule allows sum_t 1 / eps_t**2 = 64 * k**2 * (4**h - 1) / 3 of them
+    over a run, Theta(k**3) against the abstract's O(Delta * k**2) (see the
+    module docstring for the edge and output bounds this gives).
     """
 
     target_size: int

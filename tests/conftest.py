@@ -189,6 +189,57 @@ def reference_certificate_margin(g, vec_left, vec_right, threshold):
     return worst
 
 
+def reference_generate(
+    n_left, n_right, noise_edges, a, b, planted_density_factor=1.0, rng_seed=0,
+    noise_avoids_planted=False,
+):
+    """generate_planted for valid arguments, one randrange pair per noise
+    draw and one row tuple per edge through build_bipartite; referee for the
+    bulk draws and the column build.
+    """
+    rng = random.Random(rng_seed)
+    left_block = sorted(rng.sample(range(n_left), a))
+    right_block = sorted(rng.sample(range(n_right), b))
+    block_target = round(planted_density_factor * a * b)
+    if block_target == a * b:
+        positions = [(p, q) for p in range(a) for q in range(b)]
+    else:
+        cover = {(k % a, k % b) for k in range(max(a, b))}
+        rest = [pq for pq in ((p, q) for p in range(a) for q in range(b)) if pq not in cover]
+        extra = rng.sample(rest, block_target - len(cover))
+        positions = sorted(cover) + sorted(extra)
+    edges = [(left_block[p], right_block[q], 1.0) for p, q in positions]
+
+    if noise_avoids_planted:
+        left_pool = sorted(set(range(n_left)).difference(left_block))
+        right_pool = sorted(set(range(n_right)).difference(right_block))
+        capacity = len(left_pool) * len(right_pool)
+    else:
+        left_pool = list(range(n_left))
+        right_pool = list(range(n_right))
+        capacity = n_left * n_right - a * b
+    forbidden = {(left_block[p], right_block[q]) for p in range(a) for q in range(b)}
+    if noise_edges * 2 > capacity:
+        available = [
+            (u, v) for u in left_pool for v in right_pool if (u, v) not in forbidden
+        ]
+        edges.extend((u, v, 1.0) for u, v in rng.sample(available, noise_edges))
+    else:
+        used = set(forbidden)
+        placed = 0
+        while placed < noise_edges:
+            u = left_pool[rng.randrange(len(left_pool))]
+            v = right_pool[rng.randrange(len(right_pool))]
+            if (u, v) in used:
+                continue
+            used.add((u, v))
+            edges.append((u, v, 1.0))
+            placed += 1
+
+    g = build_bipartite(edges)
+    return g, g.left_indices(left_block), g.right_indices(right_block)
+
+
 def random_bipartite(rng: random.Random, max_left, max_right, weighted=False, min_edges=1):
     nl = rng.randint(1, max_left)
     nr = rng.randint(1, max_right)

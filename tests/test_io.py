@@ -1,11 +1,17 @@
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import localdense.generate as generate_module
 from localdense import (
+    LEFT,
+    RIGHT,
     DomainError,
     ParseError,
     build_bipartite,
@@ -21,7 +27,7 @@ from localdense import (
 )
 from localdense.io import parse_edge_lines
 
-from conftest import k_ab
+from conftest import k_ab, reference_generate
 
 
 def test_parse_edge_lines_basic():
@@ -208,15 +214,93 @@ def test_generator_validation():
 
 
 def test_generator_requires_integer_counts():
-    counts = dict(n_left=9, n_right=9, noise_edges=4, planted_a=3, planted_b=3)
+    counts = dict(n_left=9, n_right=9, noise_edges=4, planted_a=3, planted_b=3, rng_seed=1)
     for name in counts:
         for bad in (2.5, 3.0, True, "3"):
             with pytest.raises(DomainError):
                 generate_planted(**{**counts, name: bad})
+    for bad in (True, "0.5", None):
+        with pytest.raises(DomainError):
+            generate_planted(**counts, planted_density_factor=bad)
     g, left, right = generate_planted(**{k: np.int64(v) for k, v in counts.items()})
     h, h_left, h_right = generate_planted(**counts)
     assert list(g.edges()) == list(h.edges())
     assert (left, right) == (h_left, h_right)
+
+
+def test_generator_caps_sides_below_two_to_the_32():
+    # raised before anything of a side's size is built
+    for sides in ((2**32, 9), (9, 2**32)):
+        with pytest.raises(DomainError, match="2\\*\\*32"):
+            generate_planted(*sides, 1, 3, 3)
+
+
+def assert_same_generated(got, want):
+    g, left, right = got
+    h, h_left, h_right = want
+    assert g._ids == h._ids
+    assert {type(i) for side in (LEFT, RIGHT) for i in g._ids[side]} == {int}
+    for side in (LEFT, RIGHT):
+        for x, y in zip(g.csr_arrays(side), h.csr_arrays(side)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert (g.total_weight, g.max_degree, g.max_fanout) == (
+        h.total_weight, h.max_degree, h.max_fanout
+    )
+    assert (left, right) == (h_left, h_right)
+
+
+def assert_matches_reference(args):
+    """The bulk draws against the randrange loop, once with whole chunks and
+    once with three-word chunks, so that pairs and redraws straddle chunk
+    boundaries."""
+    want = reference_generate(*args)
+    assert_same_generated(generate_planted(*args), want)
+    with mock.patch.object(generate_module, "_CHUNK_WORDS", 3):
+        assert_same_generated(generate_planted(*args), want)
+
+
+# (n_left, n_right, noise_edges, a, b, factor, rng_seed, noise_avoids_planted)
+GENERATOR_GRID = [
+    (9, 9, 4, 3, 3, 1.0, 0, False),
+    (300, 517, 5000, 6, 6, 1.0, 3, False),
+    (14, 1000, 3000, 12, 40, 0.5, 7, False),
+    (14, 1000, 900, 12, 40, 0.5, 7, True),
+    (1, 1, 0, 1, 1, 1.0, 5, False),
+    (1, 40, 19, 1, 2, 1.0, 6, False),
+    (40, 2, 19, 2, 1, 1.0, 6, True),
+    (2, 2, 1, 1, 1, 1.0, 8, False),
+    (64, 32, 700, 4, 4, 1.0, 1, False),
+    (1024, 1024, 20000, 8, 8, 0.75, 1, True),
+    (63, 127, 1500, 5, 3, 1.0, 2, False),
+    (63, 127, 1500, 5, 3, 1.0, 2, True),
+    (64, 64, 2039, 4, 4, 1.0, 2, False),
+    (64, 63, 1769, 5, 3, 0.8, 11, True),
+    (40, 40, 0, 4, 5, 0.5, 9, False),
+    (6, 6, 26, 3, 3, 1.0, 13, False),
+    (8, 8, 20, 2, 2, 1.0, 4, True),
+]
+
+
+@pytest.mark.parametrize("args", GENERATOR_GRID)
+def test_generator_matches_randrange_loop(args):
+    assert_matches_reference(args)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_generator_matches_randrange_loop_drawn(data):
+    n_left = data.draw(st.integers(1, 70))
+    n_right = data.draw(st.integers(1, 70))
+    a = data.draw(st.integers(1, n_left))
+    b = data.draw(st.integers(1, n_right))
+    factor = data.draw(st.sampled_from([1.0, 0.75, 0.5]))
+    if round(factor * a * b) < max(a, b):
+        factor = 1.0
+    avoid = data.draw(st.booleans())
+    capacity = (n_left - a) * (n_right - b) if avoid else n_left * n_right - a * b
+    noise = data.draw(st.integers(0, capacity))
+    seed = data.draw(st.integers(0, 2**40))
+    assert_matches_reference((n_left, n_right, noise, a, b, factor, seed, avoid))
 
 
 def test_generator_dense_noise_regime():
