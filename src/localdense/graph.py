@@ -93,19 +93,21 @@ class BipartiteGraph:
         if math.isinf(total):
             raise NegativeWeight("edge weights sum past the float range")
 
-        # np.unique leaves the pairs in (left, right) order, so a stable sort
-        # of a side's own column gives (vertex, neighbor) order
+        # np.unique leaves the pairs in (left, right) order, the left table's;
+        # the right table's is that of the unique keys right * nl + left, so
+        # an unstable sort gives it
+        nl = max(len(left_index), 1)
+        order = np.argsort(r_arr * nl + l_arr)
         self._ids, self._index, self._csr = {}, {}, {}
         degrees, fanouts = [], []
-        for side, index, rows, cols in (
-            (LEFT, left_index, l_arr, r_arr),
-            (RIGHT, right_index, r_arr, l_arr),
+        for side, index, rows, cols, weights in (
+            (LEFT, left_index, l_arr, r_arr, w_arr),
+            (RIGHT, right_index, r_arr, l_arr[order], w_arr[order]),
         ):
             self._index[side] = index
             ids = self._ids[side] = tuple(index)
-            order = np.argsort(rows, kind="stable")
             counts = np.bincount(rows, minlength=len(ids))
-            self._csr[side] = (np.concatenate(([0], np.cumsum(counts))), cols[order], w_arr[order])
+            self._csr[side] = (np.concatenate(([0], np.cumsum(counts))), cols, weights)
             degrees.append(np.bincount(rows, weights=w_arr, minlength=len(ids)).max(initial=0.0))
             fanouts.append(counts.max(initial=0))
         self._total_weight = total

@@ -13,20 +13,21 @@ A step gathers the edges incident to the support once; the same edges give
 both the product and the weight of every level pair.
 
 run_pruned_growth grows many start vectors at once, one lane per start, and
-returns a GrowthBatch.  The lanes that start on one side advance together:
-their vectors are held as one set of (lane, index, exponent) arrays sorted by
-(lane, index), and each step is one array pass over all of them.  Product
-entries are keyed by (lane, neighbor) and numbered by a sort, or by an
-occupancy array over every (lane, neighbor) key when that array holds at
-most four entries per gathered edge; level and level-pair ids are lane local
-and come from bincounts over small ranges.  So a step allocates in
-proportion to the edges it gathers, never to the graph's size.  A lane never
-sees another: each of its sums runs over its own terms in the order a batch
-of one would use, so every lane's outcome equals that of its start run
-alone, to the bit.  A lane leaves the batch when its run stops, or when it
-overflows: one result per start, errors included.  The norms of truncated
-vectors are computed only for traces, whose vectors are views into their
-step's batch arrays.
+returns a GrowthBatch.  Every lane advances in the same array pass per step,
+whichever side it starts on: the vectors are held as one set of (lane,
+index, exponent) arrays sorted by (lane, index), with the lanes that start
+on the left first, so that at every step the entries of each start side form
+one run, gathered from its own side's adjacency table.  Product entries are
+keyed by (lane, neighbor) and numbered by a sort, or by an occupancy array
+over every (lane, neighbor) key when that array holds at most four entries
+per gathered edge; level and level-pair ids are lane local and come from
+bincounts over small ranges.  So a step allocates in proportion to the edges
+it gathers, never to the graph's size.  A lane never sees another: each of
+its sums runs over its own terms in the order a batch of one would use, so
+every lane's outcome equals that of its start run alone, to the bit.  A lane
+leaves the batch when its run stops, or when it overflows: one result per
+start, errors included.  The norms of truncated vectors are computed only
+for traces, whose vectors are views into their step's batch arrays.
 """
 
 from __future__ import annotations
@@ -155,28 +156,51 @@ def _norms(level_slot: np.ndarray, level_exp: np.ndarray, counts: np.ndarray, sl
 _OCCUPANCY_FACTOR = 4
 
 
-def _product(g, side, slot, index, exps, slots):
+def _key_dtype(space: int):
+    """The narrowest integer type, int32 or int64, that holds every key
+    below space."""
+    return np.int32 if space < 2**31 else np.int64
+
+
+def _product(g, groups, slot, index, exps, slots, width):
     """The edges of one step for every lane at once, and their product.
 
-    Gathers the edges incident to the supports in (slot, vertex, neighbor)
-    order.  Returns each edge's source entry and weight, each slot's edge
-    count, the sorted slot * width + neighbor key of each product entry,
-    each edge's product entry and the product values.  Keys are numbered by
-    an occupancy array over the key space when that holds at most
-    _OCCUPANCY_FACTOR keys per gathered edge (all-ones starts), else by
+    groups lists (side, a, b) for each run of entries a:b whose vertices lie
+    on side, in entry order.  Gathers the edges incident to the supports in
+    (slot, vertex, neighbor) order, each run from its own side's table.
+    Returns each source entry's edge count, each edge's weight, each slot's
+    edge count, the sorted slot * width + neighbor key of each product
+    entry, each edge's product entry and the product values.  Keys are
+    numbered by an occupancy array over the key space when that holds at
+    most _OCCUPANCY_FACTOR keys per gathered edge (all-ones starts), else by
     np.unique's sort (a few seeds on a large graph); both give the same
     sorted keys and numbering.  bincount adds in array order, so each
     product entry sums its terms in ascending source-vertex order.
     """
-    indptr, nbrs, wts = g.csr_arrays(side)
-    fan, pos = csr_slices(indptr, index)
-    rows = np.repeat(np.arange(len(fan)), fan)
-    wt = wts[pos]
-    width = g.side_count(opposite(side))
-    key = slot[rows] * width + nbrs[pos]
-    del pos  # either numbering takes a few more arrays of this length
-    if slots * width <= _OCCUPANCY_FACTOR * len(key):
-        present = np.zeros(slots * width, dtype=bool)
+    runs = []
+    for side, a, b in groups:
+        indptr, nbrs, weights = g.csr_arrays(side)
+        runs.append((nbrs, weights, *csr_slices(indptr, index[a:b])))
+    fan = np.concatenate([run[2] for run in runs])
+    wt = np.empty(int(fan.sum()))
+    space = slots * width
+    # the occupancy array takes the keys as indices, which numpy wants as
+    # int64; a sort moves half the bytes with int32 keys
+    occupancy = space <= _OCCUPANCY_FACTOR * len(wt)
+    key = np.repeat((slot * width).astype(np.int64 if occupancy else _key_dtype(space)), fan)
+    # each run's edges are gathered into their place in the step's arrays:
+    # joining arrays gathered apart cost more than the gathers
+    end = 0
+    for nbrs, weights, _, pos in runs:
+        at = slice(end, end + len(pos))
+        key[at] += nbrs[pos]
+        # pos is in range, so clip changes nothing but lets take write to
+        # out without a buffer
+        np.take(weights, pos, out=wt[at], mode="clip")
+        end = at.stop
+    del runs, pos  # either numbering takes a few more arrays of this length
+    if occupancy:
+        present = np.zeros(space, dtype=bool)
         present[key] = True
         keys = np.flatnonzero(present)
         y_of_edge = (np.cumsum(present) - 1)[key]
@@ -184,13 +208,13 @@ def _product(g, side, slot, index, exps, slots):
         keys, y_of_edge = np.unique(key, return_inverse=True)
     del key
     with np.errstate(over="ignore"):
-        terms = np.ldexp(1.0, exps)[rows] * wt
+        terms = np.repeat(np.ldexp(1.0, exps), fan) * wt
     prod = np.bincount(y_of_edge, weights=terms, minlength=len(keys))
     edges = np.bincount(slot, weights=fan, minlength=slots).astype(np.int64)
-    return rows, wt, edges, keys, y_of_edge, prod
+    return fan, wt, edges, keys, y_of_edge, prod
 
 
-def _pair_weights(slot, rows, wt, y_slot, y_of_edge, live, x_levels, y_levels, slots):
+def _pair_weights(slot, fan, wt, y_slot, y_of_edge, live, x_levels, y_levels, slots):
     """Weight of every (x level, y level) pair of each lane that has edges.
 
     Each pair's sum runs over its edges in (vertex, neighbor) order, the
@@ -214,7 +238,7 @@ def _pair_weights(slot, rows, wt, y_slot, y_of_edge, live, x_levels, y_levels, s
     x_part = pair_base[slot] + (x_level_of - x_first[slot]) * ny[slot]
     y_part = np.full(len(live), total)
     y_part[live] = y_level_of - y_first[y_slot]
-    ids = x_part[rows] + y_part[y_of_edge]
+    ids = np.repeat(x_part, fan) + y_part[y_of_edge]
     weight = np.bincount(ids, weights=wt, minlength=total)[:total]
     # edge weights are positive, so a pair has edges exactly when its
     # weight does
@@ -289,9 +313,9 @@ def run_pruned_growth(
     Every start is an independent lane, and every lane gets the outcome a
     batch holding only that start would give, to the bit: its product
     entries and level-pair weights sum their terms in the same order, and it
-    keeps the same first maximum.  Lanes from one side advance together, one
-    array pass per step, and leave the batch when their run stops; the left
-    starts run before the right ones.
+    keeps the same first maximum.  All lanes advance together, one array pass
+    per step whichever side they start on, and leave the batch when their
+    run stops.
 
     epsilons[t + 1] prunes the step taken from the t-th vector, keeping the
     entries strictly above that fraction of the rounded product's norm;
@@ -302,9 +326,10 @@ def run_pruned_growth(
     early, without taking the step, when the vector has no incident edges or
     every product entry underflows to zero.  Ties between level pairs prefer
     the smallest (i, j).  With keep_trace each outcome lists a StepRecord
-    per step; only then are the truncated vectors' norms computed, and a
-    record's vectors, but for the start itself, are views that pin its
-    step's batch arrays, those of every lane that took the step.
+    per step; only then are the truncated vectors' norms computed and the
+    last step's truncation made.  A record's vectors, but for the start
+    itself, are views that pin its step's batch arrays, those of every lane
+    that took the step.
 
     One result per start, errors included: a lane whose product entry or
     norm overflows leaves the batch, and its outcome is that NegativeEntry.
@@ -317,12 +342,12 @@ def run_pruned_growth(
         if not 0.0 <= eps <= 1.0:
             raise DomainError(f"truncation fraction {eps!r} outside [0, 1]")
     outcomes: list = [None] * len(starts)
-    for side in (LEFT, RIGHT):
-        lanes = [k for k, start in enumerate(starts) if start.side == side]
-        if lanes:
-            grown = _grow_lanes(g, side, [starts[k] for k in lanes], epsilons, keep_trace)
-            for k, out in zip(lanes, grown):
-                outcomes[k] = out
+    order = [k for k, start in enumerate(starts) if start.side == LEFT]
+    order += [k for k, start in enumerate(starts) if start.side == RIGHT]
+    if order:
+        grown = _grow_lanes(g, [starts[k] for k in order], epsilons, keep_trace)
+        for k, out in zip(order, grown):
+            outcomes[k] = out
     runs = [out for out in outcomes if isinstance(out, ProcessOutcome)]
     return GrowthBatch(
         outcomes,
@@ -331,14 +356,17 @@ def run_pruned_growth(
     )
 
 
-def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
-    """run_pruned_growth for starts that all lie on `side`.
+def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
+    """run_pruned_growth for starts that hold the left ones first.
 
     The working vectors of the lanes still running are held as one
     (slot, index, exps) triple of arrays sorted by (slot, index), where slot
-    k is lane active[k].
+    k is lane active[k].  Lanes that started on one side sit on one side at
+    every step, so the slots below the first right-start lane's form one run
+    of entries and the rest another.
     """
     lanes = len(starts)
+    lefts = sum(start.side == LEFT for start in starts)
     best: list = [None] * lanes  # (t, i, j, x set, y set, weight, density, x side)
     best_d = np.full(lanes, -np.inf)
     executed = np.zeros(lanes, dtype=np.int64)
@@ -350,22 +378,34 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
     slot = np.repeat(active, [start.support_size for start in starts])
     index = np.concatenate([start.index for start in starts]).astype(np.int64)
     exps = np.concatenate([start.exps for start in starts]).astype(np.int64)
-    x_side = side
     # every level id below comes from a bincount over the exponent span,
     # which the float range keeps under 2100
     if len(exps) and not (-1074 <= exps.min() and exps.max() <= 1023):
         raise DomainError("a start entry 2**i lies outside the float range")
 
     t = 0
-    while t < len(epsilons) - 1 and len(active):
+    while t < len(epsilons) - 1 and len(slot):
         slots = len(active)
-        y_side = opposite(x_side)
-        width = g.side_count(y_side)
-        rows, wt, edges, keys, y_of_edge, prod = _product(g, x_side, slot, index, exps, slots)
+        # the x side of the left-start lanes, then of the right-start ones
+        x_sides = (LEFT, RIGHT) if t % 2 == 0 else (RIGHT, LEFT)
+        cut = int(np.searchsorted(slot, np.searchsorted(active, lefts)))
+        bounds = zip(x_sides, (0, cut), (cut, len(slot)))
+        groups = [(side, a, b) for side, a, b in bounds if a < b]
+        # keys use the widest y side of the step, so a batch from one side
+        # numbers its product entries as a batch of one does
+        width = max(g.side_count(opposite(side)) for side, _, _ in groups)
+        fan, wt, edges, keys, y_of_edge, prod = _product(g, groups, slot, index, exps, slots, width)
         # entries that underflowed to zero are dropped, and those that
         # overflowed fail their lane below
         live = (prod > 0.0) & (prod < np.inf)
-        y_slot, y_index = np.divmod(keys[live], width)
+        y_keys = keys[live]
+        # each slot's run of the sorted keys, and its entries' slots and
+        # indices, without a division
+        y_bounds = np.searchsorted(y_keys, np.arange(slots + 1, dtype=keys.dtype) * width)
+        y_sizes = np.diff(y_bounds)
+        y_slot = np.repeat(np.arange(slots), y_sizes)
+        y_index = y_keys - np.repeat(np.arange(slots) * width, y_sizes)
+        del y_keys
         y_exps = _round_up_pow2(prod[live])
         y_levels = _levels(y_slot, y_exps, slots)
         y_level_of, y_level_slot, y_level_exp, y_counts = y_levels
@@ -391,7 +431,7 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
 
         # a lane with no edges, or whose products all underflowed, stops
         # without taking the step
-        go = np.bincount(y_slot, minlength=slots) > 0
+        go = y_sizes > 0
         if not go.any():
             break
         stepping = active[go]
@@ -401,10 +441,10 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
         x_levels = _levels(slot, exps, slots)
         x_level_of, _, x_level_exp, x_counts = x_levels
         p_slot, pi, pj, pair_weight = _pair_weights(
-            slot, rows, wt, y_slot, y_of_edge, live, x_levels, y_levels, slots
+            slot, fan, wt, y_slot, y_of_edge, live, x_levels, y_levels, slots
         )
         # the per-edge arrays go before the next step gathers its own
-        del rows, wt, keys, y_of_edge, prod, live
+        del wt, keys, y_of_edge, prod, live
         dens = pair_weight / np.sqrt(x_counts[pi] * y_counts[pj])
         # each stepping lane's first maximum in (i, j) order: a stable sort
         # by (slot, -density) puts it first among the lane's pairs
@@ -436,8 +476,11 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
                 pair_weight[up].tolist(),
                 dens[up].tolist(),
             ):
-                best[lane] = (t, i, j, xs[xa:xb], ys[ya:yb], e, d, x_side)
+                on = x_sides[lane >= lefts]
+                best[lane] = (t, i, j, xs[xa:xb], ys[ya:yb], e, d, on)
 
+        if t == len(epsilons) - 2 and not keep_trace:
+            break  # only a trace reads the last step's truncated vector
         eps = epsilons[t + 1]
         # a level's entries share one value, so truncation keeps whole levels
         keep = np.ldexp(1.0, y_level_exp) > eps * pre_norm[y_level_slot]
@@ -447,10 +490,10 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
         if keep_trace:
             next_norm = _norms(y_level_slot[keep], y_level_exp[keep], y_counts[keep], slots)
             pruned_mass = _norms(y_level_slot[~keep], y_level_exp[~keep], y_counts[~keep], slots)
-            y_bounds = np.searchsorted(y_slot, np.arange(slots + 1))
             next_bounds = np.searchsorted(next_slot, np.arange(slots + 1))
             for s, d in zip(np.flatnonzero(go).tolist(), dens[win].tolist()):
                 lane = int(active[s])
+                y_side = opposite(x_sides[lane >= lefts])
                 ya, yb = y_bounds[s], y_bounds[s + 1]
                 na, nb = next_bounds[s], next_bounds[s + 1]
                 traces[lane].append(
@@ -476,7 +519,6 @@ def _grow_lanes(g, side, starts, epsilons, keep_trace) -> list:
             break
         slot = (np.cumsum(cont) - 1)[next_slot]
         index, exps, active = next_index, next_exps, active[cont]
-        x_side = y_side
         t += 1
 
     outcomes = []

@@ -12,8 +12,10 @@ import json
 import math
 from typing import IO, Iterable
 
+import numpy as np
+
 from .errors import DomainError, ParseError
-from .graph import BipartiteGraph, Subgraph, build_bipartite, from_directed, ratio_density
+from .graph import LEFT, BipartiteGraph, Subgraph, build_bipartite, from_directed, ratio_density
 from .local import DensityResult
 
 __all__ = [
@@ -71,6 +73,10 @@ def load_edge_list(path, mode: str = "bipartite") -> BipartiteGraph:
         return build(parse_edge_lines(fh))
 
 
+# edges formatted per write by save_edge_list
+_SAVE_CHUNK = 1 << 16
+
+
 def save_edge_list(g: BipartiteGraph, path) -> None:
     """Write the graph back out, one merged edge per line, sorted by index.
 
@@ -81,9 +87,15 @@ def save_edge_list(g: BipartiteGraph, path) -> None:
     for tok in left + right:
         if tok.split() != [tok] or tok.startswith("#"):
             raise ValueError(f"vertex id {tok!r} cannot be written to an edge list")
+    ptr, nbr, wt = g.csr_arrays(LEFT)
+    rows = np.repeat(np.arange(g.left_count), np.diff(ptr))
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v, w in g.edges():
-            fh.write(f"{left[u]} {right[v]} {w!r}\n")
+        # the left table's columns, a chunk of lines per write
+        for a in range(0, len(nbr), _SAVE_CHUNK):
+            b = a + _SAVE_CHUNK
+            us = map(left.__getitem__, rows[a:b].tolist())
+            vs = map(right.__getitem__, nbr[a:b].tolist())
+            fh.write("\n".join(map(" ".join, zip(us, vs, map(repr, wt[a:b].tolist())))) + "\n")
 
 
 def _sorted_ids(ids):

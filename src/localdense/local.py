@@ -145,12 +145,12 @@ def _bound_factors(g: BipartiteGraph, schedule: LocalSchedule):
     return factor, factor_eps
 
 
-# Lanes per growth call.  Scanning 800 seeds at target size 32 on a
-# 1e6-edge graph cost 1476 / 446 / 391 / 356 / 333 us per seed at 1 / 32 /
-# 64 / 128 / 400 lanes per call, while one call's peak memory grew with its
-# lanes: 0.14 / 2.8 / 4.6 / 9.3 / 29.9 MB (one core of a 2-vCPU Xeon VM).
-# 128 is where the time curve has flattened: three times as many lanes
-# save another 6% per seed for three times the memory.
+# Lanes per growth call.  Scanning 800 random seeds, half on each side, at
+# target size 32 on a 1e6-edge graph cost 1154 / 236 / 222 / 224 / 209 us
+# per seed at 1 / 32 / 64 / 128 / 400 lanes per call, while one call's peak
+# memory grew with its lanes: 0.22 / 3.3 / 6.6 / 12.8 / 38.8 MB (one core
+# of a 2-vCPU Xeon VM).  The time curve is flat from 32 lanes on; 128 lets
+# a scan of about a hundred seeds grow in one call.
 _LANES = 128
 
 

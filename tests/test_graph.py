@@ -1,5 +1,6 @@
 import enum
 import math
+import random
 
 import numpy as np
 import pytest
@@ -50,6 +51,44 @@ def test_duplicate_edges_merge_by_sum():
     assert edge_weight_between(g, {0}, {0}) == 3.5
     g = build_bipartite([("a", "x", 8e307), ("a", "x", 8e307), ("b", "y", 1.0)])
     assert g.total_weight == g.max_degree == 2 * 8e307
+
+
+def _stable_sort_tables(nl, nr, rows):
+    """Each side's CSR triple as lists: duplicates summed in row order, the
+    pairs in (left, right) order, then each side's column stably sorted."""
+    merged: dict = {}
+    for u, v, w in rows:
+        merged[u, v] = merged.get((u, v), 0.0) + w
+    pairs = sorted(merged)
+    tables = {}
+    for side, n, own in ((LEFT, nl, 0), (RIGHT, nr, 1)):
+        col = np.array([p[own] for p in pairs], dtype=np.int64)
+        order = np.argsort(col, kind="stable")
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
+        tables[side] = (
+            ptr.tolist(),
+            [pairs[k][1 - own] for k in order.tolist()],
+            [merged[pairs[k]] for k in order.tolist()],
+        )
+    return tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(1, 1), (3, 400), (400, 3), (7, 9), (60, 60)]), st.integers(0, 2**32 - 1))
+def test_csr_tables_match_stable_sort_referee(shape, seed):
+    # rows drawn from a pool of pairs, so that many pairs repeat; a pool
+    # past a few dozen pairs is what an unstable sort reorders
+    nl, nr = shape
+    rng = random.Random(seed)
+    pool = [(rng.randrange(nl), rng.randrange(nr)) for _ in range(rng.randint(1, 300))]
+    rows = [(*rng.choice(pool), rng.uniform(0.125, 8.0)) for _ in range(rng.randint(1, 600))]
+    l, r, w = (np.array(col) for col in zip(*rows))
+    ids = [{f"{side}{k}": k for k in range(n)} for side, n in (("l", nl), ("r", nr))]
+    g = BipartiteGraph(*ids, l, r, w)
+    want = _stable_sort_tables(nl, nr, rows)
+    for side in (LEFT, RIGHT):
+        ptr, nbr, wt = g.csr_arrays(side)
+        assert (ptr.tolist(), nbr.tolist(), wt.tolist()) == want[side]
 
 
 def test_zero_weight_edges_dropped():

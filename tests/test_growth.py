@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localdense import (
@@ -355,6 +355,17 @@ def test_run_pruned_growth_deterministic():
     assert runs[0].trace == runs[1].trace
 
 
+def test_lanes_from_both_sides_share_one_pass_per_step():
+    # a left and a right start on K(3, 4) each take three steps, all in
+    # the same three passes
+    g = k_ab(3, 4)
+    starts = [LevelVector.unit("R", 2), LevelVector.unit("L", 0)]
+    with mock.patch.object(growth, "_product", wraps=growth._product) as product:
+        batch = run_pruned_growth(g, starts, (0.1,) * 4)
+    assert [out.steps_executed for out in batch.outcomes] == [3, 3]
+    assert product.call_count == 3
+
+
 def referee_graph(rng, weights, directed=False):
     """A random graph on up to 9 + 9 vertices with unit, weighted, partly
     subnormal or partly huge weights.  A directed one puts every vertex on
@@ -441,19 +452,65 @@ def test_lanes_match_lone_runs_and_dict_referee(seed, directed, weights, kinds, 
             lanes.append(rng.choice(lanes))
         else:
             lanes.append((side, *referee_start(rng, g, kind, side)))
+    check_numberings(g, lanes, epsilons)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(3, 400), (400, 3)]),
+    st.sampled_from(["unit", "weighted", "huge"]),
+    st.lists(
+        st.tuples(st.sampled_from(["unit", "ones", "spread"]), st.sampled_from(["L", "R"])),
+        min_size=2,
+        max_size=10,
+    ),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+)
+def test_lopsided_mixed_lanes_match_lone_runs_and_referee(seed, shape, weights, kinds, epsilons):
+    # lanes from both sides share every step, though one side is 133 times
+    # the other: each step's keys take the wider side's width
+    assume({side for _, side in kinds} == {"L", "R"})
+    rng = random.Random(seed)
+    nl, nr = shape
+    edges = [
+        (f"l{u}", f"r{v}", 1.0 if weights == "unit" else rng.uniform(0.1, 3.0))
+        for u in range(nl)
+        for v in range(nr)
+        if rng.random() < 0.3
+    ]
+    if weights == "huge":
+        edges = [(a, b, 1e300 if rng.random() < 0.05 else w) for a, b, w in edges]
+    g = build_bipartite(edges or [("l0", "r0", 1.0)])
+    lanes = [(side, *referee_start(rng, g, kind, side)) for kind, side in kinds]
+    check_numberings(g, lanes, epsilons)
+
+
+def test_key_dtype_is_int32_below_two_to_the_31():
+    assert growth._key_dtype(1) is np.int32
+    assert growth._key_dtype(2**31 - 1) is np.int32
+    assert growth._key_dtype(2**31) is np.int64
+    assert growth._key_dtype(2**40) is np.int64
+
+
+def check_numberings(g, lanes, epsilons):
+    """Check the (side, exponents, start vector) lanes against the referee
+    with every step's product entries numbered by a sort of the keys
+    _key_dtype picks (int32 on these graphs), by a sort of int64 keys, and
+    by an occupancy array; all three must agree."""
     wants = []
     for side, exps, _ in lanes:
         try:
             wants.append(reference_growth(g, side, exps, epsilons))
         except NegativeEntry as exc:
             wants.append(exc)
-    # each case runs with every step's product entries numbered by a sort,
-    # then by an occupancy array; both must give the referee's outcomes
     seen = []
-    for factor in (0, 10**9):
+    picked, int64 = growth._key_dtype, lambda space: np.int64
+    for factor, dtype in ((0, picked), (0, int64), (10**9, picked)):
         with mock.patch.object(growth, "_OCCUPANCY_FACTOR", factor):
-            seen.append(check_lanes(g, [vec for _, _, vec in lanes], wants, epsilons))
-    assert seen[0] == seen[1]
+            with mock.patch.object(growth, "_key_dtype", dtype):
+                seen.append(check_lanes(g, [vec for _, _, vec in lanes], wants, epsilons))
+    assert seen[0] == seen[1] == seen[2]
 
 
 def check_lanes(g, starts, wants, epsilons):

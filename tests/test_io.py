@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localdense.generate as generate_module
+import localdense.io as io_module
 from localdense import (
     LEFT,
     RIGHT,
@@ -71,6 +73,21 @@ def test_load_save_round_trip(tmp_path):
     assert sorted(
         (g.left_id(u), g.right_id(v), w) for u, v, w in g.edges()
     ) == sorted((h.left_id(u), h.right_id(v), w) for u, v, w in h.edges())
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+def test_save_writes_one_line_per_edge_in_index_order(tmp_path, monkeypatch, chunk):
+    # the bytes of one f-string per edge, whatever the chunk of lines per
+    # write; the weights' reprs round-trip
+    rng = random.Random(chunk)
+    weights = (1.0, 0.1, 1e-300, 3e200)
+    rows = [(f"u{rng.randrange(9)}", rng.randrange(7), rng.choice(weights)) for _ in range(40)]
+    g = build_bipartite(rows)
+    monkeypatch.setattr(io_module, "_SAVE_CHUNK", chunk)
+    path = tmp_path / "g.txt"
+    save_edge_list(g, path)
+    want = "".join(f"{g.left_id(u)} {g.right_id(v)} {w!r}\n" for u, v, w in g.edges())
+    assert path.read_bytes() == want.encode()
 
 
 def test_load_directed_mode(tmp_path):
