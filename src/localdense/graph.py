@@ -166,7 +166,10 @@ class BipartiteGraph:
         if side not in (LEFT, RIGHT, None):
             raise DomainError(f"side must be {LEFT!r}, {RIGHT!r} or None, got {side!r}")
         for s in (LEFT, RIGHT) if side is None else (side,):
-            idx = self._index[s].get(token)
+            try:
+                idx = self._index[s].get(token)
+            except TypeError:  # an unhashable token is no vertex's id
+                idx = None
             if idx is not None:
                 return (s, idx)
         raise UnknownVertex(f"vertex {token!r} not found" + (f" on side {side}" if side else ""))
@@ -181,9 +184,10 @@ class BipartiteGraph:
         index = self._index[side]
         out = set()
         for tok in tokens:
-            if tok not in index:
-                raise UnknownVertex(f"{_SIDE_NAMES[side]} vertex {tok!r} not found")
-            out.add(index[tok])
+            try:
+                out.add(index[tok])
+            except (KeyError, TypeError):  # TypeError: an unhashable token
+                raise UnknownVertex(f"{_SIDE_NAMES[side]} vertex {tok!r} not found") from None
         return frozenset(out)
 
     # ---- adjacency -------------------------------------------------------------

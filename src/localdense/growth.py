@@ -17,23 +17,25 @@ returns a GrowthBatch.  Every lane advances in the same array pass per step,
 whichever side it starts on: the vectors are held as one set of (lane,
 index, exponent) arrays sorted by (lane, index), with the lanes that start
 on the left first, so that at every step the entries of each start side form
-one run, gathered from its own side's adjacency table.  Product entries are
-keyed by (lane, neighbor) and numbered by a sort, or by an occupancy array
-over every (lane, neighbor) key when that array holds at most four entries
-per gathered edge; level and level-pair ids are lane local and come from
-bincounts over small ranges.  So a step allocates in proportion to the edges
-it gathers, never to the graph's size.  A lane never sees another: each of
-its sums runs over its own terms in the order a batch of one would use, so
-every lane's outcome equals that of its start run alone, to the bit.  A lane
-leaves the batch when its run stops, or when it overflows: one result per
-start, errors included.  The norms of truncated vectors are computed only
-for traces, whose vectors are views into their step's batch arrays.
+one run, gathered from its own side's adjacency table.  A lane keeps its
+number for the whole call; one whose run has stopped, or that overflowed,
+just has no entries left.  Product entries are keyed by (lane, neighbor) and
+numbered by a sort, or by an occupancy array over every (lane, neighbor) key
+when that array holds at most four entries per gathered edge; level and
+level-pair ids are lane local and come from bincounts over small ranges.  So
+a step allocates in proportion to the edges it gathers and the lanes it
+holds, never to the graph's size.  A lane never sees another: each of its
+sums runs over its own terms in the order a batch of one would use, so every
+lane's outcome equals that of its start run alone, to the bit: one result
+per start, errors included.  The norms of truncated vectors are computed
+only for traces, whose vectors are views into their step's batch arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -314,8 +316,7 @@ def run_pruned_growth(
     batch holding only that start would give, to the bit: its product
     entries and level-pair weights sum their terms in the same order, and it
     keeps the same first maximum.  All lanes advance together, one array pass
-    per step whichever side they start on, and leave the batch when their
-    run stops.
+    per step whichever side they start on, until every run has stopped.
 
     epsilons[t + 1] prunes the step taken from the t-th vector, keeping the
     entries strictly above that fraction of the rounded product's norm;
@@ -332,18 +333,20 @@ def run_pruned_growth(
     that took the step.
 
     One result per start, errors included: a lane whose product entry or
-    norm overflows leaves the batch, and its outcome is that NegativeEntry.
-    Raises DomainError for a start entry that is not a positive float (an
-    exponent outside [-1074, 1023]), and before any lane grows for a
-    pruning fraction epsilons[1:] outside [0, 1].
+    norm overflows stops, and its outcome is that NegativeEntry.  Raises
+    DomainError, before any lane grows, for a pruning fraction epsilons[1:]
+    outside [0, 1] and for a malformed start: a side other than "L" or "R",
+    index and exps that are not integer arrays of one length, an index that
+    does not ascend strictly or that leaves the side, or an entry that is
+    not a positive float (an exponent outside [-1074, 1023]).
     """
     starts = list(starts)
     for eps in epsilons[1:]:
         if not 0.0 <= eps <= 1.0:
             raise DomainError(f"truncation fraction {eps!r} outside [0, 1]")
     outcomes: list = [None] * len(starts)
-    order = [k for k, start in enumerate(starts) if start.side == LEFT]
-    order += [k for k, start in enumerate(starts) if start.side == RIGHT]
+    # left starts first, each side in start order
+    order = sorted(range(len(starts)), key=lambda k: starts[k].side != LEFT)
     if order:
         grown = _grow_lanes(g, [starts[k] for k in order], epsilons, keep_trace)
         for k, out in zip(order, grown):
@@ -359,13 +362,34 @@ def run_pruned_growth(
 def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
     """run_pruned_growth for starts that hold the left ones first.
 
-    The working vectors of the lanes still running are held as one
-    (slot, index, exps) triple of arrays sorted by (slot, index), where slot
-    k is lane active[k].  Lanes that started on one side sit on one side at
-    every step, so the slots below the first right-start lane's form one run
-    of entries and the rest another.
+    Start k is lane k for the whole call.  The lanes' working vectors are
+    held as one (slot, index, exps) triple of arrays sorted by (slot,
+    index), an entry's slot being its lane; a lane that has stopped or
+    overflowed has no entries left.  Lanes that started on one side sit on
+    one side at every step, so the left-start lanes' entries form one run
+    and the rest another.
     """
     lanes = len(starts)
+    for start in starts:
+        if start.side not in (LEFT, RIGHT):
+            raise DomainError(f"a start's side must be {LEFT!r} or {RIGHT!r}, got {start.side!r}")
+        index, exps = np.asarray(start.index), np.asarray(start.exps)
+        kinds = {index.dtype.kind, exps.dtype.kind}
+        if index.ndim != 1 or exps.shape != index.shape or not kinds <= {"i", "u"}:
+            raise DomainError("a start's index and exps must be integer arrays of one length")
+    sizes = [len(start.exps) for start in starts]
+    slot = np.repeat(np.arange(lanes), sizes)
+    index = np.concatenate([start.index for start in starts]).astype(np.int64)
+    exps = np.concatenate([start.exps for start in starts]).astype(np.int64)
+    limit = np.repeat([g.side_count(start.side) for start in starts], sizes)
+    same = slot[1:] == slot[:-1]
+    if ((index < 0) | (index >= limit)).any() or (np.diff(index)[same] <= 0).any():
+        raise DomainError("a start's index must ascend strictly and lie within its side")
+    # every level id below comes from a bincount over the exponent span,
+    # which the float range keeps under 2100
+    if len(exps) and not (-1074 <= exps.min() and exps.max() <= 1023):
+        raise DomainError("a start entry 2**i lies outside the float range")
+
     lefts = sum(start.side == LEFT for start in starts)
     best: list = [None] * lanes  # (t, i, j, x set, y set, weight, density, x side)
     best_d = np.full(lanes, -np.inf)
@@ -374,59 +398,47 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
     failed: list = [None] * lanes
     traces = [[] for _ in starts] if keep_trace else None
 
-    active = np.arange(lanes)
-    slot = np.repeat(active, [start.support_size for start in starts])
-    index = np.concatenate([start.index for start in starts]).astype(np.int64)
-    exps = np.concatenate([start.exps for start in starts]).astype(np.int64)
-    # every level id below comes from a bincount over the exponent span,
-    # which the float range keeps under 2100
-    if len(exps) and not (-1074 <= exps.min() and exps.max() <= 1023):
-        raise DomainError("a start entry 2**i lies outside the float range")
-
     t = 0
     while t < len(epsilons) - 1 and len(slot):
-        slots = len(active)
         # the x side of the left-start lanes, then of the right-start ones
         x_sides = (LEFT, RIGHT) if t % 2 == 0 else (RIGHT, LEFT)
-        cut = int(np.searchsorted(slot, np.searchsorted(active, lefts)))
+        cut = int(np.searchsorted(slot, lefts))
         bounds = zip(x_sides, (0, cut), (cut, len(slot)))
         groups = [(side, a, b) for side, a, b in bounds if a < b]
         # keys use the widest y side of the step, so a batch from one side
         # numbers its product entries as a batch of one does
         width = max(g.side_count(opposite(side)) for side, _, _ in groups)
-        fan, wt, edges, keys, y_of_edge, prod = _product(g, groups, slot, index, exps, slots, width)
+        fan, wt, edges, keys, y_of_edge, prod = _product(g, groups, slot, index, exps, lanes, width)
         # entries that underflowed to zero are dropped, and those that
         # overflowed fail their lane below
         live = (prod > 0.0) & (prod < np.inf)
         y_keys = keys[live]
-        # each slot's run of the sorted keys, and its entries' slots and
+        # each lane's run of the sorted keys, and its entries' lanes and
         # indices, without a division
-        y_bounds = np.searchsorted(y_keys, np.arange(slots + 1, dtype=keys.dtype) * width)
+        y_bounds = np.searchsorted(y_keys, np.arange(lanes + 1, dtype=keys.dtype) * width)
         y_sizes = np.diff(y_bounds)
-        y_slot = np.repeat(np.arange(slots), y_sizes)
-        y_index = y_keys - np.repeat(np.arange(slots) * width, y_sizes)
+        y_slot = np.repeat(np.arange(lanes), y_sizes)
+        y_index = y_keys - y_slot * width
         del y_keys
         y_exps = _round_up_pow2(prod[live])
-        y_levels = _levels(y_slot, y_exps, slots)
+        y_levels = _levels(y_slot, y_exps, lanes)
         y_level_of, y_level_slot, y_level_exp, y_counts = y_levels
-        pre_norm = _norms(y_level_slot, y_level_exp, y_counts, slots)
+        pre_norm = _norms(y_level_slot, y_level_exp, y_counts, lanes)
 
-        # a lane whose product entry or norm overflows leaves the batch with
-        # its error, and the others take the step again without it
+        # a lane whose product entry or norm overflows fails with its error
+        # and drops its entries, and the others take the step again
         over = keys[np.isinf(prod)] // width
         fail = np.isinf(pre_norm)
         fail[over] = True
         if fail.any():
             for s in np.flatnonzero(fail).tolist():
                 if s in over:
-                    failed[active[s]] = NegativeEntry("a product entry overflows to inf")
+                    failed[s] = NegativeEntry("a product entry overflows to inf")
                 else:
                     top = y_level_exp[np.searchsorted(y_level_slot, s, side="right") - 1]
-                    failed[active[s]] = NegativeEntry(f"vector norm overflows at level 2**{top}")
-            ok = ~fail
-            x_ok = ok[slot]
-            slot = (np.cumsum(ok) - 1)[slot[x_ok]]
-            index, exps, active = index[x_ok], exps[x_ok], active[ok]
+                    failed[s] = NegativeEntry(f"vector norm overflows at level 2**{top}")
+            x_ok = ~fail[slot]
+            slot, index, exps = slot[x_ok], index[x_ok], exps[x_ok]
             continue
 
         # a lane with no edges, or whose products all underflowed, stops
@@ -434,50 +446,47 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
         go = y_sizes > 0
         if not go.any():
             break
-        stepping = active[go]
-        executed[stepping] += 1
-        touched[stepping] += 2 * edges[go]
+        stepping = np.flatnonzero(go)
+        executed[go] += 1
+        touched[go] += 2 * edges[go]
 
-        x_levels = _levels(slot, exps, slots)
+        x_levels = _levels(slot, exps, lanes)
         x_level_of, _, x_level_exp, x_counts = x_levels
         p_slot, pi, pj, pair_weight = _pair_weights(
-            slot, fan, wt, y_slot, y_of_edge, live, x_levels, y_levels, slots
+            slot, fan, wt, y_slot, y_of_edge, live, x_levels, y_levels, lanes
         )
         # the per-edge arrays go before the next step gathers its own
         del wt, keys, y_of_edge, prod, live
         dens = pair_weight / np.sqrt(x_counts[pi] * y_counts[pj])
         # each stepping lane's first maximum in (i, j) order: a stable sort
-        # by (slot, -density) puts it first among the lane's pairs
-        win = np.lexsort((-dens, p_slot))[np.searchsorted(p_slot, np.flatnonzero(go))]
+        # by (lane, -density) puts it first among the lane's pairs
+        win = np.lexsort((-dens, p_slot))[np.searchsorted(p_slot, stepping)]
 
         better = dens[win] > best_d[stepping]
         if better.any():
             up, lanes_up = win[better], stepping[better]
             best_d[lanes_up] = dens[up]
-            # the winning levels of each improving slot, -1 elsewhere
-            x_win = np.full(slots, -1)
-            y_win = np.full(slots, -1)
-            x_win[p_slot[up]] = pi[up]
-            y_win[p_slot[up]] = pj[up]
-            # the entries of those levels, slot by slot, and where each
-            # slot's run of them ends
+            # the winning levels of each improving lane, -1 elsewhere
+            x_win = np.full(lanes, -1)
+            y_win = np.full(lanes, -1)
+            x_win[lanes_up] = pi[up]
+            y_win[lanes_up] = pj[up]
+            # the entries of those levels, lane after lane, and each lane's
+            # run of them (np.split's per-piece cost made a scan 3% slower)
             xs = index[x_level_of == x_win[slot]]
             ys = y_index[y_level_of == y_win[y_slot]]
-            x_end = np.cumsum(x_counts[pi[up]])
-            y_end = np.cumsum(y_counts[pj[up]])
-            for lane, i, j, xa, xb, ya, yb, e, d in zip(
+            x_runs = pairwise([0, *np.cumsum(x_counts[pi[up]]).tolist()])
+            y_runs = pairwise([0, *np.cumsum(y_counts[pj[up]]).tolist()])
+            for lane, i, j, (xa, xb), (ya, yb), e, d in zip(
                 lanes_up.tolist(),
                 x_level_exp[pi[up]].tolist(),
                 y_level_exp[pj[up]].tolist(),
-                (x_end - x_counts[pi[up]]).tolist(),
-                x_end.tolist(),
-                (y_end - y_counts[pj[up]]).tolist(),
-                y_end.tolist(),
+                x_runs,
+                y_runs,
                 pair_weight[up].tolist(),
                 dens[up].tolist(),
             ):
-                on = x_sides[lane >= lefts]
-                best[lane] = (t, i, j, xs[xa:xb], ys[ya:yb], e, d, on)
+                best[lane] = (t, i, j, xs[xa:xb], ys[ya:yb], e, d, x_sides[lane >= lefts])
 
         if t == len(epsilons) - 2 and not keep_trace:
             break  # only a trace reads the last step's truncated vector
@@ -488,14 +497,13 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
         next_slot, next_index, next_exps = y_slot[kept], y_index[kept], y_exps[kept]
 
         if keep_trace:
-            next_norm = _norms(y_level_slot[keep], y_level_exp[keep], y_counts[keep], slots)
-            pruned_mass = _norms(y_level_slot[~keep], y_level_exp[~keep], y_counts[~keep], slots)
-            next_bounds = np.searchsorted(next_slot, np.arange(slots + 1))
-            for s, d in zip(np.flatnonzero(go).tolist(), dens[win].tolist()):
-                lane = int(active[s])
+            next_norm = _norms(y_level_slot[keep], y_level_exp[keep], y_counts[keep], lanes)
+            pruned_mass = _norms(y_level_slot[~keep], y_level_exp[~keep], y_counts[~keep], lanes)
+            next_bounds = np.searchsorted(next_slot, np.arange(lanes + 1))
+            for lane, d in zip(stepping.tolist(), dens[win].tolist()):
                 y_side = opposite(x_sides[lane >= lefts])
-                ya, yb = y_bounds[s], y_bounds[s + 1]
-                na, nb = next_bounds[s], next_bounds[s + 1]
+                ya, yb = y_bounds[lane], y_bounds[lane + 1]
+                na, nb = next_bounds[lane], next_bounds[lane + 1]
                 traces[lane].append(
                     StepRecord(
                         t=t,
@@ -504,21 +512,17 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
                         # a lane still running took every earlier step
                         x_levels=traces[lane][-1].next_levels if traces[lane] else starts[lane],
                         post_levels=LevelVector(
-                            y_side, y_index[ya:yb], y_exps[ya:yb], float(pre_norm[s])
+                            y_side, y_index[ya:yb], y_exps[ya:yb], float(pre_norm[lane])
                         ),
                         next_levels=LevelVector(
-                            y_side, next_index[na:nb], next_exps[na:nb], float(next_norm[s])
+                            y_side, next_index[na:nb], next_exps[na:nb], float(next_norm[lane])
                         ),
                         max_pair_density=d,
-                        pruned_mass=float(pruned_mass[s]),
+                        pruned_mass=float(pruned_mass[lane]),
                     )
                 )
 
-        cont = np.bincount(next_slot, minlength=slots) > 0
-        if not cont.any():
-            break
-        slot = (np.cumsum(cont) - 1)[next_slot]
-        index, exps, active = next_index, next_exps, active[cont]
+        slot, index, exps = next_slot, next_index, next_exps
         t += 1
 
     outcomes = []

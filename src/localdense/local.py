@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Hashable, Iterable, Sequence
 
 from .errors import DomainError, NoCandidate, UnknownVertex
@@ -159,34 +160,25 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
 
     Yields one entry per seed, in order: its DensityResult, or the
     UnknownVertex, NoCandidate or NegativeEntry error local_density would
-    raise for it.  The seeds grow _LANES at a time as the lanes of one
-    run_pruned_growth call, each with the outcome, or the overflow, it would
-    have alone.  Its callers are local_density (one seed), seed_scan and
-    verify.run_verification (the traced local runs and the good-seed runs).
+    raise for it.  A chunk is _LANES seed positions: its seeds that resolve
+    grow as the lanes of one run_pruned_growth call, each with the outcome,
+    or the overflow, it would have alone.  Its callers are local_density
+    (one seed), seed_scan and verify.run_verification (the traced local runs
+    and the good-seed runs).
     """
     bound, bound_eps = _bound_factors(g, sched)
     seeds = iter(seeds)
-    while True:
-        pending: list = []  # (token, side, index), or the error, per seed
-        lanes: list = []
-        for token, side in seeds:
+    while chunk := list(islice(seeds, _LANES)):
+        found: list = []  # (token, side, index), or the error, per seed
+        for token, side in chunk:
             try:
-                lanes.append((token, *g.find_vertex(token, side)))
+                found.append((token, *g.find_vertex(token, side)))
             except UnknownVertex as exc:
-                pending.append(exc)
-                continue
-            pending.append(lanes[-1])
-            if len(lanes) == _LANES:
-                break
-        if not pending:
-            return
-        starts = [LevelVector.unit(side, idx) for _, side, idx in lanes]
-        outcomes = run_pruned_growth(g, starts, sched.epsilons, keep_trace).outcomes
-        # reversed and popped one by one, so that no outcome is kept past
-        # its seed's turn while the next chunk grows
-        outcomes.reverse()
-        for item in pending:
-            outcome = item if isinstance(item, Exception) else outcomes.pop()
+                found.append(exc)
+        starts = [LevelVector.unit(*item[1:]) for item in found if isinstance(item, tuple)]
+        outcomes = iter(run_pruned_growth(g, starts, sched.epsilons, keep_trace).outcomes)
+        for item in found:
+            outcome = item if isinstance(item, Exception) else next(outcomes)
             if isinstance(outcome, Exception):
                 yield outcome
                 continue
@@ -206,6 +198,8 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
                 steps=outcome.steps_executed,
                 traces=(GrowthTrace(start, outcome.trace),) if keep_trace else None,
             )
+        # keep no outcome while the next chunk grows
+        del outcomes, outcome
 
 
 def local_density(

@@ -383,18 +383,21 @@ def _check_accessors(g, left_ids, right_ids, expected):
             assert g.fanout(side, k) == len(rows[k])
             assert g.find_vertex(tok, side) == (side, k)
             assert indices([tok]) == frozenset({k})
-        with pytest.raises(UnknownVertex):
-            g.find_vertex("absent", side)
-        with pytest.raises(UnknownVertex):
-            indices([ids[0], "absent"])
+        # an unhashable token is no vertex's id
+        for absent in ("absent", ["absent"]):
+            with pytest.raises(UnknownVertex):
+                g.find_vertex(absent, side)
+            with pytest.raises(UnknownVertex):
+                indices([ids[0], absent])
     # without a side, a token on both sides resolves to its left copy
     for tok in set(left_ids) | set(right_ids):
         if tok in left_ids:
             assert g.find_vertex(tok) == (LEFT, left_ids.index(tok))
         else:
             assert g.find_vertex(tok) == (RIGHT, right_ids.index(tok))
-    with pytest.raises(UnknownVertex):
-        g.find_vertex("absent")
+    for absent in ("absent", {"absent"}):
+        with pytest.raises(UnknownVertex):
+            g.find_vertex(absent)
 
 
 @settings(max_examples=120, deadline=None)

@@ -113,11 +113,40 @@ def test_round_up_drops_zeros_and_rejects_bad_entries():
     out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1))
     assert isinstance(out, NegativeEntry)
     assert str(out) == "vector norm overflows at level 2**1024"
-    # a start entry that is no positive float
-    for i in (1024, -1075):
-        start = LevelVector("L", np.array([0]), np.array([i]), 1.0)
-        with pytest.raises(DomainError):
-            grow(g, start, (0.5, 0.1))
+
+
+@pytest.mark.parametrize(
+    "side, index, exps",
+    [
+        # the side is "L" or "R"
+        ("left", [0], [0]),
+        # index and exps are integer arrays of one length; an exponent
+        # 0.5 would grow as 2**0
+        ("L", np.array([0.0]), [0]),
+        ("L", [0], [0.5]),
+        ("L", [0, 1], [0]),
+        ("L", [[0, 1]], [[0, 0]]),
+        ("L", [0], [[0]]),
+        # strictly ascending: [0, 0] would report density 2 for a pair of
+        # density sqrt(2)
+        ("L", [0, 0], [0, 0]),
+        ("R", [1, 0], [0, 0]),
+        # within the side
+        ("L", [-1], [0]),
+        ("R", [1, 2], [0, 0]),
+        # each entry a positive float
+        ("L", [0], [1024]),
+        ("L", [0], [-1075]),
+    ],
+)
+def test_malformed_start_is_rejected_before_any_lane_grows(side, index, exps):
+    g = build_bipartite([("a", "x", 1.0), ("a", "y", 1.0)])
+    bad = LevelVector(side, index, exps, math.sqrt(len(exps)))
+    for starts in ([bad], [LevelVector.unit("R", 0), bad, LevelVector.unit("L", 0)]):
+        with mock.patch.object(growth, "_product", wraps=growth._product) as product:
+            with pytest.raises(DomainError):
+                run_pruned_growth(g, starts, (0.5, 0.1))
+        assert product.call_count == 0
 
 
 @settings(max_examples=300, deadline=None)

@@ -321,6 +321,41 @@ def test_seed_scan_records_an_overflowing_seed(monkeypatch):
     assert len(calls) == 1 + -(-len(seeds) // _LANES)
 
 
+def test_unhashable_seed_is_unknown():
+    # a failing seed is recorded in seed order, not fatal, even one that
+    # cannot be looked up at all
+    g = build_bipartite([("a", "x", 1.0), ("b", "x", 1.0), ("b", "y", 2.0)])
+    out = seed_scan(g, [["a"], "b", ({"b"}, "L")], 2)
+    assert out.results == [local_density(g, "b", 2)]
+    assert [(f.seed, f.kind) for f in out.failures] == [
+        (["a"], "UnknownVertex"),
+        (({"b"}, "L"), "UnknownVertex"),
+    ]
+    with pytest.raises(UnknownVertex):
+        local_density(g, ["a"], 2)
+
+
+def test_seed_scan_chunks_by_seed_position(monkeypatch):
+    # a chunk is _LANES seed positions, unknown ids included: with 4 lanes
+    # and an unknown id at every third position, 23 seeds grow in 6 calls
+    rng = random.Random(3)
+    g = from_directed(
+        (f"v{rng.randrange(30)}", f"v{rng.randrange(30)}", rng.choice((1.0, 0.5)))
+        for _ in range(90)
+    )
+    tokens = [g.left_id(u) for u in range(g.left_count)]
+    seeds = [f"missing{k}" if k % 3 == 1 else tokens[k % len(tokens)] for k in range(23)]
+    want_results, want_failures = _scan_one_by_one(g, seeds, 4)
+    calls = []
+    grow = local.run_pruned_growth
+    monkeypatch.setattr(local, "run_pruned_growth", lambda *a: calls.append(a) or grow(*a))
+    monkeypatch.setattr(local, "_LANES", 4)
+    out = seed_scan(g, seeds, 4, top_n=len(seeds))
+    assert (out.results, out.failures) == (want_results, want_failures)
+    assert len(calls) == -(-len(seeds) // 4)
+    assert [len(starts) for _, starts, _, _ in calls] == [3, 2, 3, 3, 2, 2]
+
+
 def test_seed_scan_parallel_matches_sequential():
     g = k_ab(3, 5)
     seeds = [f"l{i}" for i in range(3)] + [f"r{j}" for j in range(5)] + ["bad"]
