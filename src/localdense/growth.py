@@ -20,9 +20,12 @@ on the left first, so that at every step the entries of each start side form
 one run, gathered from its own side's adjacency table.  A lane keeps its
 number for the whole call; one whose run has stopped, or that overflowed,
 just has no entries left.  Product entries are keyed by (lane, neighbor) and
-numbered by a sort, or by an occupancy array over every (lane, neighbor) key
-when that array holds at most four entries per gathered edge; level and
-level-pair ids are lane local and come from bincounts over small ranges.  So
+numbered by an occupancy array over every (lane, neighbor) key when that
+array holds at most four entries per gathered edge, else by one sort of
+words that pack each key with its edge's position (np.unique's sort only
+where the two do not fit in 63 bits); level and level-pair ids are lane
+local and come from bincounts over small ranges.  A step in which no
+product entry underflows or overflows, the usual one, masks nothing.  So
 a step allocates in proportion to the edges it gathers and the lanes it
 holds, never to the graph's size.  A lane never sees another: each of its
 sums runs over its own terms in the order a batch of one would use, so every
@@ -127,6 +130,11 @@ def _levels(slot: np.ndarray, exps: np.ndarray, slots: int):
     return (np.cumsum(counts > 0) - 1)[key], level_slot, level_exp + low, counts[present]
 
 
+# a slot's sum of squares, in units of its lowest level's square, is an
+# integer that floats hold exactly below this
+_EXACT_SUM = 2.0**53
+
+
 def _norms(level_slot: np.ndarray, level_exp: np.ndarray, counts: np.ndarray, slots: int):
     """Euclidean norm of each slot's vector of counts[k] entries equal to
     2**level_exp[k], levels ascending within a slot; 0 for a slot without.
@@ -134,18 +142,30 @@ def _norms(level_slot: np.ndarray, level_exp: np.ndarray, counts: np.ndarray, sl
     Each slot's top level is factored out of its sum of squares, so a norm
     equals sqrt(fsum of the squared entries) whenever each square is a
     normal float, and stays finite and nonzero where those squares would
-    overflow or underflow.  A norm beyond the float range is inf.
+    overflow or underflow.  A norm beyond the float range is inf.  Where a
+    slot's sum of counts[k] * 4**(level_exp[k] - lowest exponent) is below
+    _EXACT_SUM, every partial sum is exact, so one vectorized sum, its
+    square root and a shift by the lowest exponent give what fsum would;
+    only the other slots sum in a Python loop.
     """
     norms = np.zeros(slots)
     if not len(level_slot):
         return norms
     last = np.flatnonzero(np.append(level_slot[1:] != level_slot[:-1], True))
     first = np.append(0, last[:-1] + 1)
-    top = level_exp[last]
-    terms = np.ldexp(
-        counts.astype(np.float64), 2 * (level_exp - np.repeat(top, last - first + 1))
-    ).tolist()
-    runs = zip(level_slot[last].tolist(), first.tolist(), (last + 1).tolist(), top.tolist())
+    size = last - first + 1
+    low, top = level_exp[first], level_exp[last]
+    counts = counts.astype(np.float64)
+    # a sum or a norm past the float range is inf
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(np.ldexp(counts, 2 * (level_exp - np.repeat(low, size))), first)
+        norms[level_slot[last]] = np.ldexp(np.sqrt(sums), low)
+    if sums.max() < _EXACT_SUM:
+        return norms
+    # the slots whose sums may have rounded take fsum's norm instead
+    rest = np.flatnonzero(sums >= _EXACT_SUM)
+    terms = np.ldexp(counts, 2 * (level_exp - np.repeat(top, size))).tolist()
+    runs = zip(*(v[rest].tolist() for v in (level_slot[last], first, last + 1, top)))
     for s, a, b, k in runs:
         try:
             norms[s] = math.ldexp(math.sqrt(math.fsum(terms[a:b])), k)
@@ -156,12 +176,8 @@ def _norms(level_slot: np.ndarray, level_exp: np.ndarray, counts: np.ndarray, sl
 
 # the largest key space per gathered edge that _product numbers without a sort
 _OCCUPANCY_FACTOR = 4
-
-
-def _key_dtype(space: int):
-    """The narrowest integer type, int32 or int64, that holds every key
-    below space."""
-    return np.int32 if space < 2**31 else np.int64
+# the bits of the word that packs a product key with its edge's position
+_PACK_BITS = 63
 
 
 def _product(g, groups, slot, index, exps, slots, width):
@@ -174,22 +190,23 @@ def _product(g, groups, slot, index, exps, slots, width):
     edge count, the sorted slot * width + neighbor key of each product
     entry, each edge's product entry and the product values.  Keys are
     numbered by an occupancy array over the key space when that holds at
-    most _OCCUPANCY_FACTOR keys per gathered edge (all-ones starts), else by
-    np.unique's sort (a few seeds on a large graph); both give the same
-    sorted keys and numbering.  bincount adds in array order, so each
-    product entry sums its terms in ascending source-vertex order.
+    most _OCCUPANCY_FACTOR keys per gathered edge (all-ones starts).
+    Otherwise (a few seeds on a large graph) each key is shifted left and
+    its edge's position put in the low bits, and one in-place sort of these
+    words gives the sorted keys and the order of their edges; np.unique
+    numbers them only when a key and a position do not fit in _PACK_BITS
+    bits.  All three give the same sorted keys and numbering.  bincount adds
+    in array order, so each product entry sums its terms in ascending
+    source-vertex order.
     """
     runs = []
     for side, a, b in groups:
         indptr, nbrs, weights = g.csr_arrays(side)
         runs.append((nbrs, weights, *csr_slices(indptr, index[a:b])))
     fan = np.concatenate([run[2] for run in runs])
-    wt = np.empty(int(fan.sum()))
-    space = slots * width
-    # the occupancy array takes the keys as indices, which numpy wants as
-    # int64; a sort moves half the bytes with int32 keys
-    occupancy = space <= _OCCUPANCY_FACTOR * len(wt)
-    key = np.repeat((slot * width).astype(np.int64 if occupancy else _key_dtype(space)), fan)
+    n = int(fan.sum())
+    wt = np.empty(n)
+    key = np.repeat(slot * width, fan)
     # each run's edges are gathered into their place in the step's arrays:
     # joining arrays gathered apart cost more than the gathers
     end = 0
@@ -200,12 +217,28 @@ def _product(g, groups, slot, index, exps, slots, width):
         # out without a buffer
         np.take(weights, pos, out=wt[at], mode="clip")
         end = at.stop
-    del runs, pos  # either numbering takes a few more arrays of this length
-    if occupancy:
+    del runs, pos  # each numbering takes a few more arrays of this length
+    space = slots * width
+    bits = n.bit_length()
+    if space <= _OCCUPANCY_FACTOR * n:
         present = np.zeros(space, dtype=bool)
         present[key] = True
         keys = np.flatnonzero(present)
         y_of_edge = (np.cumsum(present) - 1)[key]
+    elif (space - 1).bit_length() + bits <= _PACK_BITS:
+        # a word's position bits break ties between equal keys in edge order
+        key <<= bits
+        key |= np.arange(n)
+        key.sort()
+        order = key & ((1 << bits) - 1)
+        key >>= bits
+        new = np.empty(n, dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        keys = key[new]
+        y_of_edge = np.empty(n, dtype=np.intp)
+        y_of_edge[order] = np.cumsum(new) - 1
+        del order, new
     else:
         keys, y_of_edge = np.unique(key, return_inverse=True)
     del key
@@ -224,7 +257,8 @@ def _pair_weights(slot, fan, wt, y_slot, y_of_edge, live, x_levels, y_levels, sl
     pair_base[s] + i * ny[s] + j for its i-th x level and j-th y level, so
     a bincount over them lists the pairs in (slot, i, j) order.  Returns
     the slot, x level, y level and weight of each pair, levels as numbered
-    by _levels.
+    by _levels.  live marks the product entries kept, or is None when every
+    entry is.
     """
     x_level_of, x_level_slot = x_levels[:2]
     y_level_of, y_level_slot = y_levels[:2]
@@ -238,8 +272,11 @@ def _pair_weights(slot, fan, wt, y_slot, y_of_edge, live, x_levels, y_levels, sl
     # edges into entries that underflowed land past the last id and are
     # cut off
     x_part = pair_base[slot] + (x_level_of - x_first[slot]) * ny[slot]
-    y_part = np.full(len(live), total)
-    y_part[live] = y_level_of - y_first[y_slot]
+    y_part = y_level_of - y_first[y_slot]
+    if live is not None:
+        every = np.full(len(live), total)
+        every[live] = y_part
+        y_part = every
     ids = np.repeat(x_part, fan) + y_part[y_of_edge]
     weight = np.bincount(ids, weights=wt, minlength=total)[:total]
     # edge weights are positive, so a pair has edges exactly when its
@@ -410,24 +447,28 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
         width = max(g.side_count(opposite(side)) for side, _, _ in groups)
         fan, wt, edges, keys, y_of_edge, prod = _product(g, groups, slot, index, exps, lanes, width)
         # entries that underflowed to zero are dropped, and those that
-        # overflowed fail their lane below
+        # overflowed fail their lane below; in the usual step every entry
+        # is live, and live is None: nothing is masked
         live = (prod > 0.0) & (prod < np.inf)
-        y_keys = keys[live]
+        if live.all():
+            live, y_keys, y_prod, over = None, keys, prod, []
+        else:
+            y_keys, y_prod = keys[live], prod[live]
+            over = keys[np.isinf(prod)] // width
         # each lane's run of the sorted keys, and its entries' lanes and
         # indices, without a division
-        y_bounds = np.searchsorted(y_keys, np.arange(lanes + 1, dtype=keys.dtype) * width)
+        y_bounds = np.searchsorted(y_keys, np.arange(lanes + 1) * width)
         y_sizes = np.diff(y_bounds)
         y_slot = np.repeat(np.arange(lanes), y_sizes)
         y_index = y_keys - y_slot * width
-        del y_keys
-        y_exps = _round_up_pow2(prod[live])
+        y_exps = _round_up_pow2(y_prod)
+        del y_keys, y_prod
         y_levels = _levels(y_slot, y_exps, lanes)
         y_level_of, y_level_slot, y_level_exp, y_counts = y_levels
         pre_norm = _norms(y_level_slot, y_level_exp, y_counts, lanes)
 
         # a lane whose product entry or norm overflows fails with its error
         # and drops its entries, and the others take the step again
-        over = keys[np.isinf(prod)] // width
         fail = np.isinf(pre_norm)
         fail[over] = True
         if fail.any():

@@ -99,6 +99,12 @@ def save_edge_list(g: BipartiteGraph, path) -> None:
 
 
 def _sorted_ids(ids):
+    """Ids ordered by type name, then by their text.  Ids that are all of
+    type str (those read from a file) sort by their text alone, which is
+    the same order without a key."""
+    ids = list(ids)
+    if all(type(tok) is str for tok in ids):
+        return sorted(ids)
     return sorted(ids, key=lambda tok: (str(type(tok).__name__), str(tok)))
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import random
@@ -515,18 +516,28 @@ def test_lopsided_mixed_lanes_match_lone_runs_and_referee(seed, shape, weights, 
     check_numberings(g, lanes, epsilons)
 
 
-def test_key_dtype_is_int32_below_two_to_the_31():
-    assert growth._key_dtype(1) is np.int32
-    assert growth._key_dtype(2**31 - 1) is np.int32
-    assert growth._key_dtype(2**31) is np.int64
-    assert growth._key_dtype(2**40) is np.int64
+# module settings that force each way of numbering product entries: an
+# occupancy array, one sort of packed (key, position) words, np.unique; the
+# last also sums every norm with fsum
+NUMBERINGS = {
+    "occupancy": {"_OCCUPANCY_FACTOR": 10**9},
+    "packed": {"_OCCUPANCY_FACTOR": 0},
+    "unique": {"_OCCUPANCY_FACTOR": 0, "_PACK_BITS": 0, "_EXACT_SUM": 0},
+}
+
+
+def numbered(path):
+    """A context that sets growth's module settings for one numbering."""
+    patches = contextlib.ExitStack()
+    for name, value in NUMBERINGS[path].items():
+        patches.enter_context(mock.patch.object(growth, name, value))
+    return patches
 
 
 def check_numberings(g, lanes, epsilons):
     """Check the (side, exponents, start vector) lanes against the referee
-    with every step's product entries numbered by a sort of the keys
-    _key_dtype picks (int32 on these graphs), by a sort of int64 keys, and
-    by an occupancy array; all three must agree."""
+    with every step's product entries numbered each way NUMBERINGS names;
+    all must agree."""
     wants = []
     for side, exps, _ in lanes:
         try:
@@ -534,12 +545,10 @@ def check_numberings(g, lanes, epsilons):
         except NegativeEntry as exc:
             wants.append(exc)
     seen = []
-    picked, int64 = growth._key_dtype, lambda space: np.int64
-    for factor, dtype in ((0, picked), (0, int64), (10**9, picked)):
-        with mock.patch.object(growth, "_OCCUPANCY_FACTOR", factor):
-            with mock.patch.object(growth, "_key_dtype", dtype):
-                seen.append(check_lanes(g, [vec for _, _, vec in lanes], wants, epsilons))
-    assert seen[0] == seen[1] == seen[2]
+    for path in NUMBERINGS:
+        with numbered(path):
+            seen.append(check_lanes(g, [vec for _, _, vec in lanes], wants, epsilons))
+    assert all(fields == seen[0] for fields in seen)
 
 
 def check_lanes(g, starts, wants, epsilons):
@@ -614,3 +623,90 @@ def test_subnormal_graphs_match_dict_referee():
     assert outcome_fields(out) == reference_growth(g, "L", {0: -30}, eps)
     assert out.best.edge_weight == 1e-310
 
+
+def bits_of(out):
+    """An outcome, or an error's text, with every float as its hex form."""
+    if isinstance(out, NegativeEntry):
+        return str(out)
+
+    def vec(v):
+        return (v.side, v.index.tolist(), v.exps.tolist(), v.norm.hex())
+
+    best = out.best
+    return (
+        None if best is None else (sorted(best.left), sorted(best.right)),
+        None if best is None else (best.edge_weight.hex(), best.density.hex()),
+        out.best_at,
+        out.steps_executed,
+        out.edges_touched,
+        [
+            (
+                rec.t,
+                vec(rec.x_levels),
+                vec(rec.post_levels),
+                vec(rec.next_levels),
+                rec.max_pair_density.hex(),
+                rec.pruned_mass.hex(),
+            )
+            for rec in out.trace
+        ],
+    )
+
+
+def test_numberings_give_identical_outcomes():
+    # one call on a weighted graph with lanes from both sides, among them
+    # one whose product partly underflows to 0.0 (so a step masks its
+    # entries) and one whose product overflows
+    rng = random.Random(3)
+    edges = [
+        (f"l{u}", f"r{v}", rng.uniform(0.1, 3.0))
+        for u in range(30)
+        for v in range(40)
+        if rng.random() < 0.2
+    ]
+    edges += [("tiny", "r0", 1e-300), ("tiny", "r1", 0.5), ("huge", "r2", 3.0)]
+    g = build_bipartite(edges)
+    (tiny,), (huge,) = g.left_indices(["tiny"]), g.left_indices(["huge"])
+    starts = [
+        LevelVector.unit("L", 0),
+        vector("R", {3: 0, 7: -2, 11: 1}),
+        vector("L", {tiny: -1000}),
+        LevelVector.unit("R", 5),
+        vector("L", {huge: 1023}),
+        vector("L", {2: -1, 9: 0, 20: -3}),
+    ]
+    epsilons = (0.5, 0.05, 0.05, 0.02, 0.02, 0.01)
+    seen = {}
+    for path in NUMBERINGS:
+        with numbered(path), mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            batch = run_pruned_growth(g, starts, epsilons, keep_trace=True)
+        assert unique.called == (path == "unique")
+        seen[path] = [bits_of(out) for out in batch.outcomes]
+    assert seen["packed"] == seen["occupancy"] == seen["unique"]
+    outcomes = batch.outcomes
+    assert str(outcomes[4]) == "a product entry overflows to inf"
+    # the product to r0 underflowed and was dropped
+    assert outcomes[2].trace[0].post_levels.index.tolist() == list(g.right_indices(["r1"]))
+    assert all(out.steps_executed >= 3 for k, out in enumerate(outcomes) if k != 4)
+
+
+def test_norms_sum_exactly_without_fsum():
+    # a slot whose squares span few enough bits sums them in one vectorized
+    # pass; the result must be fsum's to the bit, overflow to inf included
+    rng = random.Random(11)
+    for _ in range(300):
+        slot, exp, count = [], [], []
+        slots = rng.randint(1, 6)
+        for s in range(slots):
+            base = rng.choice((rng.randint(-1074, -1000), rng.randint(-30, 30), 1020))
+            spread = rng.choice((3, 6, 30, 2000))
+            for e in sorted({min(1023, base + rng.randint(0, spread)) for _ in range(4)}):
+                slot.append(s)
+                exp.append(e)
+                # counts near 2**53 put sums on both sides of _EXACT_SUM
+                count.append(rng.choice((1, 3, rng.randint(1, 2**40), rng.randint(1, 2**53))))
+        args = [np.array(v, dtype=np.int64) for v in (slot, exp, count)]
+        fast = growth._norms(*args, slots)
+        with mock.patch.object(growth, "_EXACT_SUM", 0):
+            slow = growth._norms(*args, slots)
+        assert [v.hex() for v in fast.tolist()] == [v.hex() for v in slow.tolist()]

@@ -143,6 +143,10 @@ def test_result_record_global_fields():
     assert rec["target_size"] is None
     assert rec["bound_factor"] == pytest.approx(1 / (8 + 4 * math.log2(5)))
     assert rec["bound_factor_eps"] is None
+    # mixed int and str ids sort by type name, then by text: 10 before 9
+    g = build_bipartite([(u, v, 1.0) for u in (9, "b", 10) for v in ("x", 3)])
+    rec = result_record(g, global_density(g), "global")
+    assert rec["S"] == [10, 9, "b"] and rec["T"] == [3, "x"]
 
 
 def test_records_round_trip_and_stable_bytes(star4):
