@@ -30,8 +30,9 @@ a step allocates in proportion to the edges it gathers and the lanes it
 holds, never to the graph's size.  A lane never sees another: each of its
 sums runs over its own terms in the order a batch of one would use, so every
 lane's outcome equals that of its start run alone, to the bit: one result
-per start, errors included.  The norms of truncated vectors are computed
-only for traces, whose vectors are views into their step's batch arrays.
+per start, errors included.  A lane's norm is one math.fsum of its squares,
+exactly rounded.  The norms of truncated vectors are computed only for
+traces, whose vectors are views into their step's batch arrays.
 """
 
 from __future__ import annotations
@@ -130,11 +131,6 @@ def _levels(slot: np.ndarray, exps: np.ndarray, slots: int):
     return (np.cumsum(counts > 0) - 1)[key], level_slot, level_exp + low, counts[present]
 
 
-# a slot's sum of squares, in units of its lowest level's square, is an
-# integer that floats hold exactly below this
-_EXACT_SUM = 2.0**53
-
-
 def _norms(level_slot: np.ndarray, level_exp: np.ndarray, counts: np.ndarray, slots: int):
     """Euclidean norm of each slot's vector of counts[k] entries equal to
     2**level_exp[k], levels ascending within a slot; 0 for a slot without.
@@ -142,30 +138,18 @@ def _norms(level_slot: np.ndarray, level_exp: np.ndarray, counts: np.ndarray, sl
     Each slot's top level is factored out of its sum of squares, so a norm
     equals sqrt(fsum of the squared entries) whenever each square is a
     normal float, and stays finite and nonzero where those squares would
-    overflow or underflow.  A norm beyond the float range is inf.  Where a
-    slot's sum of counts[k] * 4**(level_exp[k] - lowest exponent) is below
-    _EXACT_SUM, every partial sum is exact, so one vectorized sum, its
-    square root and a shift by the lowest exponent give what fsum would;
-    only the other slots sum in a Python loop.
+    overflow or underflow.  A norm beyond the float range is inf.
     """
     norms = np.zeros(slots)
     if not len(level_slot):
         return norms
     last = np.flatnonzero(np.append(level_slot[1:] != level_slot[:-1], True))
     first = np.append(0, last[:-1] + 1)
-    size = last - first + 1
-    low, top = level_exp[first], level_exp[last]
-    counts = counts.astype(np.float64)
-    # a sum or a norm past the float range is inf
-    with np.errstate(over="ignore"):
-        sums = np.add.reduceat(np.ldexp(counts, 2 * (level_exp - np.repeat(low, size))), first)
-        norms[level_slot[last]] = np.ldexp(np.sqrt(sums), low)
-    if sums.max() < _EXACT_SUM:
-        return norms
-    # the slots whose sums may have rounded take fsum's norm instead
-    rest = np.flatnonzero(sums >= _EXACT_SUM)
-    terms = np.ldexp(counts, 2 * (level_exp - np.repeat(top, size))).tolist()
-    runs = zip(*(v[rest].tolist() for v in (level_slot[last], first, last + 1, top)))
+    top = level_exp[last]
+    terms = np.ldexp(
+        counts.astype(np.float64), 2 * (level_exp - np.repeat(top, last - first + 1))
+    ).tolist()
+    runs = zip(level_slot[last].tolist(), first.tolist(), (last + 1).tolist(), top.tolist())
     for s, a, b, k in runs:
         try:
             norms[s] = math.ldexp(math.sqrt(math.fsum(terms[a:b])), k)

@@ -517,12 +517,11 @@ def test_lopsided_mixed_lanes_match_lone_runs_and_referee(seed, shape, weights, 
 
 
 # module settings that force each way of numbering product entries: an
-# occupancy array, one sort of packed (key, position) words, np.unique; the
-# last also sums every norm with fsum
+# occupancy array, one sort of packed (key, position) words, np.unique
 NUMBERINGS = {
     "occupancy": {"_OCCUPANCY_FACTOR": 10**9},
     "packed": {"_OCCUPANCY_FACTOR": 0},
-    "unique": {"_OCCUPANCY_FACTOR": 0, "_PACK_BITS": 0, "_EXACT_SUM": 0},
+    "unique": {"_OCCUPANCY_FACTOR": 0, "_PACK_BITS": 0},
 }
 
 
@@ -690,23 +689,43 @@ def test_numberings_give_identical_outcomes():
     assert all(out.steps_executed >= 3 for k, out in enumerate(outcomes) if k != 4)
 
 
-def test_norms_sum_exactly_without_fsum():
-    # a slot whose squares span few enough bits sums them in one vectorized
-    # pass; the result must be fsum's to the bit, overflow to inf included
+def test_norms_match_exact_referee():
+    # where every square and the sum are normal floats a norm is the
+    # square root of their fsum, to the bit; elsewhere it is finite and
+    # positive below 2**1023, inf above 2**1024, and within a few ulps of
+    # the exact norm wherever that is a normal float
     rng = random.Random(11)
+    # summed left to right, the squares of the first set round to a norm
+    # one ulp off
+    batches = [[[(-30, 2**52 + 1), (-26, 2**52 + 1), (0, 1)]]]
     for _ in range(300):
-        slot, exp, count = [], [], []
-        slots = rng.randint(1, 6)
-        for s in range(slots):
+        batch = []
+        for _ in range(rng.randint(1, 6)):
             base = rng.choice((rng.randint(-1074, -1000), rng.randint(-30, 30), 1020))
             spread = rng.choice((3, 6, 30, 2000))
-            for e in sorted({min(1023, base + rng.randint(0, spread)) for _ in range(4)}):
-                slot.append(s)
-                exp.append(e)
-                # counts near 2**53 put sums on both sides of _EXACT_SUM
-                count.append(rng.choice((1, 3, rng.randint(1, 2**40), rng.randint(1, 2**53))))
-        args = [np.array(v, dtype=np.int64) for v in (slot, exp, count)]
-        fast = growth._norms(*args, slots)
-        with mock.patch.object(growth, "_EXACT_SUM", 0):
-            slow = growth._norms(*args, slots)
-        assert [v.hex() for v in fast.tolist()] == [v.hex() for v in slow.tolist()]
+            # about one slot in six has no levels
+            exps = [] if rng.random() < 1 / 6 else [base + rng.randint(0, spread) for _ in range(4)]
+            batch.append(
+                [(e, rng.choice((1, 3, rng.randint(1, 2**40), rng.randint(1, 2**53))))
+                 for e in sorted({min(1023, e) for e in exps})]
+            )
+        batches.append(batch)
+    tiny, huge = Fraction(2) ** -1022, Fraction(2) ** 1024
+    for batch in batches:
+        flat = [(s, e, c) for s, levels in enumerate(batch) for e, c in levels]
+        args = [np.array([f[k] for f in flat], dtype=np.int64) for k in range(3)]
+        for norm, levels in zip(growth._norms(*args, len(batch)).tolist(), batch):
+            if not levels:
+                assert norm == 0.0
+                continue
+            squares = [c * Fraction(2) ** (2 * e) for e, c in levels]
+            exact = sum(squares)
+            if all(tiny <= q < huge for q in squares + [exact]):
+                referee = math.sqrt(math.fsum(c * 2.0 ** (2 * e) for e, c in levels))
+                assert norm.hex() == referee.hex()
+            elif exact < Fraction(2) ** 2046:
+                assert 0.0 < norm < math.inf
+                if exact >= tiny**2:
+                    assert abs(Fraction(norm) ** 2 - exact) <= exact / 2**50
+            elif exact > Fraction(2) ** 2048:
+                assert norm == math.inf

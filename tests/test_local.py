@@ -141,6 +141,40 @@ def test_work_is_independent_of_ambient_size():
     assert runs[1][1] == runs[20][1] == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("n", [2_000, 20_000, 200_000])
+def test_work_and_output_within_schedule_bounds(n):
+    # the bounds local.py's docstring states, on random seeds of both sides
+    # with real neighborhoods, at average degree 6 whatever n: step t gathers
+    # at most max_fanout edges per entry of its vector, which holds at most
+    # min(1 / eps_t**2, side size) of them, and the output is one level of
+    # that vector and one of its product
+    g, _, _ = generate_planted(
+        n_left=n // 2, n_right=n // 2, noise_edges=3 * n, planted_a=8, planted_b=8, rng_seed=3
+    )
+    rng = random.Random(n)
+    seeds = [
+        (g.left_id(rng.randrange(g.left_count)), "L")
+        if rng.random() < 0.5
+        else (g.right_id(rng.randrange(g.right_count)), "R")
+        for _ in range(50)
+    ]
+    fan = g.max_fanout
+    most = 0
+    for k in (2, 4, 8, 16, 32):
+        eps = LocalSchedule.for_target(k).epsilons
+        for seed, side in seeds:
+            res = local_density(g, seed, k, side)
+            # the x vector starts on the seed's side and alternates
+            sizes = [g.side_count(side), g.side_count("R" if side == "L" else "L")]
+            work = 2 * fan * sum(min(1 / eps[t] ** 2, sizes[t % 2]) for t in range(res.steps))
+            assert res.edges_touched <= work, (seed, side, k)
+            out = len(res.subgraph.left) + len(res.subgraph.right)
+            assert out <= (1 + fan) / eps[res.found_at[0]] ** 2, (seed, side, k)
+            most = max(most, res.edges_touched)
+    # some runs grew past their seed's own edges
+    assert most > 2 * fan
+
+
 def _peak(run) -> int:
     """tracemalloc peak of a second call of run, after one to warm up."""
     run()
