@@ -31,7 +31,6 @@ from .verify import PROPERTY_NAMES, exit_code, run_verification
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
-VERIFY_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,7 +149,7 @@ def _write_out(records, args) -> None:
 
 def _read_ids(path):
     """One id per line, stripped; blank lines and '#' comments are skipped."""
-    with _naming(path), open(path, "r", encoding="utf-8") as fh:
+    with _naming(path), open(path, "r", encoding="utf-8-sig") as fh:
         return [tok for tok in map(str.strip, fh) if tok and not tok.startswith("#")]
 
 

@@ -65,13 +65,14 @@ class BipartiteGraph:
     triple (indptr, neighbor indices on the other side, weights), with each
     neighbor list sorted by index.  No accessor favours a side.
 
-    Construct through build_bipartite, from_directed, restrict or
-    generate_planted; the raw constructor expects each side's id-to-index
-    dict, in index order, and validated edge arrays.  It merges duplicate
-    pairs by weight sum, and keeps the dicts as given, so one dict may serve
-    both sides.  Vertices with no incident edges are legal (restriction can
-    produce them) but the graph as a whole always carries at least one edge,
-    and its total weight is finite.
+    Construct from rows through build_bipartite, from_directed or
+    load_edge_list, which share one row loop, or from columns through
+    restrict or generate_planted; the raw constructor expects each side's
+    id-to-index dict, in index order, and validated edge arrays.  It merges
+    duplicate pairs by weight sum, and keeps the dicts as given, so one dict
+    may serve both sides.  Vertices with no incident edges are legal
+    (restriction can produce them) but the graph as a whole always carries
+    at least one edge, and its total weight is finite.
     """
 
     __slots__ = ("_ids", "_index", "_csr", "_total_weight", "_max_degree", "_max_fanout")
@@ -232,6 +233,31 @@ def _row_weight(what: str, a, b, w) -> float:
     return w
 
 
+def _from_rows(rows, directed: bool) -> BipartiteGraph:
+    """The graph of (a, b, weight) rows whose weights are finite floats >= 0.
+
+    Ids are numbered by first appearance, in one namespace per side, or in
+    one that both sides share when directed.  A zero-weight row adds no
+    edge; in a directed graph its endpoints are still vertices.  Raises
+    EmptyGraph if no edge remains, and NegativeWeight as the constructor does.
+    """
+    left: dict = {}
+    right = left if directed else {}
+    l_list, r_list, w_list = [], [], []
+    for a, b, w in rows:
+        if w == 0.0 and not directed:
+            continue
+        li = left.setdefault(a, len(left))
+        ri = right.setdefault(b, len(right))
+        if w > 0.0:
+            l_list.append(li)
+            r_list.append(ri)
+            w_list.append(w)
+    if not w_list:
+        raise EmptyGraph(f"no positive-weight {'arcs' if directed else 'edges'}")
+    return BipartiteGraph(left, right, l_list, r_list, w_list)
+
+
 def build_bipartite(edges) -> BipartiteGraph:
     """Build a graph from (left_id, right_id, weight) triples.
 
@@ -244,28 +270,7 @@ def build_bipartite(edges) -> BipartiteGraph:
             or the merged weights sum past the float range.
         EmptyGraph: if no positive-weight edge remains.
     """
-    # each dict's insertion order is its side's id order
-    left_index: dict = {}
-    right_index: dict = {}
-    l_list: list[int] = []
-    r_list: list[int] = []
-    w_list: list[float] = []
-    for u, v, w in edges:
-        w = _row_weight("edge", u, v, w)
-        if w == 0.0:
-            continue
-        li = left_index.get(u)
-        if li is None:
-            li = left_index[u] = len(left_index)
-        ri = right_index.get(v)
-        if ri is None:
-            ri = right_index[v] = len(right_index)
-        l_list.append(li)
-        r_list.append(ri)
-        w_list.append(w)
-    if not w_list:
-        raise EmptyGraph("no positive-weight edges")
-    return BipartiteGraph(left_index, right_index, l_list, r_list, w_list)
+    return _from_rows(((u, v, _row_weight("edge", u, v, w)) for u, v, w in edges), False)
 
 
 def from_directed(arcs) -> BipartiteGraph:
@@ -277,22 +282,7 @@ def from_directed(arcs) -> BipartiteGraph:
     of a zero-weight arc are still vertices, with no edge between them.
     Raises NegativeWeight and EmptyGraph as build_bipartite does.
     """
-    index: dict = {}
-    l_list: list[int] = []
-    r_list: list[int] = []
-    w_list: list[float] = []
-    for x, y, w in arcs:
-        w = _row_weight("arc", x, y, w)
-        for tok in (x, y):
-            if tok not in index:
-                index[tok] = len(index)
-        if w > 0.0:
-            l_list.append(index[x])
-            r_list.append(index[y])
-            w_list.append(w)
-    if not w_list:
-        raise EmptyGraph("no positive-weight arcs")
-    return BipartiteGraph(index, index, l_list, r_list, w_list)
+    return _from_rows(((x, y, _row_weight("arc", x, y, w)) for x, y, w in arcs), True)
 
 
 def _index_array(g: BipartiteGraph, side: str, vertices) -> np.ndarray:

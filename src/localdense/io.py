@@ -15,7 +15,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .graph import LEFT, BipartiteGraph, Subgraph, build_bipartite, from_directed, ratio_density
+from .graph import LEFT, BipartiteGraph, Subgraph, _from_rows, ratio_density
 from .local import DensityResult
 
 __all__ = [
@@ -64,13 +64,13 @@ def load_edge_list(path, mode: str = "bipartite") -> BipartiteGraph:
     mode "bipartite" keeps the two id columns as separate namespaces; mode
     "directed" treats rows as arcs of a directed graph and builds its
     bipartite form (every vertex appears on both sides).  Raises DomainError
-    for any other mode.
+    for any other mode.  A zero-weight row adds no edge; in directed mode its
+    ids are still vertices.  A leading UTF-8 byte-order mark is skipped.
     """
     if mode not in ("bipartite", "directed"):
         raise DomainError(f"mode must be 'bipartite' or 'directed', got {mode!r}")
-    build = from_directed if mode == "directed" else build_bipartite
-    with open(path, "r", encoding="utf-8") as fh:
-        return build(parse_edge_lines(fh))
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return _from_rows(parse_edge_lines(fh), mode == "directed")
 
 
 # edges formatted per write by save_edge_list

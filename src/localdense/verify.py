@@ -37,21 +37,21 @@ class PropertyResult:
     detail: str
 
 
-def _grow_left(g: BipartiteGraph, vertices, target_size: int, keep_trace: bool = False):
+def _grow_left(g: BipartiteGraph, vertices, sched: LocalSchedule, keep_trace: bool = False):
     """local_density's result or error for each left vertex index, in order;
     the seeds grow as the lanes of one growth call."""
     seeds = [(g.left_id(v), LEFT) for v in vertices]
-    return _grow_seeds(g, seeds, LocalSchedule.for_target(target_size), keep_trace)
+    return _grow_seeds(g, seeds, sched, keep_trace)
 
 
-def _collect_traces(g: BipartiteGraph, target_size: int):
+def _collect_traces(g: BipartiteGraph, sched: LocalSchedule):
     """Densities and traces of the whole-graph run and eight local runs.
 
     The densities come as (kind, density) pairs, apart from the traces, so
     that the traces can be freed once they are checked.
     """
     results = [("global", global_density(g, keep_trace=True))]
-    for res in _grow_left(g, range(min(8, g.left_count)), target_size, keep_trace=True):
+    for res in _grow_left(g, range(min(8, g.left_count)), sched, keep_trace=True):
         if isinstance(res, NoCandidate):
             continue
         if isinstance(res, Exception):
@@ -121,7 +121,19 @@ def run_verification(
         # ok is None for a property whose inputs do not apply
         out.append(PropertyResult(name, "skip" if ok is None else "pass" if ok else "fail", detail))
 
-    runs, traces = _collect_traces(g, target_size)
+    # every argument is checked before anything grows
+    try:
+        exact = exact_densest(g, side_cap)
+    except TooLarge:
+        exact = None
+    if planted is not None:
+        left_set, right_set = g.left_indices(planted[0]), g.right_indices(planted[1])
+        base = density(g, left_set, right_set)
+        threshold = density_threshold if density_threshold is not None else base.density / 2.0
+        cover = good_seed_set(g, left_set, right_set, threshold)
+    sched = LocalSchedule.for_target(target_size)
+
+    runs, traces = _collect_traces(g, sched)
     delta = g.max_degree
 
     checked = dict.fromkeys(_STEP_CHECKS, 0)
@@ -163,9 +175,7 @@ def run_verification(
     else:
         report("global-guarantee", None, "graph too small")
 
-    try:
-        exact = exact_densest(g, side_cap)
-    except TooLarge:
+    if exact is None:
         report("exact-agreement", None, f"smaller side above cap {side_cap}")
     else:
         report(
@@ -179,14 +189,6 @@ def run_verification(
             report(name, None, "no planted block given")
         return out
 
-    left_ids, right_ids = planted
-    left_set = g.left_indices(left_ids)
-    right_set = g.right_indices(right_ids)
-    base = density(g, left_set, right_set)
-    threshold = (
-        density_threshold if density_threshold is not None else base.density / 2.0
-    )
-    cover = good_seed_set(g, left_set, right_set, threshold)
     report(
         "planted-coverage",
         cover.coverage >= 0.5,
@@ -210,7 +212,7 @@ def run_verification(
     size = max(len(left_set), len(right_set))
     floor = local_guarantee_bound(threshold, max(delta, 1.0), size)
     below = 0
-    for res in _grow_left(g, sorted(cover.good), size):
+    for res in _grow_left(g, sorted(cover.good), LocalSchedule.for_target(size)):
         if isinstance(res, Exception):
             raise res
         below += res.density < floor

@@ -160,6 +160,19 @@ def test_scan_seed_file_with_failures(block_file, tmp_path):
     assert failure["reason"] == "UnknownVertex"
 
 
+def test_seed_file_with_byte_order_mark(block_file, tmp_path):
+    # the mark is not part of the first seed's id
+    runs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        seeds = tmp_path / f"{encoding}.txt"
+        seeds.write_text("l1\n", encoding=encoding)
+        runs.append(run_cli("scan", str(block_file), "--seeds", str(seeds), "--target-size", "3"))
+    plain, marked = runs
+    assert marked.returncode == 0
+    assert [(r["kind"], r["seed"]) for r in parse_stdout(marked)] == [("local", "seed:L:l1")]
+    assert marked.stdout == plain.stdout
+
+
 def test_generate_deterministic_bytes(tmp_path):
     paths = []
     for name in ("a.txt", "b.txt"):

@@ -20,6 +20,7 @@ from localdense import (
     density,
     edge_weight_between,
     from_directed,
+    load_edge_list,
     ratio_density,
     restrict,
 )
@@ -402,10 +403,15 @@ def _check_accessors(g, left_ids, right_ids, expected):
 
 @settings(max_examples=120, deadline=None)
 @given(arc_rows, st.booleans())
-def test_accessors_match_dense_matrix(rows, directed):
+def test_accessors_match_dense_matrix(tmp_path_factory, rows, directed):
     assume(any(w > 0.0 for _, _, w in rows))
     g = (from_directed if directed else build_bipartite)(rows)
     _check_accessors(g, *_expected_graph(rows, directed))
+    # the same rows read from a file in the matching mode, as text ids
+    path = tmp_path_factory.mktemp("rows") / "rows.txt"
+    path.write_text("".join(f"{u} {v} {w!r}\n" for u, v, w in rows))
+    g = load_edge_list(path, "directed" if directed else "bipartite")
+    _check_accessors(g, *_expected_graph([(str(u), str(v), w) for u, v, w in rows], directed))
 
 
 @settings(max_examples=120, deadline=None)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localdense.generate as generate_module
+import localdense.graph as graph_module
 import localdense.io as io_module
 from localdense import (
     LEFT,
@@ -97,6 +98,37 @@ def test_load_directed_mode(tmp_path):
     assert g.vertex_count == 6
     with pytest.raises(DomainError, match="mystery"):
         load_edge_list(src, mode="mystery")
+
+
+@pytest.mark.parametrize("mode", ["bipartite", "directed"])
+def test_byte_order_mark_is_skipped(tmp_path, mode):
+    # Notepad starts a UTF-8 file with a byte-order mark; the first id must
+    # read as itself
+    text = "a x 2.0\nb a 0\nc y\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    g, h = load_edge_list(plain, mode), load_edge_list(marked, mode)
+    assert h.left_id(0) == "a"
+    for side in (LEFT, RIGHT):
+        assert h._ids[side] == g._ids[side]
+        for got, want in zip(h.csr_arrays(side), g.csr_arrays(side)):
+            assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("mode", ["bipartite", "directed"])
+def test_loading_checks_each_weight_once(tmp_path, monkeypatch, mode):
+    # the parser has checked every weight; the in-memory builders' check is
+    # not run again
+    def unused(*args):
+        raise AssertionError("weight checked twice")
+
+    monkeypatch.setattr(graph_module, "_row_weight", unused)
+    src = tmp_path / "g.txt"
+    src.write_text("a x 2.0\nb y 0\nb x\n")
+    g = load_edge_list(src, mode)
+    assert g.total_weight == 3.0
 
 
 def test_save_rejects_ids_with_whitespace(tmp_path):

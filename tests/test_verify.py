@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,16 +10,20 @@ from hypothesis import strategies as st
 
 from localdense import (
     LEFT,
+    DomainError,
+    EmptySide,
     LevelVector,
     LocalDenseError,
     NegativeEntry,
     NoCandidate,
+    UnknownVertex,
     build_bipartite,
     generate_planted,
     local_density,
     restrict,
 )
 from localdense import globalopt, local, verify
+from localdense.local import LocalSchedule
 from localdense.verify import PROPERTY_NAMES, exit_code, run_verification
 
 from conftest import k_ab, random_bipartite
@@ -59,12 +64,12 @@ def test_planted_checks_run_with_block():
     assert exit_code(run_verification(g, planted=planted, target_size=4)) == 0
 
 
-def lone_left_runs(g, vertices, target_size, keep_trace=False):
+def lone_left_runs(g, vertices, sched, keep_trace=False):
     """verify's local runs made one seed at a time: a lone local_density
     call per left vertex, with its error, if any, in its place."""
     for v in vertices:
         try:
-            yield local_density(g, g.left_id(v), target_size, LEFT, keep_trace)
+            yield local_density(g, g.left_id(v), sched.target_size, LEFT, keep_trace)
         except LocalDenseError as exc:
             yield exc
 
@@ -95,7 +100,7 @@ def test_batched_local_runs_match_lone_runs(case, target_size):
 
     def verification():
         return (
-            verify._collect_traces(g, target_size),
+            verify._collect_traces(g, LocalSchedule.for_target(target_size)),
             run_verification(g, planted=planted, target_size=target_size),
         )
 
@@ -130,8 +135,8 @@ def test_local_loops_raise_the_first_failing_seeds_error(monkeypatch, traced):
     g, planted = planted_block()
     grow_left = verify._grow_left
 
-    def failing(g, vertices, target_size, keep_trace=False):
-        runs = list(grow_left(g, vertices, target_size, keep_trace))
+    def failing(g, vertices, sched, keep_trace=False):
+        runs = list(grow_left(g, vertices, sched, keep_trace))
         if keep_trace == traced:
             runs[1:1] = [NoCandidate("no edges"), NegativeEntry("first"), NegativeEntry("second")]
         return runs
@@ -140,6 +145,28 @@ def test_local_loops_raise_the_first_failing_seeds_error(monkeypatch, traced):
     error, message = (NegativeEntry, "first") if traced else (NoCandidate, "no edges")
     with pytest.raises(error, match=f"^{message}$"):
         run_verification(g, planted=planted, target_size=4)
+
+
+def test_bad_arguments_raise_before_anything_grows(monkeypatch):
+    # each bad argument raises the error it raised when the traced runs
+    # came first, but before they start
+    g, (left, right) = planted_block()
+
+    def no_traces(*args):
+        raise AssertionError("traced runs started")
+
+    monkeypatch.setattr(verify, "_collect_traces", no_traces)
+    for bad, error, message in [
+        ({"side_cap": 0}, DomainError, "side cap must be at least one"),
+        ({"side_cap": "20"}, DomainError, "side cap must be an integer, got '20'"),
+        ({"planted": (left + ["zz"], right)}, UnknownVertex, "left vertex 'zz' not found"),
+        ({"planted": (left, ["zz"] + right)}, UnknownVertex, "right vertex 'zz' not found"),
+        ({"planted": ([], right)}, EmptySide, "density requires both sets nonempty"),
+        ({"density_threshold": 0.0}, DomainError, "density threshold must be positive"),
+        ({"target_size": 0}, DomainError, "target size must be a positive integer, got 0"),
+    ]:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_verification(g, **{"planted": (left, right), "target_size": 4, **bad})
 
 
 def test_exact_agreement_skips_above_cap():
@@ -327,7 +354,7 @@ def level_cap(rec, delta):
 def test_step_checks_catch_a_broken_step(monkeypatch, name, broken, bad):
     # one step of a real trace is edited; only its property may change
     g = k_ab(3, 4)
-    runs, traces = verify._collect_traces(g, 4)
+    runs, traces = verify._collect_traces(g, LocalSchedule.for_target(4))
     clean = by_name(run_verification(g, target_size=4))
     rec = traces[0].steps[0]
     step = dataclasses.replace(rec, **broken(rec, g.max_degree))
