@@ -168,7 +168,9 @@ def _cmd_stats(args) -> int:
         "edge_weight": g.total_weight,
         "max_degree": g.max_degree,
         "max_fanout": g.max_fanout,
-        "avg_degree": 2.0 * g.total_weight / g.vertex_count,
+        # one rounding of the exact quotient, as 2 * weight / count would
+        # give, but with no intermediate past the float range
+        "avg_degree": g.total_weight / (g.vertex_count / 2.0),
     }
     _write_out([record], args)
     return 0

@@ -4,8 +4,8 @@ A graph has a left side and a right side.  External vertex ids (any hashable
 tokens) are mapped to dense integer indices per side at construction time;
 everything downstream works with index sets, each validated once per call
 into one form, a sorted, unique int64 array.  Adjacency is stored CSR-style
-in numpy arrays, once per side in a table keyed by the side, with neighbor
-lists sorted by index so that iteration order is reproducible.
+in numpy arrays, as one table over both sides' rows, with neighbor lists
+sorted by index so that iteration order is reproducible.
 """
 
 from __future__ import annotations
@@ -63,7 +63,9 @@ class BipartiteGraph:
     Every fact about a side lives in one table keyed by the side (LEFT or
     RIGHT): its vertex ids in index order, the id-to-index dict, and its CSR
     triple (indptr, neighbor indices on the other side, weights), with each
-    neighbor list sorted by index.  No accessor favours a side.
+    neighbor list sorted by index.  The triples' neighbor and weight arrays
+    are the halves of one CSR table, the left rows then the right ones, so
+    no edge array is stored twice.  No accessor favours a side.
 
     Construct from rows through build_bipartite, from_directed or
     load_edge_list, which share one row loop, or from columns through
@@ -75,45 +77,56 @@ class BipartiteGraph:
     at least one edge, and its total weight is finite.
     """
 
-    __slots__ = ("_ids", "_index", "_csr", "_total_weight", "_max_degree", "_max_fanout")
+    __slots__ = ("_ids", "_index", "_adj", "_csr", "_total_weight", "_max_degree", "_max_fanout")
 
     def __init__(self, left_index, right_index, l_arr, r_arr, w_arr):
         if len(w_arr) == 0:
             raise EmptyGraph("graph has no edges")
-        # one int64 key per pair; bincount sums duplicates in input order
-        nr = max(len(right_index), 1)
+        # one int64 key per pair; bincount sums duplicates in input order.
+        # The table is filled in place, weights first, each source freed once
+        # copied: so its build peaks no higher than two per-side tables' did
+        nl, nr = max(len(left_index), 1), max(len(right_index), 1)
         keys = np.asarray(l_arr, dtype=np.int64) * nr + np.asarray(r_arr, dtype=np.int64)
         keys, inverse = np.unique(keys, return_inverse=True)
-        w_arr = np.bincount(inverse, weights=np.asarray(w_arr, dtype=np.float64))
-        l_arr, r_arr = np.divmod(keys, nr)
-        del keys, inverse  # as long as the rows: free them before the per-side loop
+        half = len(keys)
+        wts = np.empty(2 * half)
+        wts[:half] = np.bincount(inverse, weights=np.asarray(w_arr, dtype=np.float64))
+        del inverse  # as long as the rows
         # weights are nonnegative, so a finite total means every merged
         # weight and every degree is finite too
         with np.errstate(over="ignore"):
-            total = float(w_arr.sum())
+            total = float(wts[:half].sum())
         if math.isinf(total):
             raise NegativeWeight("edge weights sum past the float range")
 
-        # np.unique leaves the pairs in (left, right) order, the left table's;
-        # the right table's is that of the unique keys right * nl + left, so
+        # np.unique leaves the pairs in (left, right) order, the left rows';
+        # the right rows' is that of the unique keys right * nl + left, so
         # an unstable sort gives it
-        nl = max(len(left_index), 1)
+        nbrs = np.empty(2 * half, dtype=np.int64)
+        l_arr, r_arr = np.empty_like(keys), nbrs[:half]
+        np.divmod(keys, nr, out=(l_arr, r_arr))
+        del keys
         order = np.argsort(r_arr * nl + l_arr)
-        self._ids, self._index, self._csr = {}, {}, {}
-        degrees, fanouts = [], []
-        for side, index, rows, cols, weights in (
-            (LEFT, left_index, l_arr, r_arr, w_arr),
-            (RIGHT, right_index, r_arr, l_arr[order], w_arr[order]),
-        ):
+        np.take(l_arr, order, out=nbrs[half:])
+        np.take(wts[:half], order, out=wts[half:])
+        del order
+
+        self._ids, self._index = {}, {}
+        counts, degrees = [], []
+        for side, index, rows in ((LEFT, left_index, l_arr), (RIGHT, right_index, r_arr)):
             self._index[side] = index
             ids = self._ids[side] = tuple(index)
-            counts = np.bincount(rows, minlength=len(ids))
-            self._csr[side] = (np.concatenate(([0], np.cumsum(counts))), cols, weights)
-            degrees.append(np.bincount(rows, weights=w_arr, minlength=len(ids)).max(initial=0.0))
-            fanouts.append(counts.max(initial=0))
+            counts.append(np.bincount(rows, minlength=len(ids)))
+            degrees.append(np.bincount(rows, wts[:half], len(ids)).max(initial=0.0))
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+        self._adj = (indptr, nbrs, wts)
+        self._csr = {
+            LEFT: (indptr[: self.left_count + 1], nbrs[:half], wts[:half]),
+            RIGHT: (indptr[self.left_count :] - half, nbrs[half:], wts[half:]),
+        }
         self._total_weight = total
         self._max_degree = float(max(degrees))
-        self._max_fanout = int(max(fanouts))
+        self._max_fanout = int(max(c.max(initial=0) for c in counts))
 
     # ---- size and id accessors -------------------------------------------------
 
@@ -213,6 +226,11 @@ class BipartiteGraph:
     def csr_arrays(self, side: str):
         """Raw (indptr, indices, weights) for one side; treat as read-only."""
         return self._csr[side]
+
+    def _table(self):
+        """(indptr, indices, weights) of the one CSR table: the left rows, then
+        the right ones from row left_count on; csr_arrays views its halves."""
+        return self._adj
 
     def __repr__(self):
         return (

@@ -15,24 +15,24 @@ both the product and the weight of every level pair.
 run_pruned_growth grows many start vectors at once, one lane per start, and
 returns a GrowthBatch.  Every lane advances in the same array pass per step,
 whichever side it starts on: the vectors are held as one set of (lane,
-index, exponent) arrays sorted by (lane, index), with the lanes that start
-on the left first, so that at every step the entries of each start side form
-one run, gathered from its own side's adjacency table.  A lane keeps its
-number for the whole call; one whose run has stopped, or that overflowed,
-just has no entries left.  Product entries are keyed by (lane, neighbor) and
-numbered by an occupancy array over every (lane, neighbor) key when that
-array holds at most four entries per gathered edge, else by one sort of
-words that pack each key with its edge's position (np.unique's sort only
-where the two do not fit in 63 bits); level and level-pair ids are lane
-local and come from bincounts over small ranges.  A step in which no
-product entry underflows or overflows, the usual one, masks nothing.  So
-a step allocates in proportion to the edges it gathers and the lanes it
-holds, never to the graph's size.  A lane never sees another: each of its
-sums runs over its own terms in the order a batch of one would use, so every
-lane's outcome equals that of its start run alone, to the bit: one result
-per start, errors included.  A lane's norm is one math.fsum of its squares,
-exactly rounded.  The norms of truncated vectors are computed only for
-traces, whose vectors are views into their step's batch arrays.
+index, exponent) arrays sorted by (lane, index), start k being lane k, and
+each step gathers every entry's edges from the graph's one adjacency table,
+the left rows then the right ones.  A lane keeps its number for the whole
+call; one whose run has stopped, or that overflowed, just has no entries
+left.  Product entries are keyed by (lane, neighbor) and numbered by an
+occupancy array over every (lane, neighbor) key when that array holds at
+most four entries per gathered edge, else by one sort of words that pack
+each key with its edge's position (np.unique's sort only where the two do
+not fit in 63 bits); level and level-pair ids are lane local and come from
+bincounts over small ranges.  A step in which no product entry underflows or
+overflows, the usual one, masks nothing.  So a step allocates in proportion
+to the edges it gathers and the lanes it holds, never to the graph's size.
+A lane never sees another: each of its sums runs over its own terms in the
+order a batch of one would use, so every lane's outcome equals that of its
+start run alone, to the bit: one result per start, errors included.  A
+lane's norm is one math.fsum of its squares, exactly rounded.  The norms of
+truncated vectors are computed only for traces, whose vectors are views into
+their step's batch arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NegativeEntry
-from .graph import LEFT, RIGHT, BipartiteGraph, Subgraph, csr_slices, opposite
+from .graph import LEFT, RIGHT, BipartiteGraph, Subgraph, csr_slices
 
 __all__ = [
     "LevelVector",
@@ -164,17 +164,17 @@ _OCCUPANCY_FACTOR = 4
 _PACK_BITS = 63
 
 
-def _product(g, groups, slot, index, exps, slots, width):
+def _product(table, slot, rows, exps, slots, width):
     """The edges of one step for every lane at once, and their product.
 
-    groups lists (side, a, b) for each run of entries a:b whose vertices lie
-    on side, in entry order.  Gathers the edges incident to the supports in
-    (slot, vertex, neighbor) order, each run from its own side's table.
-    Returns each source entry's edge count, each edge's weight, each slot's
-    edge count, the sorted slot * width + neighbor key of each product
-    entry, each edge's product entry and the product values.  Keys are
-    numbered by an occupancy array over the key space when that holds at
-    most _OCCUPANCY_FACTOR keys per gathered edge (all-ones starts).
+    rows gives each entry's row in the graph's one adjacency table, entries
+    in (slot, index) order; one gather takes the edges incident to the
+    supports in (slot, vertex, neighbor) order.  Returns each source entry's
+    edge count, each edge's weight, each slot's edge count, the sorted
+    slot * width + neighbor key of each product entry, each edge's product
+    entry and the product values.  Keys are numbered by an occupancy array
+    over the key space when that holds at most _OCCUPANCY_FACTOR keys per
+    gathered edge (all-ones starts).
     Otherwise (a few seeds on a large graph) each key is shifted left and
     its edge's position put in the low bits, and one in-place sort of these
     words gives the sorted keys and the order of their edges; np.unique
@@ -183,25 +183,13 @@ def _product(g, groups, slot, index, exps, slots, width):
     in array order, so each product entry sums its terms in ascending
     source-vertex order.
     """
-    runs = []
-    for side, a, b in groups:
-        indptr, nbrs, weights = g.csr_arrays(side)
-        runs.append((nbrs, weights, *csr_slices(indptr, index[a:b])))
-    fan = np.concatenate([run[2] for run in runs])
-    n = int(fan.sum())
-    wt = np.empty(n)
+    indptr, nbrs, weights = table
+    fan, pos = csr_slices(indptr, rows)
+    n = len(pos)
     key = np.repeat(slot * width, fan)
-    # each run's edges are gathered into their place in the step's arrays:
-    # joining arrays gathered apart cost more than the gathers
-    end = 0
-    for nbrs, weights, _, pos in runs:
-        at = slice(end, end + len(pos))
-        key[at] += nbrs[pos]
-        # pos is in range, so clip changes nothing but lets take write to
-        # out without a buffer
-        np.take(weights, pos, out=wt[at], mode="clip")
-        end = at.stop
-    del runs, pos  # each numbering takes a few more arrays of this length
+    key += nbrs[pos]
+    wt = weights[pos]
+    del pos  # each numbering takes a few more arrays of this length
     space = slots * width
     bits = n.bit_length()
     if space <= _OCCUPANCY_FACTOR * n:
@@ -333,11 +321,13 @@ def run_pruned_growth(
 ) -> GrowthBatch:
     """Drive the process for len(epsilons) - 1 steps from each start.
 
-    Every start is an independent lane, and every lane gets the outcome a
-    batch holding only that start would give, to the bit: its product
-    entries and level-pair weights sum their terms in the same order, and it
-    keeps the same first maximum.  All lanes advance together, one array pass
-    per step whichever side they start on, until every run has stopped.
+    Start k is lane k, and every lane gets the outcome a batch holding only
+    that start would give, to the bit: its product entries and level-pair
+    weights sum their terms in the same order, and it keeps the same first
+    maximum.  All lanes advance together, one table gather per step
+    whichever side they are on, until every run has stopped; the lanes'
+    vectors are one (slot, index, exps) triple of arrays sorted by (slot,
+    index), and a lane that has stopped or overflowed has no entries left.
 
     epsilons[t + 1] prunes the step taken from the t-th vector, keeping the
     entries strictly above that fraction of the rounded product's norm;
@@ -365,31 +355,6 @@ def run_pruned_growth(
     for eps in epsilons[1:]:
         if not 0.0 <= eps <= 1.0:
             raise DomainError(f"truncation fraction {eps!r} outside [0, 1]")
-    outcomes: list = [None] * len(starts)
-    # left starts first, each side in start order
-    order = sorted(range(len(starts)), key=lambda k: starts[k].side != LEFT)
-    if order:
-        grown = _grow_lanes(g, [starts[k] for k in order], epsilons, keep_trace)
-        for k, out in zip(order, grown):
-            outcomes[k] = out
-    runs = [out for out in outcomes if isinstance(out, ProcessOutcome)]
-    return GrowthBatch(
-        outcomes,
-        sum(out.edges_touched for out in runs),
-        sum(out.steps_executed for out in runs),
-    )
-
-
-def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
-    """run_pruned_growth for starts that hold the left ones first.
-
-    Start k is lane k for the whole call.  The lanes' working vectors are
-    held as one (slot, index, exps) triple of arrays sorted by (slot,
-    index), an entry's slot being its lane; a lane that has stopped or
-    overflowed has no entries left.  Lanes that started on one side sit on
-    one side at every step, so the left-start lanes' entries form one run
-    and the rest another.
-    """
     lanes = len(starts)
     for start in starts:
         if start.side not in (LEFT, RIGHT):
@@ -398,6 +363,8 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
         kinds = {index.dtype.kind, exps.dtype.kind}
         if index.ndim != 1 or exps.shape != index.shape or not kinds <= {"i", "u"}:
             raise DomainError("a start's index and exps must be integer arrays of one length")
+    if not starts:
+        return GrowthBatch([], 0, 0)
     sizes = [len(start.exps) for start in starts]
     slot = np.repeat(np.arange(lanes), sizes)
     index = np.concatenate([start.index for start in starts]).astype(np.int64)
@@ -411,8 +378,13 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
     if len(exps) and not (-1074 <= exps.min() and exps.max() <= 1023):
         raise DomainError("a start entry 2**i lies outside the float range")
 
-    lefts = sum(start.side == LEFT for start in starts)
-    best: list = [None] * lanes  # (t, i, j, x set, y set, weight, density, x side)
+    # a lane's entries sit in the table's rows from its x offset on: 0
+    # while its vector is on the left, left_count while it is on the right
+    table, nl = g._table(), g.left_count
+    x_off = np.array([0 if start.side == LEFT else nl for start in starts], dtype=np.int64)
+    # keys span the wider side, whichever side a lane's product is on
+    width = max(nl, g.right_count)
+    best: list = [None] * lanes  # (t, i, j, x set, y set, weight, density, x offset)
     best_d = np.full(lanes, -np.inf)
     executed = np.zeros(lanes, dtype=np.int64)
     touched = np.zeros(lanes, dtype=np.int64)
@@ -421,15 +393,8 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
 
     t = 0
     while t < len(epsilons) - 1 and len(slot):
-        # the x side of the left-start lanes, then of the right-start ones
-        x_sides = (LEFT, RIGHT) if t % 2 == 0 else (RIGHT, LEFT)
-        cut = int(np.searchsorted(slot, lefts))
-        bounds = zip(x_sides, (0, cut), (cut, len(slot)))
-        groups = [(side, a, b) for side, a, b in bounds if a < b]
-        # keys use the widest y side of the step, so a batch from one side
-        # numbers its product entries as a batch of one does
-        width = max(g.side_count(opposite(side)) for side, _, _ in groups)
-        fan, wt, edges, keys, y_of_edge, prod = _product(g, groups, slot, index, exps, lanes, width)
+        rows = index + x_off[slot]
+        fan, wt, edges, keys, y_of_edge, prod = _product(table, slot, rows, exps, lanes, width)
         # entries that underflowed to zero are dropped, and those that
         # overflowed fail their lane below; in the usual step every entry
         # is live, and live is None: nothing is masked
@@ -502,7 +467,7 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
             ys = y_index[y_level_of == y_win[y_slot]]
             x_runs = pairwise([0, *np.cumsum(x_counts[pi[up]]).tolist()])
             y_runs = pairwise([0, *np.cumsum(y_counts[pj[up]]).tolist()])
-            for lane, i, j, (xa, xb), (ya, yb), e, d in zip(
+            for lane, i, j, (xa, xb), (ya, yb), e, d, off in zip(
                 lanes_up.tolist(),
                 x_level_exp[pi[up]].tolist(),
                 y_level_exp[pj[up]].tolist(),
@@ -510,8 +475,9 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
                 y_runs,
                 pair_weight[up].tolist(),
                 dens[up].tolist(),
+                x_off[lanes_up].tolist(),
             ):
-                best[lane] = (t, i, j, xs[xa:xb], ys[ya:yb], e, d, x_sides[lane >= lefts])
+                best[lane] = (t, i, j, xs[xa:xb], ys[ya:yb], e, d, off)
 
         if t == len(epsilons) - 2 and not keep_trace:
             break  # only a trace reads the last step's truncated vector
@@ -526,7 +492,7 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
             pruned_mass = _norms(y_level_slot[~keep], y_level_exp[~keep], y_counts[~keep], lanes)
             next_bounds = np.searchsorted(next_slot, np.arange(lanes + 1))
             for lane, d in zip(stepping.tolist(), dens[win].tolist()):
-                y_side = opposite(x_sides[lane >= lefts])
+                y_side = RIGHT if x_off[lane] == 0 else LEFT
                 ya, yb = y_bounds[lane], y_bounds[lane + 1]
                 na, nb = next_bounds[lane], next_bounds[lane + 1]
                 traces[lane].append(
@@ -548,6 +514,7 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
                 )
 
         slot, index, exps = next_slot, next_index, next_exps
+        x_off = nl - x_off
         t += 1
 
     outcomes = []
@@ -557,10 +524,15 @@ def _grow_lanes(g, starts, epsilons, keep_trace) -> list:
             continue
         sub = at = None
         if best[lane] is not None:
-            t, i, j, xs, ys, e, d, on = best[lane]
+            t, i, j, xs, ys, e, d, off = best[lane]
             xs, ys = frozenset(xs.tolist()), frozenset(ys.tolist())
-            sub = Subgraph(xs, ys, e, d) if on == LEFT else Subgraph(ys, xs, e, d)
+            sub = Subgraph(xs, ys, e, d) if off == 0 else Subgraph(ys, xs, e, d)
             at = (t, i, j)
         trace = traces[lane] if keep_trace else None
         outcomes.append(ProcessOutcome(sub, at, int(executed[lane]), int(touched[lane]), trace))
-    return outcomes
+    runs = [out for out in outcomes if isinstance(out, ProcessOutcome)]
+    return GrowthBatch(
+        outcomes,
+        sum(out.edges_touched for out in runs),
+        sum(out.steps_executed for out in runs),
+    )

@@ -20,6 +20,7 @@ a step's vector and one level of its rounded product, so at most
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Hashable, Iterable, Sequence
@@ -52,6 +53,9 @@ class LocalSchedule:
     schedule allows sum_t 1 / eps_t**2 = 64 * k**2 * (4**h - 1) / 3 of them
     over a run, Theta(k**3) against the abstract's O(Delta * k**2) (see the
     module docstring for the edge and output bounds this gives).
+    for_target raises DomainError unless target_size is a positive integer
+    whose last fraction squared is a normal float, which holds up to about
+    5.6e101.
     """
 
     target_size: int
@@ -66,8 +70,15 @@ class LocalSchedule:
         horizon = 1
         while 4**horizon < 2 * target_size:
             horizon += 1
-        base = 1.0 / (8.0 * target_size)
+        try:
+            base = 1.0 / (8.0 * target_size)
+        except OverflowError:  # 8 * target_size is past the float range
+            base = 0.0
         epsilons = tuple(base * 2.0**-t for t in range(horizon + 1))
+        # the step checks square the pruning fractions, so the last one's
+        # square must be a normal float; from about 5.6e101 on it is not
+        if epsilons[-1] ** 2 < sys.float_info.min:
+            raise DomainError(f"target size {target_size} is too large for the float range")
         return cls(target_size, horizon, epsilons)
 
 

@@ -235,21 +235,29 @@ _TOL = 1e-12
 def _adjacency(g: BipartiteGraph):
     """The map x -> A x on the symmetric adjacency [[0, B], [B^T, 0]].
 
-    bincount adds each row's terms in CSR order, ascending neighbour order.
+    The graph's one table holds A's rows, left then right, as x holds its
+    entries, so a left row's neighbour v is x[left_count + v].  One bincount
+    adds each row's terms in CSR order, ascending neighbour order.
     """
-    nl, nr = g.left_count, g.right_count
-    lptr, lnbr, lwt = g.csr_arrays(LEFT)
-    rptr, rnbr, rwt = g.csr_arrays(RIGHT)
-    lrow = np.repeat(np.arange(nl), np.diff(lptr))
-    rrow = np.repeat(np.arange(nr), np.diff(rptr))
+    indptr, nbrs, wts = g._table()
+    n = g.vertex_count
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    col = nbrs.copy()
+    col[: indptr[g.left_count]] += g.left_count
 
     def apply(x):
-        return np.concatenate((
-            np.bincount(lrow, weights=lwt * x[nl:].take(lnbr), minlength=nl),
-            np.bincount(rrow, weights=rwt * x.take(rnbr), minlength=nr),
-        ))
+        return np.bincount(row, weights=wts * x.take(col), minlength=n)
 
     return apply
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v), taken on v scaled by a power of two near its
+    largest entry, so no square overflows or underflows; where every square
+    and their sum are normal floats the scaling is exact and the bits are
+    those of the unscaled norm."""
+    k = math.frexp(float(np.abs(v).max(initial=0.0)))[1]
+    return math.ldexp(np.linalg.norm(np.ldexp(v, -k)), k)
 
 
 def top_eigenvalue(g: BipartiteGraph) -> EigenEstimate:
@@ -280,10 +288,10 @@ def top_eigenvalue(g: BipartiteGraph) -> EigenEstimate:
     converged = False
     for _ in range(_RESTARTS):
         while k < size:
-            scale = np.linalg.norm(w)
+            scale = _norm(w)
             for _ in range(2):  # twice is enough (Kahan, Parlett)
                 w -= basis[:k].T @ (basis[:k] @ w)
-            norm = np.linalg.norm(w)
+            norm = _norm(w)
             if norm <= _TOL * scale:
                 break
             basis[k] = w / norm
@@ -294,18 +302,18 @@ def top_eigenvalue(g: BipartiteGraph) -> EigenEstimate:
         theta, ritz = np.linalg.eigh(basis[:k] @ images[:k].T)
         vec = ritz[:, -1] @ basis[:k]
         w = ritz[:, -1] @ images[:k] - theta[-1] * vec
-        if k < size or np.linalg.norm(w) <= _TOL * theta[-1]:
+        if k < size or _norm(w) <= _TOL * theta[-1]:
             converged = True
             break
         keep = ritz[:, -(size // 2) :].T
         k = len(keep)
         basis[:k], images[:k] = keep @ basis[:size], keep @ images[:size]
     vec = np.abs(vec)
-    vec /= np.linalg.norm(vec)
+    vec /= _norm(vec)
     prod = adjacency(vec)
     applications += 1
     value = float(vec @ prod)
-    residual = float(np.linalg.norm(prod - value * vec))
+    residual = _norm(prod - value * vec)
     return EigenEstimate(value, vec[:nl], vec[nl:], residual, applications, converged)
 
 

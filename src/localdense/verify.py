@@ -159,7 +159,7 @@ def run_verification(
     # so a graph with every weight scaled reads as the original
     report(
         "spectral-dominance",
-        best_density <= est.value + est.residual + 1e-9 * max(1.0, est.value),
+        best_density <= est.value + est.residual + 1e-9 * est.value,
         f"best density {best_density:.6g} vs eigenvalue {est.value:.6g} "
         f"(residual {est.residual:.2g})",
     )
@@ -180,7 +180,7 @@ def run_verification(
     else:
         report(
             "exact-agreement",
-            all(d <= exact.density + 1e-9 * max(1.0, exact.density) for _, d in runs),
+            all(d <= exact.density + 1e-9 * exact.density for _, d in runs),
             f"exact optimum {exact.density:.6g} dominates all runs",
         )
 
@@ -199,7 +199,7 @@ def run_verification(
     # a margin is the least slack of A x - threshold * x for a unit x, which
     # scales with the weights as the threshold does; so does its tolerance
     invalid = sum(
-        cert.margin < -1e-9 * max(1.0, threshold)
+        cert.margin < -1e-9 * threshold
         or cert.vertex_value < min_weight - 1e-12
         for cert in cover.certificates.values()
     )

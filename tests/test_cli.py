@@ -57,6 +57,21 @@ def test_local_command_deterministic_output(block_file):
     assert rec["T"] == ["r0", "r1", "r2"]
 
 
+def test_stats_are_strict_json(tmp_path):
+    # twice the total weight overflows, the average degree does not
+    path = tmp_path / "big.txt"
+    path.write_text("a x 1e308\nb y 1\n")
+    proc = run_cli("stats", str(path))
+    assert proc.returncode == 0
+
+    def reject(name):
+        raise ValueError(f"non-finite constant {name}")
+
+    (line,) = proc.stdout.splitlines()
+    rec = json.loads(line, parse_constant=reject)
+    assert rec["avg_degree"] == 5e307
+
+
 def test_local_trace_and_side(block_file):
     proc = run_cli(
         "local",
@@ -269,6 +284,14 @@ def test_data_errors_exit_two(block_file, tmp_path):
     err3 = json.loads(proc3.stderr.splitlines()[-1])["error"]
     assert err3["kind"] == "parse"
     assert "line 1" in err3["message"]
+
+
+def test_target_size_past_the_float_range_is_a_domain_error(block_file):
+    proc = run_cli("verify", str(block_file), "--target-size", str(10**110))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["kind"] == "DomainError"
 
 
 @pytest.mark.parametrize("command", ["stats", "scan", "verify"])

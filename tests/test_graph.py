@@ -414,6 +414,34 @@ def test_accessors_match_dense_matrix(tmp_path_factory, rows, directed):
     _check_accessors(g, *_expected_graph([(str(u), str(v), w) for u, v, w in rows], directed))
 
 
+@settings(max_examples=60, deadline=None)
+@given(arc_rows, st.booleans(), st.data())
+def test_sides_are_halves_of_one_table(rows, directed, data):
+    # each side's neighbour and weight arrays are views of one half of the
+    # table, so no edge array is stored twice; restriction keeps that
+    assume(any(w > 0.0 for _, _, w in rows))
+    g = (from_directed if directed else build_bipartite)(rows)
+    left = data.draw(st.sets(st.integers(0, g.left_count - 1)))
+    right = data.draw(st.sets(st.integers(0, g.right_count - 1)))
+    graphs = [g]
+    if edge_weight_between(g, left, right) > 0.0:
+        graphs.append(restrict(g, left, right))
+    for h in graphs:
+        indptr, nbrs, wts = h._table()
+        half = len(nbrs) // 2
+        assert len(nbrs) == len(wts) == 2 * half
+        assert len(indptr) == h.vertex_count + 1 and indptr[-1] == 2 * half
+        halves = ((LEFT, 0, slice(None, half)), (RIGHT, h.left_count, slice(half, None)))
+        for side, first, at in halves:
+            ptr, nbr, wt = h.csr_arrays(side)
+            assert np.shares_memory(nbr, nbrs) and np.shares_memory(wt, wts)
+            assert nbr.tolist() == nbrs[at].tolist() and wt.tolist() == wts[at].tolist()
+            rows_ptr = indptr[first : first + h.side_count(side) + 1]
+            assert ptr.tolist() == (rows_ptr - rows_ptr[0]).tolist()
+        left_half, right_half = (h.csr_arrays(s)[1] for s in (LEFT, RIGHT))
+        assert not np.shares_memory(left_half, right_half)
+
+
 @settings(max_examples=120, deadline=None)
 @given(arc_rows, st.booleans(), st.data())
 def test_restricted_accessors_match_dense_matrix(rows, directed, data):

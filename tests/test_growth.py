@@ -396,6 +396,33 @@ def test_lanes_from_both_sides_share_one_pass_per_step():
     assert product.call_count == 3
 
 
+def test_lanes_keep_their_start_order():
+    # starts that interleave the sides grow in start order, each lane to
+    # the bit of its lone run and of its run in a batch sorted left first
+    rng = random.Random(8)
+    edges = [
+        (f"l{u}", f"r{v}", rng.uniform(0.1, 3.0))
+        for u in range(20)
+        for v in range(30)
+        if rng.random() < 0.2
+    ]
+    g = build_bipartite(edges)
+    sides = "RLLRRLRLLR"
+    kinds = ["unit", "spread", "ones", "unit", "spread"] * 2
+    starts = [referee_start(rng, g, kind, side)[1] for kind, side in zip(kinds, sides)]
+    epsilons = (0.5, 0.05, 0.05, 0.02, 0.02, 0.01)
+    batch = run_pruned_growth(g, starts, epsilons, keep_trace=True).outcomes
+    lone = [bits_of(grow(g, start, epsilons, keep_trace=True)) for start in starts]
+    order = sorted(range(len(starts)), key=lambda k: starts[k].side != "L")
+    left_first = run_pruned_growth(g, [starts[k] for k in order], epsilons, keep_trace=True)
+    moved = [None] * len(starts)
+    for k, out in zip(order, left_first.outcomes):
+        moved[k] = bits_of(out)
+    assert [bits_of(out) for out in batch] == lone == moved
+    assert [out.trace[0].x_levels.side for out in batch] == list(sides)
+    assert all(out.steps_executed >= 3 for out in batch)
+
+
 def referee_graph(rng, weights, directed=False):
     """A random graph on up to 9 + 9 vertices with unit, weighted, partly
     subnormal or partly huge weights.  A directed one puts every vertex on

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,16 @@ def test_schedule_rejects_bad_targets():
     for bad in (0, -3, 1.5, "4"):
         with pytest.raises(DomainError):
             LocalSchedule.for_target(bad)
+
+
+def test_schedule_rejects_targets_past_the_float_range():
+    # 8 * 10**400 overflows a float; at 10**110 the last pruning fraction
+    # squared underflows to 0.0; 10**101 still fits
+    for bad in (10**110, 10**400):
+        with pytest.raises(DomainError, match="too large"):
+            LocalSchedule.for_target(bad)
+    sched = LocalSchedule.for_target(10**101)
+    assert sched.epsilons[-1] ** 2 >= sys.float_info.min
 
 
 def test_schedule_takes_numpy_ints_and_rejects_bools(star4):

@@ -296,6 +296,19 @@ def test_eigenvalue_weighted_edge_and_disjoint_blocks():
     assert est.value == pytest.approx(3.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("w", [1e160, 1e-160, 1e200, 1e-200, 1e300, 1e-300])
+def test_eigenvalue_holds_at_any_weight_scale(w):
+    # the path y-a-x-b has top eigenvalue the golden ratio times w; a norm
+    # of squared entries would overflow above about 1e154 and underflow
+    # below about 1e-154
+    g = build_bipartite([("a", "x", w), ("a", "y", w), ("b", "x", w), ("c", "z", w / 2)])
+    est = top_eigenvalue(g)
+    assert est.converged
+    assert abs(est.value / w - (1 + math.sqrt(5)) / 2) <= 1e-12
+    assert math.isfinite(est.residual)
+    assert est.residual <= 1e-9 * est.value
+
+
 def test_eigenvalue_against_dense_solver():
     rng = random.Random(23)
     for _ in range(30):

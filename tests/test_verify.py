@@ -209,6 +209,16 @@ def test_light_weights_keep_every_status():
     assert exit_code(light) == 0
 
 
+def test_tiny_weights_pass_every_property():
+    # at 2**-600 every square of a Lanczos vector's entry underflows, and
+    # an absolute allowance of 1e-9 would dwarf every density
+    g, left, right = generate_planted(12, 40, 150, 4, 6, 0.5, rng_seed=3)
+    planted = block_ids(g, left, right)
+    for graph in (g, scaled(g, 2.0**-600)):
+        results = run_verification(graph, planted=planted, target_size=6)
+        assert [r.status for r in results] == ["pass"] * 10, [r.detail for r in results]
+
+
 def test_heavy_weights_keep_every_status():
     # scaled by 3.3e12, the whole-graph run here finds the exact optimum and
     # sums its weight in another order, one ulp above the oracle's; an
