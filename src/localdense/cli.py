@@ -200,11 +200,7 @@ def _cmd_global(args) -> int:
         "eigenvalue_estimate": est.value,
         "residual": est.residual,
         "converged": est.converged,
-        "guarantee": (
-            global_guarantee_bound(est.value, g.vertex_count)
-            if est.value > 0 and g.vertex_count >= 2
-            else None
-        ),
+        "guarantee": global_guarantee_bound(est.value, g.vertex_count) if est.value > 0 else None,
     }
     records.append(bound_rec)
     if args.trace:

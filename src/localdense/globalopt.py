@@ -71,16 +71,12 @@ def global_density(g: BipartiteGraph, keep_trace: bool = False) -> DensityResult
             raise out
     out_l, out_r = batch.outcomes
 
+    # construction demands an edge, so each side has a vertex with a
+    # neighbor, and each all-ones start takes its first step
     winner, label = out_l, "ones:L"
-    if out_l.best is None or (out_r.best is not None and out_r.best.density > out_l.best.density):
+    if out_r.best.density > out_l.best.density:
         winner, label = out_r, "ones:R"
-    if winner.best is None:
-        # unreachable for graphs built by this package: construction demands
-        # at least one edge, so some start vertex has a neighbor
-        raise DomainError("no candidate found on an edgeless graph")
 
-    n = g.vertex_count
-    bound = global_guarantee_bound(1.0, n) if n >= 2 else None
     traces = None
     if keep_trace:
         traces = (GrowthTrace("ones:L", out_l.trace), GrowthTrace("ones:R", out_r.trace))
@@ -88,7 +84,7 @@ def global_density(g: BipartiteGraph, keep_trace: bool = False) -> DensityResult
         subgraph=winner.best,
         found_at=winner.best_at,
         start=label,
-        bound=bound,
+        bound=global_guarantee_bound(1.0, g.vertex_count),
         bound_eps=None,
         target_size=None,
         edges_touched=batch.edges_touched,

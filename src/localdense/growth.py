@@ -23,16 +23,17 @@ left.  Product entries are keyed by (lane, neighbor) and numbered by an
 occupancy array over every (lane, neighbor) key when that array holds at
 most four entries per gathered edge, else by one sort of words that pack
 each key with its edge's position (np.unique's sort only where the two do
-not fit in 63 bits); level and level-pair ids are lane local and come from
-bincounts over small ranges.  A step in which no product entry underflows or
-overflows, the usual one, masks nothing.  So a step allocates in proportion
-to the edges it gathers and the lanes it holds, never to the graph's size.
-A lane never sees another: each of its sums runs over its own terms in the
-order a batch of one would use, so every lane's outcome equals that of its
-start run alone, to the bit: one result per start, errors included.  A
-lane's norm is one math.fsum of its squares, exactly rounded.  The norms of
-truncated vectors are computed only for traces, whose vectors are views into
-their step's batch arrays.
+not fit in 63 bits).  Levels and level pairs are cells of padded tables
+too, (lane, exponent) and (x level, y level of its lane), counted by
+bincounts over ranges the float exponent span keeps small.  A step in
+which no product entry underflows or overflows, the usual one, masks
+nothing.  So a step allocates in proportion to the edges it gathers and the
+lanes it holds, never to the graph's size.  A lane never sees another: each
+of its sums runs over its own terms in the order a batch of one would use,
+so every lane's outcome equals that of its start run alone, to the bit: one
+result per start, errors included.  A lane's norm is one math.fsum of its
+squares, exactly rounded.  The norms of truncated vectors are computed only
+for traces, whose vectors are views into their step's batch arrays.
 """
 
 from __future__ import annotations
@@ -221,42 +222,36 @@ def _product(table, slot, rows, exps, slots, width):
     return fan, wt, edges, keys, y_of_edge, prod
 
 
-def _pair_weights(slot, fan, wt, y_slot, y_of_edge, live, x_levels, y_levels, slots):
+def _pair_weights(fan, wt, y_slot, y_of_edge, live, x_levels, y_levels):
     """Weight of every (x level, y level) pair of each lane that has edges.
 
-    Each pair's sum runs over its edges in (vertex, neighbor) order, the
-    order a walk level by level visits them in.  Slot s owns the ids
-    pair_base[s] + i * ny[s] + j for its i-th x level and j-th y level, so
-    a bincount over them lists the pairs in (slot, i, j) order.  Returns
-    the slot, x level, y level and weight of each pair, levels as numbered
-    by _levels.  live marks the product entries kept, or is None when every
-    entry is.
+    The pairs are the cells of one table: a row per x level, as _levels
+    numbers them across the lanes, and a column per y level of the row's
+    lane, plus a last column for the edges into product entries that
+    underflowed.  Its width is bounded by the float exponent span, not by
+    the graph.  Each pair's sum runs over its edges in (vertex, neighbor)
+    order, the order a walk level by level visits them in, and the nonzero
+    cells list the pairs in (slot, i, j) order.  Returns the slot, x level,
+    y level and weight of each pair, levels as numbered by _levels.  live
+    marks the product entries kept, or is None when every entry is.
     """
     x_level_of, x_level_slot = x_levels[:2]
     y_level_of, y_level_slot = y_levels[:2]
-    nx = np.bincount(x_level_slot, minlength=slots)
-    ny = np.bincount(y_level_slot, minlength=slots)
-    x_first, y_first = np.cumsum(nx) - nx, np.cumsum(ny) - ny
-    pair_end = np.cumsum(nx * ny)
-    pair_base = pair_end - nx * ny
-    total = int(pair_end[-1])
-    # an edge's id is its source entry's part plus its product entry's;
-    # edges into entries that underflowed land past the last id and are
-    # cut off
-    x_part = pair_base[slot] + (x_level_of - x_first[slot]) * ny[slot]
+    ny = np.bincount(y_level_slot)
+    y_first = np.cumsum(ny) - ny
+    width = int(ny.max()) + 1
     y_part = y_level_of - y_first[y_slot]
     if live is not None:
-        every = np.full(len(live), total)
+        every = np.full(len(live), width - 1)
         every[live] = y_part
         y_part = every
-    ids = np.repeat(x_part, fan) + y_part[y_of_edge]
-    weight = np.bincount(ids, weights=wt, minlength=total)[:total]
+    ids = np.repeat(x_level_of * width, fan) + y_part[y_of_edge]
+    weight = np.bincount(ids, weights=wt, minlength=len(x_level_slot) * width).reshape(-1, width)
     # edge weights are positive, so a pair has edges exactly when its
     # weight does
-    pairs = np.flatnonzero(weight)
-    p_slot = np.searchsorted(pair_end, pairs, side="right")
-    pi, pj = np.divmod(pairs - pair_base[p_slot], ny[p_slot])
-    return p_slot, pi + x_first[p_slot], pj + y_first[p_slot], weight[pairs]
+    pi, pj = np.nonzero(weight[:, :-1])
+    p_slot = x_level_slot[pi]
+    return p_slot, pi, pj + y_first[p_slot], weight[pi, pj]
 
 
 @dataclass(frozen=True)
@@ -443,7 +438,7 @@ def run_pruned_growth(
         x_levels = _levels(slot, exps, lanes)
         x_level_of, _, x_level_exp, x_counts = x_levels
         p_slot, pi, pj, pair_weight = _pair_weights(
-            slot, fan, wt, y_slot, y_of_edge, live, x_levels, y_levels, lanes
+            fan, wt, y_slot, y_of_edge, live, x_levels, y_levels
         )
         # the per-edge arrays go before the next step gathers its own
         del wt, keys, y_of_edge, prod, live

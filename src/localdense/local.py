@@ -103,9 +103,9 @@ class DensityResult:
     from the schedule's initial pruning fraction 1/(8k), k the target size,
     instead of the closed form.  As 2 * delta / (1/(8k)) = 16 * delta * k, it
     equals bound up to rounding whenever the maximum degree delta is at least
-    one; it is defined on its own only for 1/(16k) < delta < 1.  Either may be
-    None when the graph falls outside the bound's domain.  traces holds a
-    GrowthTrace per growth run when the run kept them, else None.
+    one; it is defined on its own only for 1/(16k) < delta < 1.  Only a
+    local run's factors may be None, outside the bound's domain.  traces
+    holds a GrowthTrace per growth run when the run kept them, else None.
     """
 
     subgraph: Subgraph

@@ -420,11 +420,10 @@ def good_seed_set(g: BipartiteGraph, left_set, right_set, density_threshold: flo
 
     good = frozenset(certificates)
     e_good = edge_weight_between(g, good, right) if good else 0.0
-    coverage = e_good / base.edge_weight if base.edge_weight > 0 else 0.0
     return GoodSeedReport(
         good=good,
         certificates=certificates,
-        coverage=coverage,
+        coverage=e_good / base.edge_weight,
         edge_weight_good=e_good,
         edge_weight_total=base.edge_weight,
         batches=batches,

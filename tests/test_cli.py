@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from localdense import cli
 from localdense.verify import PropertyResult, exit_code
 
 
@@ -238,6 +239,20 @@ def test_verify_command_passes_on_planted_graph(tmp_path):
     assert sum(line.startswith("PASS") for line in lines) >= 7
     records = [json.loads(l) for l in out.read_text().splitlines()]
     assert all(r["kind"] == "verify" for r in records)
+
+
+def test_verify_failures_exit_three_with_one_error_record(block_file, monkeypatch, capsys):
+    results = [
+        PropertyResult("support-bound", "pass", "ok"),
+        PropertyResult("growth-cap", "fail", "one violation"),
+        PropertyResult("exact-agreement", "fail", "above the optimum"),
+    ]
+    monkeypatch.setattr(cli, "run_verification", lambda *args, **kwargs: results)
+    assert cli.main(["verify", str(block_file)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in err] == [
+        {"error": {"kind": "verification", "message": "growth-cap; exact-agreement"}}
+    ]
 
 
 def test_planted_files_skip_indented_comments(block_file, tmp_path):

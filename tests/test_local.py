@@ -158,7 +158,8 @@ def test_work_and_output_within_schedule_bounds(n):
     # with real neighborhoods, at average degree 6 whatever n: step t gathers
     # at most max_fanout edges per entry of its vector, which holds at most
     # min(1 / eps_t**2, side size) of them, and the output is one level of
-    # that vector and one of its product
+    # that vector and one of its product; each traced step is held to its
+    # own vector's support, and the steps' edges add up to the run's work
     g, _, _ = generate_planted(
         n_left=n // 2, n_right=n // 2, noise_edges=3 * n, planted_a=8, planted_b=8, rng_seed=3
     )
@@ -174,11 +175,19 @@ def test_work_and_output_within_schedule_bounds(n):
     for k in (2, 4, 8, 16, 32):
         eps = LocalSchedule.for_target(k).epsilons
         for seed, side in seeds:
-            res = local_density(g, seed, k, side)
+            res = local_density(g, seed, k, side, keep_trace=True)
             # the x vector starts on the seed's side and alternates
             sizes = [g.side_count(side), g.side_count("R" if side == "L" else "L")]
             work = 2 * fan * sum(min(1 / eps[t] ** 2, sizes[t % 2]) for t in range(res.steps))
             assert res.edges_touched <= work, (seed, side, k)
+            gathered = 0
+            for rec in res.traces[0].steps:
+                x = rec.x_levels
+                indptr = g.csr_arrays(x.side)[0]
+                step = int((indptr[x.index + 1] - indptr[x.index]).sum())
+                assert step <= x.support_size * fan, (seed, side, k, rec.t)
+                gathered += step
+            assert res.edges_touched == 2 * gathered, (seed, side, k)
             out = len(res.subgraph.left) + len(res.subgraph.right)
             assert out <= (1 + fan) / eps[res.found_at[0]] ** 2, (seed, side, k)
             most = max(most, res.edges_touched)

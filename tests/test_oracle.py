@@ -492,6 +492,18 @@ def test_good_seeds_cover_half_with_a_weak_member():
     assert report.edge_weight_total == 5.0
 
 
+def test_good_seeds_stop_once_the_restriction_has_no_edge():
+    # once "a" is certified, "b" has no edge to "x", so the pair left to
+    # peel has no edge and restricting to it fails
+    g = build_bipartite([("a", "x", 2.0), ("b", "y", 1.0), ("c", "x", 0.5)])
+    left, right = g.left_indices(["a", "b"]), g.right_indices(["x"])
+    theta = density(g, left, right).density / 2.0
+    report = good_seed_set(g, left, right, density_threshold=theta)
+    assert report.good == g.left_indices(["a"])
+    assert report.batches == 1
+    assert report.coverage == 1.0
+
+
 def certificate_slack(g, cert, theta):
     """Recompute the certificate inequality with a dense matvec."""
     mat = dense_biadjacency(g)

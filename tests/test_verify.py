@@ -186,6 +186,17 @@ def test_verification_handles_small_weights():
     assert exit_code(results) == 0
 
 
+def test_subnormal_weights_do_not_crash_the_step_checks():
+    # eps_t * min_weight underflows to 0.0 here, so the caps' span is a sum
+    # of logs, not the log of a quotient
+    g = build_bipartite([("a", "x", 5e-324), ("a", "y", 5e-324), ("b", "x", 5e-324)])
+    results = run_verification(g)
+    assert len(results) == 10
+    assert [r.status for r in results[:4]] == ["pass"] * 4
+    guarantee = by_name(results)["global-guarantee"]
+    assert (guarantee.status, guarantee.detail) == ("skip", "eigenvalue estimate is not positive")
+
+
 def scaled(g, factor):
     """g with every edge weight multiplied by factor."""
     return build_bipartite([(g.left_id(u), g.right_id(v), w * factor) for u, v, w in g.edges()])
