@@ -27,7 +27,6 @@ from .errors import (
     EmptyGraph,
     EmptySide,
     LocalDenseError,
-    NegativeEntry,
     NegativeWeight,
     NoCandidate,
     ParseError,
@@ -91,7 +90,6 @@ __all__ = [
     "LEFT",
     "LevelVector",
     "LocalDenseError",
-    "NegativeEntry",
     "NegativeWeight",
     "NoCandidate",
     "ParseError",

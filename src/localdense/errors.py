@@ -10,8 +10,8 @@ class LocalDenseError(Exception):
 
 
 class NegativeWeight(LocalDenseError):
-    """An edge weight was negative or not a finite number, or the weights
-    sum past the float range."""
+    """An edge weight was negative or not a finite number, or the weights,
+    or one vertex's, sum past the float range."""
 
 
 class EmptyGraph(LocalDenseError):
@@ -24,10 +24,6 @@ class SideViolation(LocalDenseError):
 
 class EmptySide(LocalDenseError):
     """A density computation received an empty vertex set."""
-
-
-class NegativeEntry(LocalDenseError):
-    """A sparse vector entry or its norm was negative or not a finite number."""
 
 
 class DomainError(LocalDenseError):

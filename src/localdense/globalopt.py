@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NegativeEntry
+from .errors import DomainError
 from .graph import LEFT, RIGHT, BipartiteGraph, is_int
 from .growth import LevelVector, run_pruned_growth
 from .local import DensityResult, GrowthTrace
@@ -60,15 +60,11 @@ def global_density(g: BipartiteGraph, keep_trace: bool = False) -> DensityResult
 
     Ties prefer the left-start run.  The bound field holds the guarantee
     factor 1 / (8 + 4 * log2 n): the returned density is at least that factor
-    times the top adjacency eigenvalue.  Raises the NegativeEntry of a run
-    that overflows, the left-start run's first.
+    times the top adjacency eigenvalue.
     """
     sched = GlobalSchedule.for_size(g.vertex_count)
     starts = [LevelVector.ones(LEFT, g.left_count), LevelVector.ones(RIGHT, g.right_count)]
     batch = run_pruned_growth(g, starts, sched.epsilons, keep_trace)
-    for out in batch.outcomes:
-        if isinstance(out, NegativeEntry):
-            raise out
     out_l, out_r = batch.outcomes
 
     # construction demands an edge, so each side has a vertex with a

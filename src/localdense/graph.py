@@ -74,7 +74,8 @@ class BipartiteGraph:
     duplicate pairs by weight sum, and keeps the dicts as given, so one dict
     may serve both sides.  Vertices with no incident edges are legal
     (restriction can produce them) but the graph as a whole always carries
-    at least one edge, and its total weight is finite.
+    at least one edge, and its total weight and every weighted degree are
+    finite.
     """
 
     __slots__ = ("_ids", "_index", "_adj", "_csr", "_total_weight", "_max_degree", "_max_fanout")
@@ -93,7 +94,8 @@ class BipartiteGraph:
         wts[:half] = np.bincount(inverse, weights=np.asarray(w_arr, dtype=np.float64))
         del inverse  # as long as the rows
         # weights are nonnegative, so a finite total means every merged
-        # weight and every degree is finite too
+        # weight is finite too; a degree, summed in another order, may
+        # still round up to inf, and is checked below
         with np.errstate(over="ignore"):
             total = float(wts[:half].sum())
         if math.isinf(total):
@@ -126,6 +128,9 @@ class BipartiteGraph:
         }
         self._total_weight = total
         self._max_degree = float(max(degrees))
+        # growth bounds every product entry by its vertex's float degree
+        if math.isinf(self._max_degree):
+            raise NegativeWeight("a vertex's weighted degree sums past the float range")
         self._max_fanout = int(max(c.max(initial=0) for c in counts))
 
     # ---- size and id accessors -------------------------------------------------
@@ -285,7 +290,8 @@ def build_bipartite(edges) -> BipartiteGraph:
 
     Raises:
         NegativeWeight: if any weight is negative or not a finite number,
-            or the merged weights sum past the float range.
+            or the merged weights, or one vertex's, sum past the float
+            range.
         EmptyGraph: if no positive-weight edge remains.
     """
     return _from_rows(((u, v, _row_weight("edge", u, v, w)) for u, v, w in edges), False)

@@ -18,22 +18,24 @@ whichever side it starts on: the vectors are held as one set of (lane,
 index, exponent) arrays sorted by (lane, index), start k being lane k, and
 each step gathers every entry's edges from the graph's one adjacency table,
 the left rows then the right ones.  A lane keeps its number for the whole
-call; one whose run has stopped, or that overflowed, just has no entries
-left.  Product entries are keyed by (lane, neighbor) and numbered by an
+call; one whose run has stopped just has no entries left.  A lane holds its
+vector at its own power-of-two scale, its top entry at 2**0, so no product
+entry overflows and scaling every weight by 2**k only moves the exponents
+reported.  Product entries are keyed by (lane, neighbor) and numbered by an
 occupancy array over every (lane, neighbor) key when that array holds at
 most four entries per gathered edge, else by one sort of words that pack
 each key with its edge's position (np.unique's sort only where the two do
 not fit in 63 bits).  Levels and level pairs are cells of padded tables
 too, (lane, exponent) and (x level, y level of its lane), counted by
-bincounts over ranges the float exponent span keeps small.  A step in
-which no product entry underflows or overflows, the usual one, masks
-nothing.  So a step allocates in proportion to the edges it gathers and the
-lanes it holds, never to the graph's size.  A lane never sees another: each
-of its sums runs over its own terms in the order a batch of one would use,
-so every lane's outcome equals that of its start run alone, to the bit: one
-result per start, errors included.  A lane's norm is one math.fsum of its
-squares, exactly rounded.  The norms of truncated vectors are computed only
-for traces, whose vectors are views into their step's batch arrays.
+bincounts over ranges the float exponent span keeps small.  A step in which
+no product entry underflows, the usual one, masks nothing.  So a step
+allocates in proportion to the edges it gathers and the lanes it holds,
+never to the graph's size.  A lane never sees another: each of its sums
+runs over its own terms in the order a batch of one would use, so every
+lane's outcome equals that of its start run alone, to the bit.  A lane's
+norm is one math.fsum of its squares, exactly rounded.  The norms of
+truncated vectors are computed only for traces, whose vectors are views
+into their step's batch arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NegativeEntry
+from .errors import DomainError
 from .graph import LEFT, RIGHT, BipartiteGraph, Subgraph, csr_slices
 
 __all__ = [
@@ -63,8 +65,8 @@ class LevelVector:
 
     index holds the support (vertex indices on `side`) in ascending order as
     int64, and exps the integer i of each entry's value 2**i.  The Euclidean
-    norm is carried alongside.  Two vectors are equal when their sides,
-    norms and arrays are.
+    norm is carried alongside; a trace's is inf past the float range.  Two
+    vectors are equal when their sides, norms and arrays are.
     """
 
     side: str
@@ -130,6 +132,15 @@ def _levels(slot: np.ndarray, exps: np.ndarray, slots: int):
     present = np.flatnonzero(counts)
     level_slot, level_exp = np.divmod(present, span)
     return (np.cumsum(counts > 0) - 1)[key], level_slot, level_exp + low, counts[present]
+
+
+def _tops(level_slot: np.ndarray, level_exp: np.ndarray, slots: int) -> np.ndarray:
+    """Each slot's top exponent, from its levels as _levels lists them, in
+    (slot, exponent) order; 0 for a slot without."""
+    top = np.zeros(slots, dtype=np.int64)
+    last = np.diff(level_slot, append=slots) != 0
+    top[level_slot[last]] = level_exp[last]
+    return top
 
 
 def _norms(level_slot: np.ndarray, level_exp: np.ndarray, counts: np.ndarray, slots: int):
@@ -215,8 +226,7 @@ def _product(table, slot, rows, exps, slots, width):
     else:
         keys, y_of_edge = np.unique(key, return_inverse=True)
     del key
-    with np.errstate(over="ignore"):
-        terms = np.repeat(np.ldexp(1.0, exps), fan) * wt
+    terms = np.repeat(np.ldexp(1.0, exps), fan) * wt
     prod = np.bincount(y_of_edge, weights=terms, minlength=len(keys))
     edges = np.bincount(slot, weights=fan, minlength=slots).astype(np.int64)
     return fan, wt, edges, keys, y_of_edge, prod
@@ -299,8 +309,8 @@ class ProcessOutcome:
 class GrowthBatch:
     """Result of one run_pruned_growth call.
 
-    outcomes holds one ProcessOutcome, or NegativeEntry, per start in start
-    order; edges_touched and steps_executed total the ProcessOutcomes.
+    outcomes holds one ProcessOutcome per start in start order;
+    edges_touched and steps_executed total them.
     """
 
     outcomes: list
@@ -322,7 +332,7 @@ def run_pruned_growth(
     maximum.  All lanes advance together, one table gather per step
     whichever side they are on, until every run has stopped; the lanes'
     vectors are one (slot, index, exps) triple of arrays sorted by (slot,
-    index), and a lane that has stopped or overflowed has no entries left.
+    index), and a lane that has stopped has no entries left.
 
     epsilons[t + 1] prunes the step taken from the t-th vector, keeping the
     entries strictly above that fraction of the rounded product's norm;
@@ -338,13 +348,17 @@ def run_pruned_growth(
     itself, are views that pin its step's batch arrays, those of every lane
     that took the step.
 
-    One result per start, errors included: a lane whose product entry or
-    norm overflows stops, and its outcome is that NegativeEntry.  Raises
-    DomainError, before any lane grows, for a pruning fraction epsilons[1:]
-    outside [0, 1] and for a malformed start: a side other than "L" or "R",
-    index and exps that are not integer arrays of one length, an index that
-    does not ascend strictly or that leaves the side, or an entry that is
-    not a positive float (an exponent outside [-1074, 1023]).
+    A lane holds its vector over 2**shift, its top entry at 2**0, and moves
+    shift to each rounded product's top.  A product entry then sums terms
+    x * w with x <= 1 in the order the graph's weighted-degree bincount
+    does, so it never passes that finite degree.  best_at and the traces
+    add the shift back; a trace norm past the float range is inf.  An entry
+    below 2**-1074 of its lane's top is pruned.  Raises DomainError, before
+    any lane grows, for a pruning fraction epsilons[1:] outside [0, 1] and
+    for a malformed start: a side other than "L" or "R", index and exps
+    that are not integer arrays of one length, an index that does not
+    ascend strictly or that leaves the side, or an entry that is not a
+    positive float (an exponent outside [-1074, 1023]).
     """
     starts = list(starts)
     for eps in epsilons[1:]:
@@ -372,6 +386,8 @@ def run_pruned_growth(
     # which the float range keeps under 2100
     if len(exps) and not (-1074 <= exps.min() and exps.max() <= 1023):
         raise DomainError("a start entry 2**i lies outside the float range")
+    shift = _tops(*_levels(slot, exps, lanes)[1:3], lanes)
+    exps -= shift[slot]
 
     # a lane's entries sit in the table's rows from its x offset on: 0
     # while its vector is on the left, left_count while it is on the right
@@ -383,22 +399,19 @@ def run_pruned_growth(
     best_d = np.full(lanes, -np.inf)
     executed = np.zeros(lanes, dtype=np.int64)
     touched = np.zeros(lanes, dtype=np.int64)
-    failed: list = [None] * lanes
     traces = [[] for _ in starts] if keep_trace else None
 
     t = 0
     while t < len(epsilons) - 1 and len(slot):
         rows = index + x_off[slot]
         fan, wt, edges, keys, y_of_edge, prod = _product(table, slot, rows, exps, lanes, width)
-        # entries that underflowed to zero are dropped, and those that
-        # overflowed fail their lane below; in the usual step every entry
-        # is live, and live is None: nothing is masked
-        live = (prod > 0.0) & (prod < np.inf)
+        # entries that underflowed to zero are dropped; in the usual step
+        # every entry is live, and live is None: nothing is masked
+        live = prod > 0.0
         if live.all():
-            live, y_keys, y_prod, over = None, keys, prod, []
+            live, y_keys, y_prod = None, keys, prod
         else:
             y_keys, y_prod = keys[live], prod[live]
-            over = keys[np.isinf(prod)] // width
         # each lane's run of the sorted keys, and its entries' lanes and
         # indices, without a division
         y_bounds = np.searchsorted(y_keys, np.arange(lanes + 1) * width)
@@ -409,22 +422,12 @@ def run_pruned_growth(
         del y_keys, y_prod
         y_levels = _levels(y_slot, y_exps, lanes)
         y_level_of, y_level_slot, y_level_exp, y_counts = y_levels
+        # each lane's product moves to its own scale, its top level at 2**0
+        top = _tops(y_level_slot, y_level_exp, lanes)
+        y_exps -= top[y_slot]
+        y_level_exp -= top[y_level_slot]
+        x_shift, shift = shift, shift + top
         pre_norm = _norms(y_level_slot, y_level_exp, y_counts, lanes)
-
-        # a lane whose product entry or norm overflows fails with its error
-        # and drops its entries, and the others take the step again
-        fail = np.isinf(pre_norm)
-        fail[over] = True
-        if fail.any():
-            for s in np.flatnonzero(fail).tolist():
-                if s in over:
-                    failed[s] = NegativeEntry("a product entry overflows to inf")
-                else:
-                    top = y_level_exp[np.searchsorted(y_level_slot, s, side="right") - 1]
-                    failed[s] = NegativeEntry(f"vector norm overflows at level 2**{top}")
-            x_ok = ~fail[slot]
-            slot, index, exps = slot[x_ok], index[x_ok], exps[x_ok]
-            continue
 
         # a lane with no edges, or whose products all underflowed, stops
         # without taking the step
@@ -464,8 +467,8 @@ def run_pruned_growth(
             y_runs = pairwise([0, *np.cumsum(y_counts[pj[up]]).tolist()])
             for lane, i, j, (xa, xb), (ya, yb), e, d, off in zip(
                 lanes_up.tolist(),
-                x_level_exp[pi[up]].tolist(),
-                y_level_exp[pj[up]].tolist(),
+                (x_level_exp[pi[up]] + x_shift[lanes_up]).tolist(),
+                (y_level_exp[pj[up]] + shift[lanes_up]).tolist(),
                 x_runs,
                 y_runs,
                 pair_weight[up].tolist(),
@@ -483,8 +486,16 @@ def run_pruned_growth(
         next_slot, next_index, next_exps = y_slot[kept], y_index[kept], y_exps[kept]
 
         if keep_trace:
-            next_norm = _norms(y_level_slot[keep], y_level_exp[keep], y_counts[keep], lanes)
-            pruned_mass = _norms(y_level_slot[~keep], y_level_exp[~keep], y_counts[~keep], lanes)
+            # a trace holds true exponents and norms: the lane's plus its shift
+            y_true, level_true = y_exps + shift[y_slot], y_level_exp + shift[y_level_slot]
+            next_true = y_true[kept]
+            next_norm, pruned_mass = (
+                _norms(y_level_slot[m], level_true[m], y_counts[m], lanes) for m in (keep, ~keep)
+            )
+            # pre_norm is the true norm over 2**shift, to the bit; a true
+            # norm past the float range reads inf
+            with np.errstate(over="ignore"):
+                post_norm = np.ldexp(pre_norm, shift)
             next_bounds = np.searchsorted(next_slot, np.arange(lanes + 1))
             for lane, d in zip(stepping.tolist(), dens[win].tolist()):
                 y_side = RIGHT if x_off[lane] == 0 else LEFT
@@ -498,10 +509,10 @@ def run_pruned_growth(
                         # a lane still running took every earlier step
                         x_levels=traces[lane][-1].next_levels if traces[lane] else starts[lane],
                         post_levels=LevelVector(
-                            y_side, y_index[ya:yb], y_exps[ya:yb], float(pre_norm[lane])
+                            y_side, y_index[ya:yb], y_true[ya:yb], float(post_norm[lane])
                         ),
                         next_levels=LevelVector(
-                            y_side, next_index[na:nb], next_exps[na:nb], float(next_norm[lane])
+                            y_side, next_index[na:nb], next_true[na:nb], float(next_norm[lane])
                         ),
                         max_pair_density=d,
                         pruned_mass=float(pruned_mass[lane]),
@@ -513,10 +524,7 @@ def run_pruned_growth(
         t += 1
 
     outcomes = []
-    for lane, error in enumerate(failed):
-        if error is not None:
-            outcomes.append(error)
-            continue
+    for lane in range(lanes):
         sub = at = None
         if best[lane] is not None:
             t, i, j, xs, ys, e, d, off = best[lane]
@@ -525,9 +533,4 @@ def run_pruned_growth(
             at = (t, i, j)
         trace = traces[lane] if keep_trace else None
         outcomes.append(ProcessOutcome(sub, at, int(executed[lane]), int(touched[lane]), trace))
-    runs = [out for out in outcomes if isinstance(out, ProcessOutcome)]
-    return GrowthBatch(
-        outcomes,
-        sum(out.edges_touched for out in runs),
-        sum(out.steps_executed for out in runs),
-    )
+    return GrowthBatch(outcomes, int(touched.sum()), int(executed.sum()))

@@ -151,29 +151,29 @@ def result_record(g: BipartiteGraph, result: DensityResult, kind: str) -> dict:
 
 
 def trace_records(result: DensityResult) -> list:
-    """Per-step trace rows for a result that kept its traces."""
+    """Per-step trace rows for a result that kept its traces.  A norm past
+    the float range is None (JSON null), one below it 0.0."""
     rows = []
     for trace in result.traces or ():
         for rec in trace.steps:
-            rows.append(
-                {
-                    "kind": "trace-step",
-                    "start": trace.start,
-                    "t": rec.t,
-                    "eps_t": rec.eps_t,
-                    "eps_prune": rec.eps_prune,
-                    "side": rec.x_levels.side,
-                    "x_norm": rec.x_levels.norm,
-                    "x_support": rec.x_levels.support_size,
-                    "pre_norm": rec.post_levels.norm,
-                    "levels": rec.post_levels.level_count,
-                    "max_pair_density": rec.max_pair_density,
-                    "pruned_mass": rec.pruned_mass,
-                    "pruned_count": rec.pruned_count,
-                    "next_support": rec.next_levels.support_size,
-                    "next_norm": rec.next_levels.norm,
-                }
-            )
+            row = {
+                "kind": "trace-step",
+                "start": trace.start,
+                "t": rec.t,
+                "eps_t": rec.eps_t,
+                "eps_prune": rec.eps_prune,
+                "side": rec.x_levels.side,
+                "x_norm": rec.x_levels.norm,
+                "x_support": rec.x_levels.support_size,
+                "pre_norm": rec.post_levels.norm,
+                "levels": rec.post_levels.level_count,
+                "max_pair_density": rec.max_pair_density,
+                "pruned_mass": rec.pruned_mass,
+                "pruned_count": rec.pruned_count,
+                "next_support": rec.next_levels.support_size,
+                "next_norm": rec.next_levels.norm,
+            }
+            rows.append({k: None if v == math.inf else v for k, v in row.items()})
     return rows
 
 

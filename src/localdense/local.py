@@ -170,12 +170,11 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
     """Grow from each (token, side) seed; side None resolves as in local_density.
 
     Yields one entry per seed, in order: its DensityResult, or the
-    UnknownVertex, NoCandidate or NegativeEntry error local_density would
-    raise for it.  A chunk is _LANES seed positions: its seeds that resolve
-    grow as the lanes of one run_pruned_growth call, each with the outcome,
-    or the overflow, it would have alone.  Its callers are local_density
-    (one seed), seed_scan and verify.run_verification (the traced local runs
-    and the good-seed runs).
+    UnknownVertex or NoCandidate error local_density would raise for it.  A
+    chunk is _LANES seed positions: its seeds that resolve grow as the lanes
+    of one run_pruned_growth call, each with the outcome it would have
+    alone.  Its callers are local_density (one seed), seed_scan and
+    verify.run_verification (the traced local runs and the good-seed runs).
     """
     bound, bound_eps = _bound_factors(g, sched)
     seeds = iter(seeds)
@@ -189,10 +188,10 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
         starts = [LevelVector.unit(*item[1:]) for item in found if isinstance(item, tuple)]
         outcomes = iter(run_pruned_growth(g, starts, sched.epsilons, keep_trace).outcomes)
         for item in found:
-            outcome = item if isinstance(item, Exception) else next(outcomes)
-            if isinstance(outcome, Exception):
-                yield outcome
+            if isinstance(item, Exception):
+                yield item
                 continue
+            outcome = next(outcomes)
             token, side, _ = item
             if outcome.best is None:
                 yield NoCandidate(f"seed {token!r} has no incident edges")
@@ -210,7 +209,7 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
                 traces=(GrowthTrace(start, outcome.trace),) if keep_trace else None,
             )
         # keep no outcome while the next chunk grows
-        del outcomes, outcome
+        outcomes = outcome = None
 
 
 def local_density(
@@ -251,9 +250,9 @@ def seed_scan(
     local_density on its seed alone: one growth call per chunk, whatever
     its seeds do.  Results that name the same vertex pair are deduplicated
     keeping the earliest seed, and the survivors are ordered by density with
-    ties broken by seed order.  A seed that fails (unknown, isolated or
-    overflowing) is recorded, in seed order, not fatal.  top_n and
-    target_size are checked before any seed grows.  No traces are kept;
+    ties broken by seed order.  A seed that fails (unknown or isolated) is
+    recorded, in seed order, not fatal.  top_n and target_size are checked
+    before any seed grows.  No traces are kept;
     local_density keeps one seed's.  parallel is ignored, and kept only
     because the benchmark's local-scan workload passes it positionally:
     threads gave no speedup on this pure-Python and small-array work.

@@ -232,14 +232,16 @@ _RESTARTS = 200
 _TOL = 1e-12
 
 
-def _adjacency(g: BipartiteGraph):
-    """The map x -> A x on the symmetric adjacency [[0, B], [B^T, 0]].
+def _adjacency(g: BipartiteGraph, scale: int = 0):
+    """The map x -> A x on the symmetric adjacency [[0, B], [B^T, 0]], its
+    weights divided by 2**scale.
 
     The graph's one table holds A's rows, left then right, as x holds its
     entries, so a left row's neighbour v is x[left_count + v].  One bincount
     adds each row's terms in CSR order, ascending neighbour order.
     """
     indptr, nbrs, wts = g._table()
+    wts = np.ldexp(wts, -scale)
     n = g.vertex_count
     row = np.repeat(np.arange(n), np.diff(indptr))
     col = nbrs.copy()
@@ -277,9 +279,16 @@ def top_eigenvalue(g: BipartiteGraph) -> EigenEstimate:
     nonnegative vectors on disjoint components (Perron-Frobenius): the
     entrywise absolute value of the Ritz vector stays in it, and is
     renormalized before the Rayleigh quotient and residual are taken.
+
+    The run sees the weights divided by 2**e, e the exponent of the largest
+    weight's frexp, and the value and residual are scaled back: the division
+    is exact for every weight that stays normal, so a graph with every
+    weight scaled by 2**k reads as the original wherever both graphs'
+    weights are normal, and subnormal weights run as ordinary ones.
     """
     nl, nr = g.left_count, g.right_count
-    adjacency, applications = _adjacency(g), 0
+    e = math.frexp(float(g._table()[2].max()))[1]
+    adjacency, applications = _adjacency(g, e), 0
     size = min(_KRYLOV, nl + nr)
     basis = np.empty((size, nl + nr))
     images = np.empty_like(basis)  # the adjacency times each basis vector
@@ -314,6 +323,10 @@ def top_eigenvalue(g: BipartiteGraph) -> EigenEstimate:
     applications += 1
     value = float(vec @ prod)
     residual = _norm(prod - value * vec)
+    # both are at most the top eigenvalue, so at most the largest degree,
+    # but for rounding, which must not carry them past the float range
+    cap = math.ldexp(g.max_degree, -e)
+    value, residual = (math.ldexp(min(v, cap), e) for v in (value, residual))
     return EigenEstimate(value, vec[:nl], vec[nl:], residual, applications, converged)
 
 

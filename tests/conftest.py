@@ -18,7 +18,6 @@ from localdense import (
     LEFT,
     RIGHT,
     DomainError,
-    NegativeEntry,
     Subgraph,
     TooLarge,
     build_bipartite,
@@ -259,11 +258,8 @@ def random_bipartite(rng: random.Random, max_left, max_right, weighted=False, mi
 
 
 def reference_norm(exponents):
-    """Norm of entries 2**i, top level factored out as the library does.
-
-    Raises NegativeEntry, with the library's message, for a norm beyond the
-    float range.
-    """
+    """Norm of entries 2**i, top level factored out as the library does;
+    inf for a norm beyond the float range."""
     exps = list(exponents)
     if not exps:
         return 0.0
@@ -272,7 +268,7 @@ def reference_norm(exponents):
     try:
         return math.ldexp(math.sqrt(total), top)
     except OverflowError:
-        raise NegativeEntry(f"vector norm overflows at level 2**{top}") from None
+        return math.inf
 
 
 def reference_vector(side, entries):
@@ -286,13 +282,15 @@ def reference_growth(g, side, start, epsilons):
 
     start maps vertex index (on `side`) to exponent.  Returns the
     ProcessOutcome fields as a dict whose "trace" is a list of dicts with
-    every StepRecord field, vectors given as reference_vector triples, or
-    raises the NegativeEntry, with the library's message, of a run whose
-    product entry or norm overflows.  The product walks the support in
-    vertex order and the pair weights walk it level by level, each in its
-    own pass over the edges.
+    every StepRecord field, vectors given as reference_vector triples.  The
+    product walks the support in vertex order and the pair weights walk it
+    level by level, each in its own pass over the edges.  x holds the
+    vector over 2**shift, its top entry at 2**0, and each rounded product
+    moves to its own top, so no product overflows; the outcome and trace
+    add shift back.
     """
-    x = dict(start)
+    shift = max(start.values())
+    x = {u: i - shift for u, i in start.items()}
     best = best_at = None
     edges_touched = executed = 0
     steps = []
@@ -308,8 +306,6 @@ def reference_growth(g, side, start, epsilons):
                 prod[v] = prod.get(v, 0.0) + val * w
         y = {}
         for v, z in prod.items():
-            if math.isinf(z):
-                raise NegativeEntry("a product entry overflows to inf")
             if z > 0.0:
                 m, e = math.frexp(z)
                 y[v] = e - 1 if m == 0.5 else e
@@ -318,7 +314,9 @@ def reference_growth(g, side, start, epsilons):
         executed += 1
         edges_touched += 2 * incident
         y_side = RIGHT if side == LEFT else LEFT
-        post = reference_vector(y_side, y)
+        top = max(y.values())
+        y = {v: j - top for v, j in y.items()}
+        x_shift, shift = shift, shift + top
 
         pair = {}
         for u in sorted(x, key=lambda u: (x[u], u)):
@@ -339,19 +337,20 @@ def reference_growth(g, side, start, epsilons):
             ys = frozenset(v for v in y if y[v] == j)
             pair_sets = (xs, ys) if side == LEFT else (ys, xs)
             best = Subgraph(*pair_sets, pair[i, j], d)
-            best_at = (t, i, j)
+            best_at = (t, i + x_shift, j + shift)
 
-        threshold = epsilons[t + 1] * post[2]  # the rounded product's norm
+        # the rounded product's norm, at the product's own scale
+        threshold = epsilons[t + 1] * reference_norm(y.values())
         nxt = {v: j for v, j in y.items() if math.ldexp(1.0, j) > threshold}
-        removed = [j for v, j in y.items() if v not in nxt]
+        removed = [j + shift for v, j in y.items() if v not in nxt]
         steps.append(
             {
                 "t": t,
                 "eps_t": epsilons[t],
                 "eps_prune": epsilons[t + 1],
-                "x_levels": reference_vector(side, x),
-                "post_levels": post,
-                "next_levels": reference_vector(y_side, nxt),
+                "x_levels": reference_vector(side, {u: i + x_shift for u, i in x.items()}),
+                "post_levels": reference_vector(y_side, {v: j + shift for v, j in y.items()}),
+                "next_levels": reference_vector(y_side, {v: j + shift for v, j in nxt.items()}),
                 "max_pair_density": d,
                 "pruned_mass": reference_norm(removed),
             }

@@ -20,7 +20,6 @@ API = [
     "LEFT",
     "LevelVector",
     "LocalDenseError",
-    "NegativeEntry",
     "NegativeWeight",
     "NoCandidate",
     "ParseError",

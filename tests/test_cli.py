@@ -331,15 +331,28 @@ def test_files_that_are_not_utf8_exit_two(block_file, tmp_path, command):
 
 
 def test_overflowing_weights_are_data_errors(tmp_path):
-    # a finite weight whose products overflow, and finite duplicate rows
-    # whose merged weight would, each end in one typed error line
+    # a finite weight whose products pass the float range is data like any
+    # other: each vector is held at its own scale, and the level exponents
+    # carry the rest
     huge = tmp_path / "huge.txt"
     huge.write_text("a x 1e200\n")
+    for args, kind in ((("local", "--seed", "a", "--target-size", "4"), "local"), (("global",), "global")):
+        proc = run_cli(args[0], str(huge), *args[1:])
+        assert proc.returncode == 0
+        (record,) = [r for r in parse_stdout(proc) if r["kind"] == kind]
+        assert (record["density"], record["t"], record["i"], record["j"]) == (1e200, 0, 0, 665)
+    # finite duplicate rows whose merged weight would overflow, and rows
+    # whose sum is finite but one vertex's weighted degree is not, each end
+    # in one typed error line
     merged = tmp_path / "merged.txt"
     merged.write_text("a x 1e308\na x 1e308\nb y 1.0\n")
+    degree = tmp_path / "degree.txt"
+    rows = [f"a{k} v {2.0**968!r}" for k in range(1, 5)] + [f"a8 v {sys.float_info.max!r}"]
+    rows += [f"{u} w 1.0" for u in ("a0", "a5", "a6", "a7", *(f"b{k}" for k in range(7)))]
+    degree.write_text("\n".join(sorted(rows)) + "\n")
     for path, args, kind in (
-        (huge, ("local", "--seed", "a", "--target-size", "4"), "NegativeEntry"),
-        (huge, ("global",), "NegativeEntry"),
+        (degree, ("stats",), "NegativeWeight"),
+        (degree, ("global",), "NegativeWeight"),
         (merged, ("stats",), "NegativeWeight"),
         (merged, ("stats", "--directed"), "NegativeWeight"),
         (merged, ("local", "--seed", "a", "--target-size", "2"), "NegativeWeight"),
@@ -354,18 +367,20 @@ def test_overflowing_weights_are_data_errors(tmp_path):
 
 
 def test_scan_reports_overflowing_seeds(tmp_path):
+    # the seeds whose products pass the float range find their pair like
+    # any other: no seed fails
     graph = tmp_path / "huge.txt"
     graph.write_text("a x 1e300\nb x 1e300\nc y 1.0\n")
     proc = run_cli("scan", str(graph), "--seeds", "all", "--target-size", "4")
     assert proc.returncode == 0
     records = parse_stdout(proc)
-    # y's pair is c's, so it is deduplicated away
-    assert records[0]["kind"] == "local"
-    assert records[0]["seed"] == "seed:L:c"
-    assert [(r["kind"], r["seed"], r["reason"]) for r in records[1:]] == [
-        ("seed-failure", f"{seed!r}", "NegativeEntry")
-        for seed in (("a", "L"), ("b", "L"), ("x", "R"))
+    # b's and x's pair is a's, and y's is c's, so they are deduplicated away
+    assert [(r["kind"], r["seed"], r["S"], r["T"]) for r in records] == [
+        ("local", "seed:L:a", ["a", "b"], ["x"]),
+        ("local", "seed:L:c", ["c"], ["y"]),
     ]
+    assert records[0]["density"] == 2e300 / math.sqrt(2)
+    assert (records[0]["t"], records[0]["i"], records[0]["j"]) == (1, 997, 1994)
 
 
 def test_verification_failures_use_exit_three():

@@ -1,6 +1,7 @@
 import enum
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -116,6 +117,18 @@ def test_negative_weight_rejected():
         for build in (build_bipartite, from_directed):
             with pytest.raises(NegativeWeight, match="float range"):
                 build(edges)
+
+
+def test_infinite_degree_rejected():
+    # the weights' total, summed pairwise as the constructor sums it, is
+    # finite, but v's degree, summed a1 .. a4 then a8, rounds up to inf;
+    # growth bounds every product entry by a degree
+    rows = [(f"a{k}", "v", 2.0**968) for k in range(1, 5)] + [("a8", "v", sys.float_info.max)]
+    rows += [(u, "w", 1.0) for u in ("a0", "a5", "a6", "a7", *(f"b{k}" for k in range(7)))]
+    rows.sort()
+    assert math.isfinite(float(np.array([w for _, _, w in rows]).sum()))
+    with pytest.raises(NegativeWeight, match="degree"):
+        build_bipartite(rows)
 
 
 def test_non_numeric_weight_rejected():

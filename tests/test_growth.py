@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from localdense import (
     DomainError,
     LevelVector,
-    NegativeEntry,
     StepRecord,
     build_bipartite,
     from_directed,
@@ -93,27 +92,41 @@ def test_round_up_examples():
 
 
 def test_round_up_drops_zeros_and_rejects_bad_entries():
-    # from x the product to a underflows to 0.0 and is dropped, while the
-    # one to c survives
+    # x's product is taken at its own scale, so the one to a, 1e-320 *
+    # 1e-320 in truth, does not underflow; truncation then drops it
     g = build_bipartite([("a", "x", 1e-320), ("c", "x", 1.0)])
     out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1, 0.1), keep_trace=True)
     first, second = out.trace[:2]
     (j,) = first.post_levels.exps.tolist()
     assert Fraction(math.ldexp(1.0, j)) == smallest_pow2_at_least(1e-320)
     assert first.post_levels.norm == math.ldexp(1.0, j)
-    assert levels(second.post_levels) == {1: j}
+    assert levels(second.post_levels) == {0: 2 * j, 1: j}
+    assert levels(second.next_levels) == {1: j}
     assert out.edges_touched == 2 + 4 + 2
-    # an overflow is the lane's outcome, not an exception of the call: a
-    # finite product rounds to a finite level; the next one overflows
+    # below x's 2**0, y sits at 2**-996, and its product to b, about
+    # 2**-996 * 1e-30, underflows to 0.0 and is dropped, while a survives
+    g = build_bipartite([("a", "x", 1.0), ("a", "y", 1e-300), ("b", "y", 1e-30)])
+    out = grow(g, LevelVector.unit("L", 0), (0.5, 1e-310, 1e-310), keep_trace=True)
+    first, second = out.trace
+    assert levels(first.next_levels) == {0: 0, 1: -996}
+    assert levels(second.post_levels) == {0: 0}
+    # nothing overflows: the second product, 1e200 * 1e200 in truth, is
+    # taken at the first one's scale, and its level is reported as 2 * 665
     g = build_bipartite([("a", "x", 1e200)])
-    out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1))
-    assert isinstance(out, NegativeEntry)
-    assert str(out) == "a product entry overflows to inf"
-    # a level whose power of two is beyond the float range
+    out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1), keep_trace=True)
+    assert out.steps_executed == 2
+    assert out.best.density == 1e200 and out.best_at == (0, 0, 665)
+    assert [rec.post_levels.exps.tolist() for rec in out.trace] == [[665], [1330]]
+    assert out.trace[1].post_levels.norm == math.inf
+    # a level whose power of two is beyond the float range, and whose norm
+    # the trace reports as inf
     g = build_bipartite([("a", "x", 1.5 * 2.0**1023)])
-    out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1))
-    assert isinstance(out, NegativeEntry)
-    assert str(out) == "vector norm overflows at level 2**1024"
+    out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1), keep_trace=True)
+    assert out.steps_executed == 2 and out.best_at == (0, 0, 1024)
+    first, second = out.trace
+    assert first.post_levels.norm == first.next_levels.norm == math.inf
+    assert second.x_levels.exps.tolist() == [1024]
+    assert second.post_levels.exps.tolist() == [2048]
 
 
 @pytest.mark.parametrize(
@@ -299,16 +312,23 @@ def test_evaluate_candidates_canonical_orientation():
 
 
 def test_evaluate_candidates_failures():
-    # a step with no level pair yields no candidate: here every product of
-    # the second step underflows to 0.0, so the run stops before taking it
+    # a subnormal weight no longer ends the run: the second product is
+    # taken at the first one's scale, so it does not underflow
     g = build_bipartite([("a", "x", 1e-320)])
     out = grow(g, LevelVector.unit("L", 0), (0.5, 0.1, 0.1), keep_trace=True)
-    assert out.steps_executed == 1
-    assert len(out.trace) == 1
-    assert out.edges_touched == 2
+    assert out.steps_executed == 2
+    assert out.edges_touched == 4
     assert out.best.density == 1e-320
     j = int(out.trace[0].post_levels.exps[0])
     assert j < -1000 and out.best_at == (0, 0, j)
+    assert out.trace[1].post_levels.exps.tolist() == [2 * j]
+    # a step with no level pair yields no candidate: the start's top entry
+    # sits on a vertex with no arcs out, and the product of the other,
+    # 2**-1074 * 0.5, underflows to 0.0, so the run stops before the step
+    g = from_directed([("a", "b", 0.5)])
+    out = grow(g, vector("L", {0: -1074, 1: 0}), (0.5, 0.1, 0.1), keep_trace=True)
+    assert out.steps_executed == 0 and out.edges_touched == 0
+    assert out.best is None and out.trace == []
 
 
 def test_level_sets_round_trip():
@@ -443,9 +463,9 @@ def referee_graph(rng, weights, directed=False):
         # products of these weights with small entries underflow to 0.0
         edges = [(a, b, w * 1e-320 if rng.random() < 0.4 else w) for a, b, w in edges]
     if weights == "huge":
-        # a product through two 1e300 edges overflows to inf, and one
-        # through a 1e300 and a 1e8 edge rounds up to 2**1024, beyond the
-        # float range
+        # a product through two 1e300 edges is 1e600 in truth, and one
+        # through a 1e300 and a 1e8 edge rounds up to 2**1024: both lie
+        # beyond the float range, and their trace norms read inf
         edges = [
             (a, b, rng.choice((1e300, 1e8, 1e8, 1e8)) if rng.random() < 0.3 else w)
             for a, b, w in edges
@@ -564,12 +584,7 @@ def check_numberings(g, lanes, epsilons):
     """Check the (side, exponents, start vector) lanes against the referee
     with every step's product entries numbered each way NUMBERINGS names;
     all must agree."""
-    wants = []
-    for side, exps, _ in lanes:
-        try:
-            wants.append(reference_growth(g, side, exps, epsilons))
-        except NegativeEntry as exc:
-            wants.append(exc)
+    wants = [reference_growth(g, side, exps, epsilons) for side, exps, _ in lanes]
     seen = []
     for path in NUMBERINGS:
         with numbered(path):
@@ -580,26 +595,21 @@ def check_numberings(g, lanes, epsilons):
 def check_lanes(g, starts, wants, epsilons):
     """Grow the starts as one batch, traced and not, and each alone; check
     every outcome against the referee's and return the traced ones'
-    fields, or their error texts."""
+    fields."""
     batch = run_pruned_growth(g, starts, epsilons, keep_trace=True)
     bare = run_pruned_growth(g, starts, epsilons)
     assert len(batch.outcomes) == len(bare.outcomes) == len(starts)
     for vec, want, out, plain in zip(starts, wants, batch.outcomes, bare.outcomes):
         lone = grow(g, vec, epsilons, keep_trace=True)
-        if isinstance(want, NegativeEntry):
-            # the overflowing lane alone fails, as its lone run does
-            for got in (out, plain, lone):
-                assert isinstance(got, NegativeEntry) and str(got) == str(want)
-            continue
         fields = outcome_fields(out)
         assert fields == want
         assert fields == outcome_fields(lone)
         assert plain.trace is None
         assert dataclasses.replace(plain, trace=out.trace) == out
-    runs = [o for o in batch.outcomes if isinstance(o, ProcessOutcome)]
+    runs = batch.outcomes
     assert batch.edges_touched == bare.edges_touched == sum(o.edges_touched for o in runs)
     assert batch.steps_executed == bare.steps_executed == sum(o.steps_executed for o in runs)
-    return [outcome_fields(o) if isinstance(o, ProcessOutcome) else str(o) for o in batch.outcomes]
+    return [outcome_fields(o) for o in runs]
 
 
 @settings(max_examples=150, deadline=None)
@@ -616,22 +626,23 @@ def check_lanes(g, starts, wants, epsilons):
 )
 def test_trace_chains(seed, directed, weights, kinds, epsilons):
     # each step starts from the vector the step before kept, and the pruned
-    # count is the number of rounded entries truncation dropped
+    # count is the number of rounded entries truncation dropped, which it
+    # compares at the product's own scale, its top level at 2**0
     rng = random.Random(seed)
     g = referee_graph(rng, weights, directed)
     starts = [referee_start(rng, g, kind, side)[1] for kind, side in kinds]
     batch = run_pruned_growth(g, starts, epsilons, keep_trace=True).outcomes
     lone = [grow(g, start, epsilons, keep_trace=True) for start in starts]
     for start, out in zip(starts * 2, batch + lone):
-        if isinstance(out, NegativeEntry):
-            continue
         if out.trace:
             assert out.trace[0].x_levels == start
         for rec, after in zip(out.trace, out.trace[1:]):
             assert rec.next_levels == after.x_levels
         for rec in out.trace:
-            cut = rec.eps_prune * rec.post_levels.norm
-            dropped = sum(math.ldexp(1.0, e) <= cut for e in rec.post_levels.exps.tolist())
+            exps = rec.post_levels.exps.tolist()
+            top = max(exps)
+            cut = rec.eps_prune * reference_norm(e - top for e in exps)
+            dropped = sum(math.ldexp(1.0, e - top) <= cut for e in exps)
             assert rec.pruned_count == dropped
 
 
@@ -642,18 +653,18 @@ def test_subnormal_graphs_match_dict_referee():
         for side in ("L", "R"):
             out = grow(g, LevelVector.unit(side, 0), eps, keep_trace=True)
             assert outcome_fields(out) == reference_growth(g, side, {0: 0}, eps)
-    # from 2**-30 the product to x underflows to 0.0 while the one to y
-    # stays subnormal; x's edge must add nothing to any pair's weight
-    g = build_bipartite([("b", "y", 1e-310), ("b", "x", 1e-315)])
-    out = grow(g, vector("L", {0: -30}), eps, keep_trace=True)
-    assert outcome_fields(out) == reference_growth(g, "L", {0: -30}, eps)
+    # below a's top entry, b's 2**-30 makes its product to x underflow to
+    # 0.0 while the one to y stays subnormal; x's edge must add nothing to
+    # any pair's weight
+    g = build_bipartite([("a", "z", 1e-312), ("b", "y", 1e-310), ("b", "x", 1e-315)])
+    out = grow(g, vector("L", {0: 0, 1: -30}), eps, keep_trace=True)
+    assert outcome_fields(out) == reference_growth(g, "L", {0: 0, 1: -30}, eps)
+    assert out.trace[0].post_levels.index.tolist() == [0, 1]
     assert out.best.edge_weight == 1e-310
 
 
 def bits_of(out):
-    """An outcome, or an error's text, with every float as its hex form."""
-    if isinstance(out, NegativeEntry):
-        return str(out)
+    """An outcome with every float as its hex form."""
 
     def vec(v):
         return (v.side, v.index.tolist(), v.exps.tolist(), v.norm.hex())
@@ -682,7 +693,7 @@ def bits_of(out):
 def test_numberings_give_identical_outcomes():
     # one call on a weighted graph with lanes from both sides, among them
     # one whose product partly underflows to 0.0 (so a step masks its
-    # entries) and one whose product overflows
+    # entries) and one whose product lies past the float range
     rng = random.Random(3)
     edges = [
         (f"l{u}", f"r{v}", rng.uniform(0.1, 3.0))
@@ -690,13 +701,13 @@ def test_numberings_give_identical_outcomes():
         for v in range(40)
         if rng.random() < 0.2
     ]
-    edges += [("tiny", "r0", 1e-300), ("tiny", "r1", 0.5), ("huge", "r2", 3.0)]
+    edges += [("tiny", "t0", 1e-300), ("tiny", "t1", 0.5), ("top", "t2", 1.0), ("huge", "r2", 3.0)]
     g = build_bipartite(edges)
-    (tiny,), (huge,) = g.left_indices(["tiny"]), g.left_indices(["huge"])
+    (tiny,), (top,), (huge,) = (g.left_indices([v]) for v in ("tiny", "top", "huge"))
     starts = [
         LevelVector.unit("L", 0),
         vector("R", {3: 0, 7: -2, 11: 1}),
-        vector("L", {tiny: -1000}),
+        vector("L", {tiny: -1000, top: 0}),
         LevelVector.unit("R", 5),
         vector("L", {huge: 1023}),
         vector("L", {2: -1, 9: 0, 20: -3}),
@@ -710,10 +721,13 @@ def test_numberings_give_identical_outcomes():
         seen[path] = [bits_of(out) for out in batch.outcomes]
     assert seen["packed"] == seen["occupancy"] == seen["unique"]
     outcomes = batch.outcomes
-    assert str(outcomes[4]) == "a product entry overflows to inf"
-    # the product to r0 underflowed and was dropped
-    assert outcomes[2].trace[0].post_levels.index.tolist() == list(g.right_indices(["r1"]))
-    assert all(out.steps_executed >= 3 for k, out in enumerate(outcomes) if k != 4)
+    # 3 * 2**1023 rounds up to 2**1025, and the trace's norm reads inf
+    assert outcomes[4].trace[0].post_levels.exps.tolist() == [1025]
+    assert outcomes[4].trace[0].post_levels.norm == math.inf
+    # the product to t0 underflowed and was dropped
+    want = sorted(g.right_indices(["t1", "t2"]))
+    assert outcomes[2].trace[0].post_levels.index.tolist() == want
+    assert all(out.steps_executed >= 3 for out in outcomes)
 
 
 def test_norms_match_exact_referee():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from localdense import (
     DomainError,
-    NegativeEntry,
     NoCandidate,
     SeedFailure,
     UnknownVertex,
@@ -310,7 +309,7 @@ def _scan_one_by_one(g, seeds, target_size):
         token, side = seed if isinstance(seed, tuple) else (seed, None)
         try:
             res = local_density(g, token, target_size, side)
-        except (UnknownVertex, NoCandidate, NegativeEntry) as exc:
+        except (UnknownVertex, NoCandidate) as exc:
             failures.append(SeedFailure(seed, type(exc).__name__, str(exc)))
             continue
         if (res.subgraph.left, res.subgraph.right) not in seen:
@@ -345,13 +344,14 @@ def test_seed_scan_chunks_match_lone_runs():
 
 
 def test_seed_scan_records_an_overflowing_seed(monkeypatch):
-    # a's growth overflows (1e300 squared) while c's stays small; sharing a
-    # growth call must not cost c its result
+    # a's second product, 1e300 squared in truth, is taken at its own
+    # scale, so a finds its pair as c does, in one growth call
     small = build_bipartite([("a", "x", 1e300), ("b", "x", 1e300), ("c", "y", 1.0)])
-    with pytest.raises(NegativeEntry):
-        local_density(small, "a", 4)
+    res = local_density(small, "a", 4)
+    assert (res.density, res.found_at) == (2e300 / math.sqrt(2), (1, 997, 1994))
     want_small = _scan_one_by_one(small, ["c", "a"], 4)
-    # overflowing seeds in both chunks of a larger scan cost only themselves
+    # seeds past the float range in both chunks of a larger scan fail no
+    # more than the others
     rng = random.Random(5)
     g = from_directed(
         [(f"v{rng.randrange(60)}", f"v{rng.randrange(60)}", 1.0) for _ in range(200)]
@@ -360,15 +360,18 @@ def test_seed_scan_records_an_overflowing_seed(monkeypatch):
     seeds = [g.left_id(u) for u in range(g.left_count)] * 3
     assert len(seeds) > _LANES
     want_results, want_failures = _scan_one_by_one(g, seeds, 8)
-    assert {f.seed for f in want_failures if f.kind == "NegativeEntry"} == {"big", "huge"}
+    assert {f.kind for f in want_failures} <= {"NoCandidate"}
+    assert not {"big", "huge"} & {f.seed for f in want_failures}
+    (hub,) = [r for r in want_results if r.density > 1e300]
+    assert hub.start == "seed:L:big" and hub.density == 2e300 / math.sqrt(2)
     # and no seed is grown again: one growth call per chunk
     calls = []
     grow = local.run_pruned_growth
     monkeypatch.setattr(local, "run_pruned_growth", lambda *a: calls.append(a) or grow(*a))
     out = seed_scan(small, ["c", "a"], 4)
     assert (out.results, out.failures) == want_small
-    assert [r.start for r in out.results] == ["seed:L:c"]
-    assert [(f.seed, f.kind) for f in out.failures] == [("a", "NegativeEntry")]
+    assert [r.start for r in out.results] == ["seed:L:a", "seed:L:c"]
+    assert out.failures == []
     assert len(calls) == 1
     out = seed_scan(g, seeds, 8, top_n=len(seeds))
     assert (out.results, out.failures) == (want_results, want_failures)

@@ -309,6 +309,15 @@ def test_eigenvalue_holds_at_any_weight_scale(w):
     assert est.residual <= 1e-9 * est.value
 
 
+def test_eigenvalue_at_the_largest_weight():
+    # the Rayleigh quotient of one edge may round a bit above its weight;
+    # the top eigenvalue is at most the largest degree, which bounds it
+    w = sys.float_info.max
+    est = top_eigenvalue(build_bipartite([("a", "x", w)]))
+    assert est.converged and est.value == w
+    assert math.isfinite(est.residual) and est.residual <= 1e-12 * w
+
+
 def test_eigenvalue_against_dense_solver():
     rng = random.Random(23)
     for _ in range(30):

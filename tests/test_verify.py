@@ -14,7 +14,6 @@ from localdense import (
     EmptySide,
     LevelVector,
     LocalDenseError,
-    NegativeEntry,
     NoCandidate,
     UnknownVertex,
     build_bipartite,
@@ -138,11 +137,11 @@ def test_local_loops_raise_the_first_failing_seeds_error(monkeypatch, traced):
     def failing(g, vertices, sched, keep_trace=False):
         runs = list(grow_left(g, vertices, sched, keep_trace))
         if keep_trace == traced:
-            runs[1:1] = [NoCandidate("no edges"), NegativeEntry("first"), NegativeEntry("second")]
+            runs[1:1] = [NoCandidate("no edges"), UnknownVertex("first"), UnknownVertex("second")]
         return runs
 
     monkeypatch.setattr(verify, "_grow_left", failing)
-    error, message = (NegativeEntry, "first") if traced else (NoCandidate, "no edges")
+    error, message = (UnknownVertex, "first") if traced else (NoCandidate, "no edges")
     with pytest.raises(error, match=f"^{message}$"):
         run_verification(g, planted=planted, target_size=4)
 
@@ -188,13 +187,15 @@ def test_verification_handles_small_weights():
 
 def test_subnormal_weights_do_not_crash_the_step_checks():
     # eps_t * min_weight underflows to 0.0 here, so the caps' span is a sum
-    # of logs, not the log of a quotient
+    # of logs, not the log of a quotient; Lanczos runs on the weights over
+    # 2**-1073, so the eigenvalue estimate is positive and the guarantee
+    # is checked
     g = build_bipartite([("a", "x", 5e-324), ("a", "y", 5e-324), ("b", "x", 5e-324)])
     results = run_verification(g)
     assert len(results) == 10
-    assert [r.status for r in results[:4]] == ["pass"] * 4
+    assert [r.status for r in results[:7]] == ["pass"] * 7
     guarantee = by_name(results)["global-guarantee"]
-    assert (guarantee.status, guarantee.detail) == ("skip", "eigenvalue estimate is not positive")
+    assert (guarantee.status, guarantee.detail) == ("pass", "global density 4.94066e-324 vs floor 0")
 
 
 def scaled(g, factor):
