@@ -70,7 +70,7 @@ def global_density(g: BipartiteGraph, keep_trace: bool = False) -> DensityResult
     # construction demands an edge, so each side has a vertex with a
     # neighbor, and each all-ones start takes its first step
     winner, label = out_l, "ones:L"
-    if out_r.best.density > out_l.best.density:
+    if out_r.density > out_l.density:
         winner, label = out_r, "ones:R"
 
     traces = None

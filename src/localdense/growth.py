@@ -10,7 +10,10 @@ Grouping a vector's support by exponent gives its level sets, and each step's
 candidate subgraphs are the pairs (level of the current vector, level of the
 rounded product).  The densest pair over all steps is the process output.
 A step gathers the edges incident to the support once; the same edges give
-both the product and the weight of every level pair.
+both the product and the weight of every level pair.  It numbers each
+edge's source entry once, and takes every per-entry value an edge needs
+(its row offset, its lane's key base, its entry's value and x level)
+through that one source index.
 
 run_pruned_growth grows many start vectors at once, one lane per start, and
 returns a GrowthBatch.  Every lane advances in the same array pass per step,
@@ -35,20 +38,24 @@ runs over its own terms in the order a batch of one would use, so every
 lane's outcome equals that of its start run alone, to the bit.  A lane's
 norm is one math.fsum of its squares, exactly rounded.  The norms of
 truncated vectors are computed only for traces, whose vectors are views
-into their step's batch arrays.
+into their step's batch arrays.  An untraced run stops once its last
+step's candidates are weighed: that step takes no norm and no truncation,
+keeps its product on the batch's keys, and subtracts each lane's key base
+only from the entries of the winning levels, to give their indices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .graph import LEFT, RIGHT, BipartiteGraph, Subgraph, csr_slices
+from .graph import LEFT, RIGHT, BipartiteGraph, Subgraph
 
 __all__ = [
     "LevelVector",
@@ -127,7 +134,9 @@ def _levels(slot: np.ndarray, exps: np.ndarray, slots: int):
         return empty, empty, empty, empty
     low = int(exps.min())
     span = int(exps.max()) - low + 1
-    key = slot * span + (exps - low)
+    key = slot * span
+    key += exps
+    key -= low
     counts = np.bincount(key, minlength=slots * span)
     present = np.flatnonzero(counts)
     level_slot, level_exp = np.divmod(present, span)
@@ -181,12 +190,15 @@ def _product(table, slot, rows, exps, slots, width):
 
     rows gives each entry's row in the graph's one adjacency table, entries
     in (slot, index) order; one gather takes the edges incident to the
-    supports in (slot, vertex, neighbor) order.  Returns each source entry's
-    edge count, each edge's weight, each slot's edge count, the sorted
-    slot * width + neighbor key of each product entry, each edge's product
-    entry and the product values.  Keys are numbered by an occupancy array
-    over the key space when that holds at most _OCCUPANCY_FACTOR keys per
-    gathered edge (all-ones starts).
+    supports in (slot, vertex, neighbor) order.  Each edge's source entry is
+    numbered once, and every per-entry quantity an edge needs (its row
+    offset, its slot's key base, its entry's value) is taken through that
+    one source index.  Returns each edge's source entry, each edge's
+    weight, each slot's edge count, the sorted slot * width + neighbor key
+    of each product entry, each edge's product entry and the product
+    values.  Keys are numbered by an occupancy array over the key space
+    when that holds at most _OCCUPANCY_FACTOR keys per gathered edge
+    (all-ones starts).
     Otherwise (a few seeds on a large graph) each key is shifted left and
     its edge's position put in the low bits, and one in-place sort of these
     words gives the sorted keys and the order of their edges; np.unique
@@ -196,9 +208,16 @@ def _product(table, slot, rows, exps, slots, width):
     source-vertex order.
     """
     indptr, nbrs, weights = table
-    fan, pos = csr_slices(indptr, rows)
-    n = len(pos)
-    key = np.repeat(slot * width, fan)
+    lo = indptr[rows]
+    fan = indptr[rows + 1] - lo
+    src = np.repeat(np.arange(len(rows)), fan)
+    n = len(src)
+    # an edge's position is its rank among the gathered edges plus its
+    # entry's row start less the edges gathered before that row
+    at = np.arange(n)
+    pos = (lo - (np.cumsum(fan) - fan))[src]
+    pos += at
+    key = (slot * width)[src]
     key += nbrs[pos]
     wt = weights[pos]
     del pos  # each numbering takes a few more arrays of this length
@@ -212,7 +231,7 @@ def _product(table, slot, rows, exps, slots, width):
     elif (space - 1).bit_length() + bits <= _PACK_BITS:
         # a word's position bits break ties between equal keys in edge order
         key <<= bits
-        key |= np.arange(n)
+        key |= at
         key.sort()
         order = key & ((1 << bits) - 1)
         key >>= bits
@@ -220,19 +239,23 @@ def _product(table, slot, rows, exps, slots, width):
         new[:1] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
         keys = key[new]
+        # the first key opens no new number, so the count of keys opened
+        # up to an edge is its entry's number
+        new[:1] = False
         y_of_edge = np.empty(n, dtype=np.intp)
-        y_of_edge[order] = np.cumsum(new) - 1
+        y_of_edge[order] = np.cumsum(new)
         del order, new
     else:
         keys, y_of_edge = np.unique(key, return_inverse=True)
-    del key
-    terms = np.repeat(np.ldexp(1.0, exps), fan) * wt
+    del key, at
+    terms = np.ldexp(1.0, exps)[src]
+    terms *= wt
     prod = np.bincount(y_of_edge, weights=terms, minlength=len(keys))
     edges = np.bincount(slot, weights=fan, minlength=slots).astype(np.int64)
-    return fan, wt, edges, keys, y_of_edge, prod
+    return src, wt, edges, keys, y_of_edge, prod
 
 
-def _pair_weights(fan, wt, y_slot, y_of_edge, live, x_levels, y_levels):
+def _pair_weights(src, wt, y_slot, y_of_edge, live, x_levels, y_levels):
     """Weight of every (x level, y level) pair of each lane that has edges.
 
     The pairs are the cells of one table: a row per x level, as _levels
@@ -242,8 +265,9 @@ def _pair_weights(fan, wt, y_slot, y_of_edge, live, x_levels, y_levels):
     the graph.  Each pair's sum runs over its edges in (vertex, neighbor)
     order, the order a walk level by level visits them in, and the nonzero
     cells list the pairs in (slot, i, j) order.  Returns the slot, x level,
-    y level and weight of each pair, levels as numbered by _levels.  live
-    marks the product entries kept, or is None when every entry is.
+    y level and weight of each pair, levels as numbered by _levels.  src
+    gives each edge's source entry; live marks the product entries kept,
+    or is None when every entry is.
     """
     x_level_of, x_level_slot = x_levels[:2]
     y_level_of, y_level_slot = y_levels[:2]
@@ -255,7 +279,8 @@ def _pair_weights(fan, wt, y_slot, y_of_edge, live, x_levels, y_levels):
         every = np.full(len(live), width - 1)
         every[live] = y_part
         y_part = every
-    ids = np.repeat(x_level_of * width, fan) + y_part[y_of_edge]
+    ids = (x_level_of * width)[src]
+    ids += y_part[y_of_edge]
     weight = np.bincount(ids, weights=wt, minlength=len(x_level_slot) * width).reshape(-1, width)
     # edge weights are positive, so a pair has edges exactly when its
     # weight does
@@ -290,19 +315,39 @@ class StepRecord:
         return self.post_levels.support_size - self.next_levels.support_size
 
 
-@dataclass
+@dataclass(eq=False)
 class ProcessOutcome:
-    """One start's run.  best is the densest level pair's subgraph, its left
-    set on the graph's left side, and best_at its (step, i, j) as in
-    DensityResult.found_at; both are None when no step was taken.  trace
-    lists the run's StepRecords when kept, else None.
+    """One start's run.  best_at is the densest level pair's (step, i, j)
+    as in DensityResult.found_at; left and right hold the pair's vertex
+    sets on the graph's left and right side as sorted int64 index arrays,
+    with its edge_weight and density.  All four are None when no step was
+    taken.  best is the pair's Subgraph, built on first read, so a caller
+    that keeps few of many runs builds sets for those alone.  trace lists
+    the run's StepRecords when kept, else None.  Two outcomes are equal
+    when their best, best_at, counts and traces are.
     """
 
-    best: Subgraph | None
     best_at: tuple | None
     steps_executed: int
     edges_touched: int
     trace: list | None
+    left: np.ndarray | None = None
+    right: np.ndarray | None = None
+    edge_weight: float | None = None
+    density: float | None = None
+
+    @cached_property
+    def best(self) -> Subgraph | None:
+        if self.left is None:
+            return None
+        sets = frozenset(self.left.tolist()), frozenset(self.right.tolist())
+        return Subgraph(*sets, self.edge_weight, self.density)
+
+    def __eq__(self, other):
+        if not isinstance(other, ProcessOutcome):
+            return NotImplemented
+        fields = ("best", "best_at", "steps_executed", "edges_touched", "trace")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
 
 @dataclass
@@ -404,30 +449,26 @@ def run_pruned_growth(
     t = 0
     while t < len(epsilons) - 1 and len(slot):
         rows = index + x_off[slot]
-        fan, wt, edges, keys, y_of_edge, prod = _product(table, slot, rows, exps, lanes, width)
+        src, wt, edges, keys, y_of_edge, prod = _product(table, slot, rows, exps, lanes, width)
         # entries that underflowed to zero are dropped; in the usual step
-        # every entry is live, and live is None: nothing is masked
-        live = prod > 0.0
-        if live.all():
-            live, y_keys, y_prod = None, keys, prod
-        else:
-            y_keys, y_prod = keys[live], prod[live]
-        # each lane's run of the sorted keys, and its entries' lanes and
-        # indices, without a division
-        y_bounds = np.searchsorted(y_keys, np.arange(lanes + 1) * width)
+        # none did, and live is None: nothing is masked
+        live = None
+        if len(prod) and prod.min() == 0.0:
+            live = prod > 0.0
+            keys, prod = keys[live], prod[live]
+        # each lane's run of the sorted keys, and its entries' lanes,
+        # without a division
+        y_bounds = np.searchsorted(keys, np.arange(lanes + 1) * width)
         y_sizes = np.diff(y_bounds)
         y_slot = np.repeat(np.arange(lanes), y_sizes)
-        y_index = y_keys - y_slot * width
-        y_exps = _round_up_pow2(y_prod)
-        del y_keys, y_prod
+        y_exps = _round_up_pow2(prod)
+        del prod
         y_levels = _levels(y_slot, y_exps, lanes)
         y_level_of, y_level_slot, y_level_exp, y_counts = y_levels
         # each lane's product moves to its own scale, its top level at 2**0
         top = _tops(y_level_slot, y_level_exp, lanes)
-        y_exps -= top[y_slot]
         y_level_exp -= top[y_level_slot]
         x_shift, shift = shift, shift + top
-        pre_norm = _norms(y_level_slot, y_level_exp, y_counts, lanes)
 
         # a lane with no edges, or whose products all underflowed, stops
         # without taking the step
@@ -441,10 +482,10 @@ def run_pruned_growth(
         x_levels = _levels(slot, exps, lanes)
         x_level_of, _, x_level_exp, x_counts = x_levels
         p_slot, pi, pj, pair_weight = _pair_weights(
-            fan, wt, y_slot, y_of_edge, live, x_levels, y_levels
+            src, wt, y_slot, y_of_edge, live, x_levels, y_levels
         )
         # the per-edge arrays go before the next step gathers its own
-        del wt, keys, y_of_edge, prod, live
+        del src, wt, y_of_edge, live
         dens = pair_weight / np.sqrt(x_counts[pi] * y_counts[pj])
         # each stepping lane's first maximum in (i, j) order: a stable sort
         # by (lane, -density) puts it first among the lane's pairs
@@ -460,9 +501,12 @@ def run_pruned_growth(
             x_win[lanes_up] = pi[up]
             y_win[lanes_up] = pj[up]
             # the entries of those levels, lane after lane, and each lane's
-            # run of them (np.split's per-piece cost made a scan 3% slower)
+            # run of them (np.split's per-piece cost made a scan 3% slower);
+            # the y indices come from the keys of those entries alone
             xs = index[x_level_of == x_win[slot]]
-            ys = y_index[y_level_of == y_win[y_slot]]
+            y_won = y_level_of == y_win[y_slot]
+            ys = keys[y_won]
+            ys -= y_slot[y_won] * width
             x_runs = pairwise([0, *np.cumsum(x_counts[pi[up]]).tolist()])
             y_runs = pairwise([0, *np.cumsum(y_counts[pj[up]]).tolist()])
             for lane, i, j, (xa, xb), (ya, yb), e, d, off in zip(
@@ -478,7 +522,13 @@ def run_pruned_growth(
                 best[lane] = (t, i, j, xs[xa:xb], ys[ya:yb], e, d, off)
 
         if t == len(epsilons) - 2 and not keep_trace:
-            break  # only a trace reads the last step's truncated vector
+            # only truncation and traces read the rounded product's norm,
+            # its entries' indices and its exponents on the lane's scale
+            break
+        pre_norm = _norms(y_level_slot, y_level_exp, y_counts, lanes)
+        y_index = keys - y_slot * width
+        y_exps -= top[y_slot]
+        del keys
         eps = epsilons[t + 1]
         # a level's entries share one value, so truncation keeps whole levels
         keep = np.ldexp(1.0, y_level_exp) > eps * pre_norm[y_level_slot]
@@ -525,12 +575,11 @@ def run_pruned_growth(
 
     outcomes = []
     for lane in range(lanes):
-        sub = at = None
-        if best[lane] is not None:
-            t, i, j, xs, ys, e, d, off = best[lane]
-            xs, ys = frozenset(xs.tolist()), frozenset(ys.tolist())
-            sub = Subgraph(xs, ys, e, d) if off == 0 else Subgraph(ys, xs, e, d)
-            at = (t, i, j)
-        trace = traces[lane] if keep_trace else None
-        outcomes.append(ProcessOutcome(sub, at, int(executed[lane]), int(touched[lane]), trace))
+        counts = int(executed[lane]), int(touched[lane]), traces[lane] if keep_trace else None
+        if best[lane] is None:
+            outcomes.append(ProcessOutcome(None, *counts))
+            continue
+        t, i, j, xs, ys, e, d, off = best[lane]
+        left, right = (xs, ys) if off == 0 else (ys, xs)
+        outcomes.append(ProcessOutcome((t, i, j), *counts, left, right, e, d))
     return GrowthBatch(outcomes, int(touched.sum()), int(executed.sum()))

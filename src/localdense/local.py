@@ -158,25 +158,27 @@ def _bound_factors(g: BipartiteGraph, schedule: LocalSchedule):
 
 
 # Lanes per growth call.  Scanning 800 random seeds, half on each side, at
-# target size 32 on a 1e6-edge graph cost 1154 / 236 / 222 / 224 / 209 us
-# per seed at 1 / 32 / 64 / 128 / 400 lanes per call, while one call's peak
-# memory grew with its lanes: 0.22 / 3.3 / 6.6 / 12.8 / 38.8 MB (one core
-# of a 2-vCPU Xeon VM).  The time curve is flat from 32 lanes on; 128 lets
-# a scan of about a hundred seeds grow in one call.
+# target size 32 on a 1e6-edge graph cost 631 / 106 / 93 / 89 / 86 us per
+# seed at 1 / 32 / 64 / 128 / 400 lanes per call, while one call's peak
+# memory grew with its lanes: 0.12 / 2.8 / 5.3 / 10.9 / 35.7 MB (one core
+# of a 2-vCPU Xeon VM, numpy 2.4).  The time curve is nearly flat from 64
+# lanes on; 128 lets a scan of about a hundred seeds grow in one call.
 _LANES = 128
 
 
 def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_trace: bool):
     """Grow from each (token, side) seed; side None resolves as in local_density.
 
-    Yields one entry per seed, in order: its DensityResult, or the
-    UnknownVertex or NoCandidate error local_density would raise for it.  A
-    chunk is _LANES seed positions: its seeds that resolve grow as the lanes
-    of one run_pruned_growth call, each with the outcome it would have
-    alone.  Its callers are local_density (one seed), seed_scan and
+    Yields one entry per seed, in order: its start label and ProcessOutcome,
+    or the UnknownVertex or NoCandidate error local_density would raise for
+    it.  An outcome holds its pair as index arrays and builds its vertex
+    sets on first read, so a caller that keeps few of many runs builds
+    sets, and through _results DensityResults, for those alone.  A chunk is
+    _LANES seed positions: its seeds that resolve grow as the lanes of one
+    run_pruned_growth call, each with the outcome it would have alone.  Its
+    callers are local_density (one seed), seed_scan and
     verify.run_verification (the traced local runs and the good-seed runs).
     """
-    bound, bound_eps = _bound_factors(g, sched)
     seeds = iter(seeds)
     while chunk := list(islice(seeds, _LANES)):
         found: list = []  # (token, side, index), or the error, per seed
@@ -193,23 +195,34 @@ def _grow_seeds(g: BipartiteGraph, seeds: Iterable, sched: LocalSchedule, keep_t
                 continue
             outcome = next(outcomes)
             token, side, _ = item
-            if outcome.best is None:
+            if outcome.best_at is None:
                 yield NoCandidate(f"seed {token!r} has no incident edges")
-                continue
-            start = f"seed:{side}:{token}"
-            yield DensityResult(
-                subgraph=outcome.best,
-                found_at=outcome.best_at,
-                start=start,
-                bound=bound,
-                bound_eps=bound_eps,
-                target_size=sched.target_size,
-                edges_touched=outcome.edges_touched,
-                steps=outcome.steps_executed,
-                traces=(GrowthTrace(start, outcome.trace),) if keep_trace else None,
-            )
+            else:
+                yield f"seed:{side}:{token}", outcome
         # keep no outcome while the next chunk grows
         outcomes = outcome = None
+
+
+def _results(g: BipartiteGraph, sched: LocalSchedule):
+    """The function that makes a DensityResult of a (start, outcome) entry
+    of _grow_seeds; every result it makes shares one pair of bound factors."""
+    bound, bound_eps = _bound_factors(g, sched)
+
+    def result(start: str, outcome) -> DensityResult:
+        trace = outcome.trace
+        return DensityResult(
+            subgraph=outcome.best,
+            found_at=outcome.best_at,
+            start=start,
+            bound=bound,
+            bound_eps=bound_eps,
+            target_size=sched.target_size,
+            edges_touched=outcome.edges_touched,
+            steps=outcome.steps_executed,
+            traces=None if trace is None else (GrowthTrace(start, trace),),
+        )
+
+    return result
 
 
 def local_density(
@@ -232,7 +245,7 @@ def local_density(
     (run,) = _grow_seeds(g, [(seed, side)], sched, keep_trace)
     if isinstance(run, Exception):
         raise run
-    return run
+    return _results(g, sched)(*run)
 
 
 def seed_scan(
@@ -250,12 +263,14 @@ def seed_scan(
     local_density on its seed alone: one growth call per chunk, whatever
     its seeds do.  Results that name the same vertex pair are deduplicated
     keeping the earliest seed, and the survivors are ordered by density with
-    ties broken by seed order.  A seed that fails (unknown or isolated) is
-    recorded, in seed order, not fatal.  top_n and target_size are checked
-    before any seed grows.  No traces are kept;
-    local_density keeps one seed's.  parallel is ignored, and kept only
-    because the benchmark's local-scan workload passes it positionally:
-    threads gave no speedup on this pure-Python and small-array work.
+    ties broken by seed order.  Deduplication compares each run's pair as
+    sorted index arrays, and only the top_n results kept build vertex sets
+    and DensityResults.  A seed that fails (unknown or isolated) is recorded,
+    in seed order, not fatal.  top_n and target_size are checked before any
+    seed grows.  No traces are kept; local_density keeps one seed's.
+    parallel is ignored, and kept only because the benchmark's local-scan
+    workload passes it positionally: threads gave no speedup on this
+    pure-Python and small-array work.
     """
     if not is_int(top_n) or top_n < 1:
         raise DomainError(f"top_n must be a positive integer, got {top_n!r}")
@@ -268,15 +283,19 @@ def seed_scan(
 
     failures: list = []
     seen: set = set()
-    ordered: list = []
+    ordered: list = []  # (-density, seed position, start, outcome) per distinct pair
     runs = _grow_seeds(g, map(pair, seeds), sched, keep_trace=False)
     for order, (seed, run) in enumerate(zip(seeds, runs)):
         if isinstance(run, Exception):
             failures.append(SeedFailure(seed, type(run).__name__, str(run)))
             continue
-        key = (run.subgraph.left, run.subgraph.right)
+        start, outcome = run
+        # equal sorted int64 index arrays name equal vertex sets
+        key = (outcome.left.tobytes(), outcome.right.tobytes())
         if key not in seen:
             seen.add(key)
-            ordered.append((order, run))
-    ordered.sort(key=lambda pair: (-pair[1].density, pair[0]))
-    return ScanOutcome([res for _, res in ordered[: int(top_n)]], failures)
+            ordered.append((-outcome.density, order, start, outcome))
+    ordered.sort(key=lambda kept: kept[:2])
+    result = _results(g, sched)
+    kept = ordered[: int(top_n)]
+    return ScanOutcome([result(start, outcome) for *_, start, outcome in kept], failures)

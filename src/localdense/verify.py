@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import NoCandidate, TooLarge
 from .graph import LEFT, BipartiteGraph, density
 from .globalopt import global_density, global_guarantee_bound
-from .local import LocalSchedule, _grow_seeds, local_guarantee_bound
+from .local import LocalSchedule, _grow_seeds, _results, local_guarantee_bound
 from .oracle import exact_densest, good_seed_set, top_eigenvalue
 
 PROPERTY_NAMES = (
@@ -41,7 +41,9 @@ def _grow_left(g: BipartiteGraph, vertices, sched: LocalSchedule, keep_trace: bo
     """local_density's result or error for each left vertex index, in order;
     the seeds grow as the lanes of one growth call."""
     seeds = [(g.left_id(v), LEFT) for v in vertices]
-    return _grow_seeds(g, seeds, sched, keep_trace)
+    result = _results(g, sched)
+    for run in _grow_seeds(g, seeds, sched, keep_trace):
+        yield run if isinstance(run, Exception) else result(*run)
 
 
 def _collect_traces(g: BipartiteGraph, sched: LocalSchedule):

@@ -58,10 +58,14 @@ def vector(side, exponents: dict) -> LevelVector:
     )
 
 
+# what a ProcessOutcome reports; its pair arrays are read through best
+OUTCOME_FIELDS = ("best", "best_at", "steps_executed", "edges_touched", "trace")
+
+
 def outcome_fields(out: ProcessOutcome) -> dict:
     """ProcessOutcome as the referee reports it: vectors as (side, levels
     dict, norm) triples."""
-    fields = {f.name: getattr(out, f.name) for f in dataclasses.fields(ProcessOutcome)}
+    fields = {name: getattr(out, name) for name in OUTCOME_FIELDS}
     fields["trace"] = [
         {
             f.name: (v.side, levels(v), v.norm) if isinstance(v, LevelVector) else v
@@ -351,14 +355,15 @@ def test_run_pruned_growth_counts_work(star4):
 
 @pytest.mark.parametrize("keep_trace, per_step", [(False, 1), (True, 3)])
 def test_norms_are_computed_for_traces_only(monkeypatch, keep_trace, per_step):
-    # truncation needs the rounded product's norm; the next vector's norm
-    # and the pruned mass are read by traces alone
+    # truncation needs the rounded product's norm, and an untraced run
+    # takes no truncation after its last step; the next vector's norm and
+    # the pruned mass are read by traces alone
     calls = []
     norms = growth._norms
     monkeypatch.setattr(growth, "_norms", lambda *a: calls.append(a) or norms(*a))
     out = grow(k_ab(3, 4), LevelVector.unit("L", 0), (0.5, 0.01, 0.01, 0.01, 0.01), keep_trace)
     assert out.steps_executed == 4
-    assert len(calls) == 4 * per_step
+    assert len(calls) == 4 * per_step - (not keep_trace)
 
 
 def test_run_pruned_growth_dying_step_still_reports(star4):
@@ -595,7 +600,8 @@ def check_numberings(g, lanes, epsilons):
 def check_lanes(g, starts, wants, epsilons):
     """Grow the starts as one batch, traced and not, and each alone; check
     every outcome against the referee's and return the traced ones'
-    fields."""
+    fields.  An untraced run skips the last step's truncation, yet must
+    report what the traced one does, bit for bit."""
     batch = run_pruned_growth(g, starts, epsilons, keep_trace=True)
     bare = run_pruned_growth(g, starts, epsilons)
     assert len(batch.outcomes) == len(bare.outcomes) == len(starts)
@@ -605,6 +611,7 @@ def check_lanes(g, starts, wants, epsilons):
         assert fields == want
         assert fields == outcome_fields(lone)
         assert plain.trace is None
+        assert bits_of(plain)[:-1] == bits_of(out)[:-1]
         assert dataclasses.replace(plain, trace=out.trace) == out
     runs = batch.outcomes
     assert batch.edges_touched == bare.edges_touched == sum(o.edges_touched for o in runs)
@@ -664,7 +671,7 @@ def test_subnormal_graphs_match_dict_referee():
 
 
 def bits_of(out):
-    """An outcome with every float as its hex form."""
+    """An outcome with every float as its hex form, its trace last."""
 
     def vec(v):
         return (v.side, v.index.tolist(), v.exps.tolist(), v.norm.hex())
@@ -685,7 +692,7 @@ def bits_of(out):
                 rec.max_pair_density.hex(),
                 rec.pruned_mass.hex(),
             )
-            for rec in out.trace
+            for rec in out.trace or ()
         ],
     )
 

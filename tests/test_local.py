@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -341,6 +342,48 @@ def test_seed_scan_chunks_match_lone_runs():
     top = seed_scan(g, seeds, 8, top_n=5)
     assert top.results == want_results[:5]
     assert top.failures == want_failures
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.lists(st.sampled_from(["any", "L", "R", "unknown", "repeat"]), max_size=30),
+    st.integers(1, 40),
+    st.sampled_from([1, 2, 8]),
+    st.sampled_from([1, 3, _LANES]),
+)
+def test_seed_scan_matches_lone_runs(seed, directed, kinds, top_n, target, lanes):
+    # small weighted graphs whose ids may name a vertex on both sides, read
+    # as bipartite or as directed (where ids without arcs out or in are
+    # isolated on that side); seeds repeated, pinned to either side or
+    # unknown, in chunks of a few lanes or of one: the scan keeps the first
+    # top_n of what a loop of local_density calls keeps, and its failures
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    rows = [
+        (f"v{rng.randrange(n)}", f"v{rng.randrange(n)}", w)
+        for w in (rng.choice((1.0, 0.5, 2.5, 0.0, rng.uniform(0.1, 3.0))) for _ in range(3 * n))
+    ]
+    rows.append((f"v{rng.randrange(n)}", f"v{rng.randrange(n)}", 1.5))
+    g = (from_directed if directed else build_bipartite)(rows)
+    tokens = sorted(
+        {g.left_id(u) for u in range(g.left_count)} | {g.right_id(v) for v in range(g.right_count)}
+    )
+    seeds: list = []
+    for k, kind in enumerate(kinds):
+        if kind == "unknown":
+            seeds.append(f"missing{k}")
+        elif kind == "repeat" and seeds:
+            seeds.append(rng.choice(seeds))
+        else:
+            token = rng.choice(tokens)
+            seeds.append((token, kind) if kind in ("L", "R") else token)
+    want_results, want_failures = _scan_one_by_one(g, seeds, target)
+    with mock.patch.object(local, "_LANES", lanes):
+        out = seed_scan(g, seeds, target, top_n=top_n)
+    assert out.results == want_results[:top_n]
+    assert out.failures == want_failures
 
 
 def test_seed_scan_records_an_overflowing_seed(monkeypatch):
