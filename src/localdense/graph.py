@@ -321,7 +321,8 @@ def _index_array(g: BipartiteGraph, side: str, vertices) -> np.ndarray:
 
 def csr_slices(indptr: np.ndarray, members: np.ndarray):
     """Each member's fan-out in a CSR table, and the positions of their
-    neighbour entries, member by member in the order given."""
+    neighbour entries, member by member in the order given.  _crossing and
+    growth._product, every growth step's gather, both read rows through it."""
     lo = indptr[members]
     fan = indptr[members + 1] - lo
     return fan, np.arange(fan.sum()) + np.repeat(lo - (np.cumsum(fan) - fan), fan)

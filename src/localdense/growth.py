@@ -3,28 +3,30 @@
 The process walks a sparse nonnegative vector back and forth across the
 bipartition: multiply by the adjacency, round every entry up to a power of
 two, then drop entries that are small relative to the vector norm.  Because
-entries are always exact powers of two, a vector is stored as its sorted
-support plus one integer exponent per entry.
+entries are always exact powers of two, a vector is read only through its
+level sets, the entries that share one exponent.
 
-Grouping a vector's support by exponent gives its level sets, and each step's
-candidate subgraphs are the pairs (level of the current vector, level of the
-rounded product).  The densest pair over all steps is the process output.
-A step gathers the edges incident to the support once; the same edges give
-both the product and the weight of every level pair.  It numbers each
-edge's source entry once, and takes every per-entry value an edge needs
-(its row offset, its lane's key base, its entry's value and x level)
-through that one source index.
+Each step's candidate subgraphs are the pairs (level of the current vector,
+level of the rounded product).  The densest pair over all steps is the
+process output.  A step gathers the edges incident to the support once,
+through graph.csr_slices; the same edges give both the product and the
+weight of every level pair, and every per-entry value an edge needs (its
+lane's key base, its entry's value and x level) is spread to the edges by
+one np.repeat over the entries' fan-outs.
 
 run_pruned_growth grows many start vectors at once, one lane per start, and
 returns a GrowthBatch.  Every lane advances in the same array pass per step,
 whichever side it starts on: the vectors are held as one set of (lane,
-index, exponent) arrays sorted by (lane, index), start k being lane k, and
-each step gathers every entry's edges from the graph's one adjacency table,
-the left rows then the right ones.  A lane keeps its number for the whole
-call; one whose run has stopped just has no entries left.  A lane holds its
-vector at its own power-of-two scale, its top entry at 2**0, so no product
-entry overflows and scaling every weight by 2**k only moves the exponents
-reported.  Product entries are keyed by (lane, neighbor) and numbered by an
+index, level) arrays sorted by (lane, index), start k being lane k, plus one
+level table, the (lane, exponent, entry count) of each level; each step
+gathers every entry's edges from the graph's one adjacency table, the left
+rows then the right ones.  A lane keeps its number for the whole call; one
+whose run has stopped just has no entries left.  A lane holds its vector at
+its own power-of-two scale, its top level at 2**0 in the table, so no
+product entry overflows and scaling every weight by 2**k only moves the
+exponents reported.  The starts' table is built once; every later one is the
+rows of the rounded product's table that truncation kept, which keeps whole
+levels.  Product entries are keyed by (lane, neighbor) and numbered by an
 occupancy array over every (lane, neighbor) key when that array holds at
 most four entries per gathered edge, else by one sort of words that pack
 each key with its edge's position (np.unique's sort only where the two do
@@ -55,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .graph import LEFT, RIGHT, BipartiteGraph, Subgraph
+from .graph import LEFT, RIGHT, BipartiteGraph, Subgraph, csr_slices
 
 __all__ = [
     "LevelVector",
@@ -125,13 +127,16 @@ def _levels(slot: np.ndarray, exps: np.ndarray, slots: int):
     """Level sets of every lane's vector, numbered in (slot, exponent) order.
 
     slot and exps give each entry's lane slot (0 <= slot < slots) and
-    exponent.  Returns the level of each entry and the slot, exponent and
-    entry count of each level.  The numbering comes from one bincount over
-    slots times the exponent span, not from a sort.
+    exponent.  Returns the level of each entry, the slot, exponent and
+    entry count of each level, and each slot's top exponent (0 for a slot
+    without).  A level's exponent is on its lane's own scale, relative to
+    the lane's top, so a lane's top level reads 0.  The numbering comes
+    from one bincount over slots times the exponent span, not from a sort.
     """
+    top = np.zeros(slots, dtype=np.int64)
     if not len(exps):
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, empty
+        return empty, empty, empty, empty, top
     low = int(exps.min())
     span = int(exps.max()) - low + 1
     key = slot * span
@@ -140,16 +145,12 @@ def _levels(slot: np.ndarray, exps: np.ndarray, slots: int):
     counts = np.bincount(key, minlength=slots * span)
     present = np.flatnonzero(counts)
     level_slot, level_exp = np.divmod(present, span)
-    return (np.cumsum(counts > 0) - 1)[key], level_slot, level_exp + low, counts[present]
-
-
-def _tops(level_slot: np.ndarray, level_exp: np.ndarray, slots: int) -> np.ndarray:
-    """Each slot's top exponent, from its levels as _levels lists them, in
-    (slot, exponent) order; 0 for a slot without."""
-    top = np.zeros(slots, dtype=np.int64)
+    level_exp += low
+    # levels ascend within a slot, so a slot's last level is its top
     last = np.diff(level_slot, append=slots) != 0
     top[level_slot[last]] = level_exp[last]
-    return top
+    level_exp -= top[level_slot]
+    return (np.cumsum(counts > 0) - 1)[key], level_slot, level_exp, counts[present], top
 
 
 def _norms(level_slot: np.ndarray, level_exp: np.ndarray, counts: np.ndarray, slots: int):
@@ -185,15 +186,15 @@ _OCCUPANCY_FACTOR = 4
 _PACK_BITS = 63
 
 
-def _product(table, slot, rows, exps, slots, width):
+def _product(table, slot, rows, values, slots, width):
     """The edges of one step for every lane at once, and their product.
 
-    rows gives each entry's row in the graph's one adjacency table, entries
-    in (slot, index) order; one gather takes the edges incident to the
-    supports in (slot, vertex, neighbor) order.  Each edge's source entry is
-    numbered once, and every per-entry quantity an edge needs (its row
-    offset, its slot's key base, its entry's value) is taken through that
-    one source index.  Returns each edge's source entry, each edge's
+    rows gives each entry's row in the graph's one adjacency table and
+    values its value on its lane's scale, entries in (slot, index) order;
+    csr_slices gathers the edges incident to the supports in (slot, vertex,
+    neighbor) order, and each per-entry quantity an edge needs (its slot's
+    key base, its entry's value) is spread to its edges by np.repeat over
+    the entries' fan-outs.  Returns each entry's fan-out, each edge's
     weight, each slot's edge count, the sorted slot * width + neighbor key
     of each product entry, each edge's product entry and the product
     values.  Keys are numbered by an occupancy array over the key space
@@ -208,16 +209,9 @@ def _product(table, slot, rows, exps, slots, width):
     source-vertex order.
     """
     indptr, nbrs, weights = table
-    lo = indptr[rows]
-    fan = indptr[rows + 1] - lo
-    src = np.repeat(np.arange(len(rows)), fan)
-    n = len(src)
-    # an edge's position is its rank among the gathered edges plus its
-    # entry's row start less the edges gathered before that row
-    at = np.arange(n)
-    pos = (lo - (np.cumsum(fan) - fan))[src]
-    pos += at
-    key = (slot * width)[src]
+    fan, pos = csr_slices(indptr, rows)
+    n = len(pos)
+    key = np.repeat(slot * width, fan)
     key += nbrs[pos]
     wt = weights[pos]
     del pos  # each numbering takes a few more arrays of this length
@@ -231,7 +225,7 @@ def _product(table, slot, rows, exps, slots, width):
     elif (space - 1).bit_length() + bits <= _PACK_BITS:
         # a word's position bits break ties between equal keys in edge order
         key <<= bits
-        key |= at
+        key |= np.arange(n)
         key.sort()
         order = key & ((1 << bits) - 1)
         key >>= bits
@@ -247,15 +241,15 @@ def _product(table, slot, rows, exps, slots, width):
         del order, new
     else:
         keys, y_of_edge = np.unique(key, return_inverse=True)
-    del key, at
-    terms = np.ldexp(1.0, exps)[src]
+    del key
+    terms = np.repeat(values, fan)
     terms *= wt
     prod = np.bincount(y_of_edge, weights=terms, minlength=len(keys))
     edges = np.bincount(slot, weights=fan, minlength=slots).astype(np.int64)
-    return src, wt, edges, keys, y_of_edge, prod
+    return fan, wt, edges, keys, y_of_edge, prod
 
 
-def _pair_weights(src, wt, y_slot, y_of_edge, live, x_levels, y_levels):
+def _pair_weights(fan, wt, y_slot, y_of_edge, live, x_levels, y_levels):
     """Weight of every (x level, y level) pair of each lane that has edges.
 
     The pairs are the cells of one table: a row per x level, as _levels
@@ -265,8 +259,8 @@ def _pair_weights(src, wt, y_slot, y_of_edge, live, x_levels, y_levels):
     the graph.  Each pair's sum runs over its edges in (vertex, neighbor)
     order, the order a walk level by level visits them in, and the nonzero
     cells list the pairs in (slot, i, j) order.  Returns the slot, x level,
-    y level and weight of each pair, levels as numbered by _levels.  src
-    gives each edge's source entry; live marks the product entries kept,
+    y level and weight of each pair, levels as numbered by _levels.  fan
+    gives each x entry's edge count; live marks the product entries kept,
     or is None when every entry is.
     """
     x_level_of, x_level_slot = x_levels[:2]
@@ -279,7 +273,7 @@ def _pair_weights(src, wt, y_slot, y_of_edge, live, x_levels, y_levels):
         every = np.full(len(live), width - 1)
         every[live] = y_part
         y_part = every
-    ids = (x_level_of * width)[src]
+    ids = np.repeat(x_level_of * width, fan)
     ids += y_part[y_of_edge]
     weight = np.bincount(ids, weights=wt, minlength=len(x_level_slot) * width).reshape(-1, width)
     # edge weights are positive, so a pair has edges exactly when its
@@ -376,8 +370,9 @@ def run_pruned_growth(
     weights sum their terms in the same order, and it keeps the same first
     maximum.  All lanes advance together, one table gather per step
     whichever side they are on, until every run has stopped; the lanes'
-    vectors are one (slot, index, exps) triple of arrays sorted by (slot,
-    index), and a lane that has stopped has no entries left.
+    vectors are one (slot, index, level) triple of arrays sorted by (slot,
+    index) plus the level table _levels gives, and a lane that has stopped
+    has no entries left.
 
     epsilons[t + 1] prunes the step taken from the t-th vector, keeping the
     entries strictly above that fraction of the rounded product's norm;
@@ -431,8 +426,8 @@ def run_pruned_growth(
     # which the float range keeps under 2100
     if len(exps) and not (-1074 <= exps.min() and exps.max() <= 1023):
         raise DomainError("a start entry 2**i lies outside the float range")
-    shift = _tops(*_levels(slot, exps, lanes)[1:3], lanes)
-    exps -= shift[slot]
+    # each lane holds its vector over 2**shift, its top level at 2**0
+    *x_levels, shift = _levels(slot, exps, lanes)
 
     # a lane's entries sit in the table's rows from its x offset on: 0
     # while its vector is on the left, left_count while it is on the right
@@ -448,8 +443,10 @@ def run_pruned_growth(
 
     t = 0
     while t < len(epsilons) - 1 and len(slot):
+        x_level_of, _, x_level_exp, x_counts = x_levels
         rows = index + x_off[slot]
-        src, wt, edges, keys, y_of_edge, prod = _product(table, slot, rows, exps, lanes, width)
+        values = np.ldexp(1.0, x_level_exp)[x_level_of]
+        fan, wt, edges, keys, y_of_edge, prod = _product(table, slot, rows, values, lanes, width)
         # entries that underflowed to zero are dropped; in the usual step
         # none did, and live is None: nothing is masked
         live = None
@@ -463,11 +460,9 @@ def run_pruned_growth(
         y_slot = np.repeat(np.arange(lanes), y_sizes)
         y_exps = _round_up_pow2(prod)
         del prod
-        y_levels = _levels(y_slot, y_exps, lanes)
-        y_level_of, y_level_slot, y_level_exp, y_counts = y_levels
         # each lane's product moves to its own scale, its top level at 2**0
-        top = _tops(y_level_slot, y_level_exp, lanes)
-        y_level_exp -= top[y_level_slot]
+        *y_levels, top = _levels(y_slot, y_exps, lanes)
+        y_level_of, y_level_slot, y_level_exp, y_counts = y_levels
         x_shift, shift = shift, shift + top
 
         # a lane with no edges, or whose products all underflowed, stops
@@ -479,13 +474,11 @@ def run_pruned_growth(
         executed[go] += 1
         touched[go] += 2 * edges[go]
 
-        x_levels = _levels(slot, exps, lanes)
-        x_level_of, _, x_level_exp, x_counts = x_levels
         p_slot, pi, pj, pair_weight = _pair_weights(
-            src, wt, y_slot, y_of_edge, live, x_levels, y_levels
+            fan, wt, y_slot, y_of_edge, live, x_levels, y_levels
         )
         # the per-edge arrays go before the next step gathers its own
-        del src, wt, y_of_edge, live
+        del wt, y_of_edge, live
         dens = pair_weight / np.sqrt(x_counts[pi] * y_counts[pj])
         # each stepping lane's first maximum in (i, j) order: a stable sort
         # by (lane, -density) puts it first among the lane's pairs
@@ -527,17 +520,20 @@ def run_pruned_growth(
             break
         pre_norm = _norms(y_level_slot, y_level_exp, y_counts, lanes)
         y_index = keys - y_slot * width
-        y_exps -= top[y_slot]
         del keys
         eps = epsilons[t + 1]
-        # a level's entries share one value, so truncation keeps whole levels
+        # a level's entries share one value, so truncation keeps whole
+        # levels, and the next vector's table is the kept rows of this one
         keep = np.ldexp(1.0, y_level_exp) > eps * pre_norm[y_level_slot]
         kept = keep[y_level_of]
-        next_slot, next_index, next_exps = y_slot[kept], y_index[kept], y_exps[kept]
+        next_slot, next_index = y_slot[kept], y_index[kept]
+        next_level_of = (np.cumsum(keep) - 1)[y_level_of[kept]]
+        next_levels = [next_level_of] + [column[keep] for column in y_levels[1:]]
 
         if keep_trace:
-            # a trace holds true exponents and norms: the lane's plus its shift
-            y_true, level_true = y_exps + shift[y_slot], y_level_exp + shift[y_level_slot]
+            # a trace holds true exponents and norms: the lane's plus its
+            # shift (y_exps is on the scale of the step's source vector)
+            y_true, level_true = y_exps + x_shift[y_slot], y_level_exp + shift[y_level_slot]
             next_true = y_true[kept]
             next_norm, pruned_mass = (
                 _norms(y_level_slot[m], level_true[m], y_counts[m], lanes) for m in (keep, ~keep)
@@ -569,7 +565,7 @@ def run_pruned_growth(
                     )
                 )
 
-        slot, index, exps = next_slot, next_index, next_exps
+        slot, index, x_levels = next_slot, next_index, next_levels
         x_off = nl - x_off
         t += 1
 

@@ -25,6 +25,7 @@ from localdense import (
     ratio_density,
     restrict,
 )
+from localdense.graph import csr_slices
 
 from conftest import dense_biadjacency, k_ab, reference_edge_weight, reference_restrict
 
@@ -91,6 +92,25 @@ def test_csr_tables_match_stable_sort_referee(shape, seed):
     for side in (LEFT, RIGHT):
         ptr, nbr, wt = g.csr_arrays(side)
         assert (ptr.tolist(), nbr.tolist(), wt.tolist()) == want[side]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=1, max_size=30),
+    st.data(),
+)
+def test_csr_slices_match_a_row_walk(fans, data):
+    # every growth step and every crossing probe gathers through
+    # csr_slices: a table with empty rows, read by member arrays that are
+    # unsorted, repeat rows or are empty, must give each member's fan-out
+    # and its row's entry positions, member after member
+    indptr = np.concatenate([[0], np.cumsum(fans)]).astype(np.int64)
+    members = data.draw(st.lists(st.integers(0, len(fans) - 1), max_size=40))
+    fan, pos = csr_slices(indptr, np.array(members, dtype=np.int64))
+    walk = [p for m in members for p in range(indptr[m], indptr[m + 1])]
+    assert fan.tolist() == [fans[m] for m in members]
+    assert pos.tolist() == walk
+    assert fan.dtype.kind == pos.dtype.kind == "i"
 
 
 def test_zero_weight_edges_dropped():

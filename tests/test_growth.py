@@ -366,6 +366,20 @@ def test_norms_are_computed_for_traces_only(monkeypatch, keep_trace, per_step):
     assert len(calls) == 4 * per_step - (not keep_trace)
 
 
+@pytest.mark.parametrize("keep_trace", [False, True])
+def test_level_tables_are_made_once(monkeypatch, keep_trace):
+    # the starts' level table is made once, and every later one is the
+    # kept rows of the rounded product's table: one _levels call for the
+    # starts plus one per rounded product, whichever sides the lanes are on
+    calls = []
+    make = growth._levels
+    monkeypatch.setattr(growth, "_levels", lambda *a: calls.append(a) or make(*a))
+    starts = [LevelVector.unit("L", 0), LevelVector.unit("R", 1), LevelVector.ones("L", 3)]
+    batch = run_pruned_growth(k_ab(3, 4), starts, (0.5, 0.01, 0.01, 0.01, 0.01), keep_trace)
+    assert [out.steps_executed for out in batch.outcomes] == [4, 4, 4]
+    assert len(calls) == 1 + 4
+
+
 def test_run_pruned_growth_dying_step_still_reports(star4):
     out = grow(
         star4, LevelVector.unit("L", 0), (0.5, 0.6), keep_trace=True
